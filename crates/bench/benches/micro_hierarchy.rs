@@ -1,4 +1,4 @@
-//! Micro-bench: the hierarchical conflict model's hot paths.
+//! Micro-bench: the locking engine's hierarchical preset.
 //!
 //! Every admitted transaction in hierarchical mode pays an intent chain —
 //! escalation pass over the declared leaves, then IX intents on the
@@ -9,26 +9,23 @@
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lockgran_core::conflict::{AccessSampler, ConcurrencyControl};
-use lockgran_core::{HierarchicalConflict, HierarchySpec};
+use lockgran_core::conflict::ConcurrencyControl;
+use lockgran_core::{ConflictMode, HierarchySpec, LockingCC, ModelConfig};
 use lockgran_sim::SimRng;
-use lockgran_workload::Placement;
 
 const LTOT: u64 = 5000;
 const AREAS: u64 = 16;
 
-fn model(threshold: Option<u64>) -> HierarchicalConflict {
-    HierarchicalConflict::new(
-        AccessSampler {
-            placement: Placement::Best,
-            ltot: LTOT,
-            dbsize: 5000,
-            hot_spot: None,
-        },
-        HierarchySpec::default()
-            .with_areas(AREAS)
-            .with_escalation_threshold(threshold),
-    )
+fn model(threshold: Option<u64>) -> LockingCC {
+    let cfg = ModelConfig::table1()
+        .with_conflict(ConflictMode::Hierarchical)
+        .with_ltot(LTOT)
+        .with_hierarchy(Some(
+            HierarchySpec::default()
+                .with_areas(AREAS)
+                .with_escalation_threshold(threshold),
+        ));
+    LockingCC::new(&cfg)
 }
 
 /// Disjoint leaf runs, one per transaction, so every cycle is granted.

@@ -17,14 +17,16 @@ fn bench(c: &mut Criterion) {
             &locks_per_txn,
             |b, &k| {
                 let mut lt = LockTable::new();
+                let (mut blockers, mut woken) = (Vec::new(), Vec::new());
                 let mut serial = 0u64;
                 b.iter(|| {
                     let txn = TxnId(serial);
                     serial += 1;
                     for g in 0..k as u64 {
-                        black_box(lt.lock(txn, GranuleId(g), LockMode::X));
+                        black_box(lt.lock_into(txn, GranuleId(g), LockMode::X, &mut blockers));
                     }
-                    black_box(lt.release_all(txn));
+                    lt.release_all_into(txn, &mut woken);
+                    black_box(woken.len());
                 });
             },
         );
@@ -33,16 +35,18 @@ fn bench(c: &mut Criterion) {
     group.bench_function("contended_queue_churn", |b| {
         // One holder, a convoy of waiters, continuous release/grant.
         let mut lt = LockTable::new();
+        let (mut blockers, mut woken) = (Vec::new(), Vec::new());
         let g = GranuleId(0);
         for t in 0..32u64 {
-            let _ = lt.lock(TxnId(t), g, LockMode::X);
+            let _ = lt.lock_into(TxnId(t), g, LockMode::X, &mut blockers);
         }
         let mut head = 0u64;
         let mut tail = 32u64;
         b.iter(|| {
-            black_box(lt.unlock(TxnId(head), g));
+            lt.unlock_into(TxnId(head), g, &mut woken);
+            black_box(woken.len());
             head += 1;
-            let _ = lt.lock(TxnId(tail), g, LockMode::X);
+            let _ = lt.lock_into(TxnId(tail), g, LockMode::X, &mut blockers);
             tail += 1;
         });
     });
@@ -51,12 +55,14 @@ fn bench(c: &mut Criterion) {
         let mut s = ConservativeScheduler::new();
         let locks: Vec<(GranuleId, LockMode)> =
             (0..50).map(|g| (GranuleId(g), LockMode::X)).collect();
+        let mut woken = Vec::new();
         let mut serial = 0u64;
         b.iter(|| {
             let txn = TxnId(serial);
             serial += 1;
             black_box(s.request_all(txn, &locks));
-            black_box(s.release(txn));
+            s.release_into(txn, &mut woken);
+            black_box(woken.len());
         });
     });
 

@@ -20,8 +20,9 @@ const PROBE: u64 = 64;
 /// holder transactions that never release.
 fn resident_table(ltot: u64) -> LockTable {
     let mut lt = LockTable::new();
+    let mut blockers = Vec::new();
     for g in 0..ltot {
-        let _ = lt.lock(TxnId(g % HOLDERS), GranuleId(g), LockMode::S);
+        let _ = lt.lock_into(TxnId(g % HOLDERS), GranuleId(g), LockMode::S, &mut blockers);
     }
     lt
 }
@@ -39,6 +40,7 @@ fn bench(c: &mut Criterion) {
                 let mut lt = resident_table(ltot);
                 let step = (ltot / PROBE).max(1);
                 let probes = PROBE.min(ltot);
+                let (mut blockers, mut woken) = (Vec::new(), Vec::new());
                 let mut serial = HOLDERS;
                 let mut offset = 0u64;
                 b.iter(|| {
@@ -47,9 +49,10 @@ fn bench(c: &mut Criterion) {
                     offset = (offset + 1) % step;
                     for i in 0..probes {
                         let g = (i * step + offset) % ltot;
-                        black_box(lt.lock(txn, GranuleId(g), LockMode::S));
+                        black_box(lt.lock_into(txn, GranuleId(g), LockMode::S, &mut blockers));
                     }
-                    black_box(lt.release_all(txn));
+                    lt.release_all_into(txn, &mut woken);
+                    black_box(woken.len());
                 });
             },
         );
@@ -59,16 +62,18 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("queue_churn", ltot), &ltot, |b, &ltot| {
             let mut lt = resident_table(ltot);
             let hot = GranuleId(ltot); // fresh granule: pure X convoy
+            let (mut blockers, mut woken) = (Vec::new(), Vec::new());
             let mut head = HOLDERS;
             let mut tail = HOLDERS;
             for _ in 0..32 {
-                let _ = lt.lock(TxnId(tail), hot, LockMode::X);
+                let _ = lt.lock_into(TxnId(tail), hot, LockMode::X, &mut blockers);
                 tail += 1;
             }
             b.iter(|| {
-                black_box(lt.unlock(TxnId(head), hot));
+                lt.unlock_into(TxnId(head), hot, &mut woken);
+                black_box(woken.len());
                 head += 1;
-                let _ = lt.lock(TxnId(tail), hot, LockMode::X);
+                let _ = lt.lock_into(TxnId(tail), hot, LockMode::X, &mut blockers);
                 tail += 1;
             });
         });

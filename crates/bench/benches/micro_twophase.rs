@@ -10,7 +10,7 @@ use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use lockgran_lockmgr::{
-    AcquireOutcome, GranuleId, LockMode, RetryOutcome, TwoPhaseScheduler, TxnId,
+    AcquireEffects, AcquireStatus, GranuleId, LockMode, RetryOutcome, TwoPhaseScheduler, TxnId,
 };
 
 const LTOT: u64 = 5000;
@@ -32,14 +32,16 @@ fn bench(c: &mut Criterion) {
                 // Uncontended claim-as-needed lifecycle: `locks` grants
                 // one at a time, then one release.
                 let mut s = TwoPhaseScheduler::new();
+                let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
                 let mut serial = 0u64;
                 b.iter(|| {
                     let txn = TxnId(serial);
                     serial += 1;
                     for g in granule_run(serial, locks) {
-                        black_box(s.acquire(txn, GranuleId(g), LockMode::X));
+                        black_box(s.acquire_into(txn, GranuleId(g), LockMode::X, &mut fx));
                     }
-                    black_box(s.release(txn).len());
+                    s.release_into(txn, &mut granted);
+                    black_box(granted.len());
                 });
             },
         );
@@ -48,6 +50,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("blocked_wake", |b| {
         // A holder pins a granule; a waiter queues behind it and is
         // granted at release — the block/wake path of the protocol.
+        let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
         let mut serial = 0u64;
         b.iter(|| {
             let mut s = TwoPhaseScheduler::new();
@@ -55,11 +58,12 @@ fn bench(c: &mut Criterion) {
             let waiter = TxnId(serial + 1);
             serial += 2;
             let g = GranuleId(7);
-            black_box(s.acquire(holder, g, LockMode::X));
-            black_box(s.acquire(waiter, g, LockMode::X));
-            let woken = s.release(holder);
-            debug_assert_eq!(woken, vec![waiter]);
-            black_box(s.release(waiter).len());
+            black_box(s.acquire_into(holder, g, LockMode::X, &mut fx));
+            black_box(s.acquire_into(waiter, g, LockMode::X, &mut fx));
+            s.release_into(holder, &mut granted);
+            debug_assert_eq!(granted, vec![waiter]);
+            s.release_into(waiter, &mut granted);
+            black_box(granted.len());
         });
     });
 
@@ -68,6 +72,7 @@ fn bench(c: &mut Criterion) {
         // second claim of the younger closes a cycle, it self-aborts and
         // the survivor is granted. Prices edge insertion, cycle search
         // and the victim teardown.
+        let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
         let mut serial = 0u64;
         b.iter(|| {
             let mut s = TwoPhaseScheduler::new();
@@ -75,19 +80,19 @@ fn bench(c: &mut Criterion) {
             let young = TxnId(serial + 1);
             serial += 2;
             let (ga, gb) = (GranuleId(0), GranuleId(1));
-            black_box(s.acquire(old, ga, LockMode::X));
-            black_box(s.acquire(young, gb, LockMode::X));
-            black_box(s.acquire(old, gb, LockMode::X)); // old waits on young
-            let out = s.acquire(young, ga, LockMode::X); // closes the cycle
-            debug_assert!(matches!(
+            black_box(s.acquire_into(old, ga, LockMode::X, &mut fx));
+            black_box(s.acquire_into(young, gb, LockMode::X, &mut fx));
+            black_box(s.acquire_into(old, gb, LockMode::X, &mut fx)); // old waits on young
+            let out = s.acquire_into(young, ga, LockMode::X, &mut fx); // closes the cycle
+            debug_assert_eq!(
                 out,
-                AcquireOutcome::Deadlock {
-                    retry: RetryOutcome::SelfAborted,
-                    ..
+                AcquireStatus::Deadlock {
+                    retry: RetryOutcome::SelfAborted
                 }
-            ));
+            );
             black_box(out);
-            black_box(s.release(old).len());
+            s.release_into(old, &mut granted);
+            black_box(granted.len());
         });
     });
 

@@ -16,10 +16,10 @@
 //! The [`ConcurrencyControl`] trait abstracts the whole protocol seam —
 //! declared-access registration, admission, release/wake lists, protocol
 //! statistics — so the same system model can also run against a real lock
-//! table ([`crate::explicit::ExplicitConflict`]) or a multigranularity
-//! hierarchy with intention locks and escalation
-//! ([`crate::hierarchical::HierarchicalConflict`]), quantifying the
-//! quality of the approximation.
+//! table: [`crate::locking::LockingCC`], whose presets are a flat
+//! conservative table, a multigranularity hierarchy with intention locks
+//! and escalation, and incremental two-phase locking. Comparing them with
+//! the partition draw quantifies the quality of the approximation.
 //!
 //! ## Hot-path notes
 //!
@@ -192,9 +192,6 @@ pub trait ConcurrencyControl {
     /// Number of currently active (lock-holding) transactions.
     fn active_count(&self) -> usize;
 
-    /// Total locks currently held across active transactions.
-    fn locks_held(&self) -> u64;
-
     /// Cumulative protocol statistics. The default reports zeros.
     fn stats(&self) -> CcStats {
         CcStats::default()
@@ -215,37 +212,25 @@ pub trait ConcurrencyControl {
     }
 }
 
-/// Build the concurrency-control protocol a configuration selects.
+/// Build the concurrency-control protocol a configuration selects: the
+/// paper's partition draw, or the lock-table engine preset for the mode.
 ///
 /// # Panics
 /// Panics if `cfg.ltot == 0` (validated configurations never are).
 pub fn build_concurrency_control(cfg: &ModelConfig) -> Box<dyn ConcurrencyControl> {
     match cfg.conflict {
         ConflictMode::Probabilistic => Box::new(ProbabilisticConflict::new(cfg.ltot)),
-        ConflictMode::Explicit => Box::new(
-            crate::explicit::ExplicitConflict::new().with_sampler(AccessSampler::from_config(cfg)),
-        ),
-        ConflictMode::Hierarchical => Box::new(crate::hierarchical::HierarchicalConflict::new(
-            AccessSampler::from_config(cfg),
-            cfg.hierarchy_spec(),
-        )),
-        ConflictMode::Twophase => {
-            let mut cc = crate::twophase::TwoPhaseConflict::new(AccessSampler::from_config(cfg));
-            // Closed system: `ntrans` terminals bound the concurrent
-            // transactions, so every per-transaction structure can be
-            // provisioned up front (steady state then allocates nothing).
-            cc.prewarm(cfg);
-            Box::new(cc)
+        ConflictMode::Explicit | ConflictMode::Hierarchical | ConflictMode::Twophase => {
+            Box::new(crate::locking::LockingCC::new(cfg))
         }
     }
 }
 
-/// One lock-holding transaction: its key, lock count, and the FIFO list
-/// of transactions blocked on it.
+/// One lock-holding transaction: its key and the FIFO list of
+/// transactions blocked on it.
 #[derive(Clone, Debug)]
 struct Holder {
     txn: TxnSerial,
-    locks: u64,
     /// Transactions blocked on this holder, in block order. The backing
     /// `Vec` is recycled through the spare pool when the holder releases.
     waiters: Vec<TxnSerial>,
@@ -266,7 +251,6 @@ pub struct ProbabilisticConflict {
     /// Retired waiter vectors, recycled so blocking never allocates in
     /// steady state.
     spare: Vec<Vec<TxnSerial>>,
-    locks_held: u64,
 }
 
 impl ProbabilisticConflict {
@@ -282,7 +266,6 @@ impl ProbabilisticConflict {
             fracs: Vec::new(),
             prefix: Vec::new(),
             spare: Vec::new(),
-            locks_held: 0,
         }
     }
 }
@@ -326,12 +309,10 @@ impl ConcurrencyControl for ProbabilisticConflict {
         let cum = self.prefix.last().copied().unwrap_or(0.0) + frac;
         self.active.push(Holder {
             txn,
-            locks,
             waiters: self.spare.pop().unwrap_or_default(),
         });
         self.fracs.push(frac);
         self.prefix.push(cum);
-        self.locks_held += locks;
         ConflictDecision::Granted
     }
 
@@ -343,7 +324,6 @@ impl ConcurrencyControl for ProbabilisticConflict {
             .unwrap_or_else(|| panic!("release of inactive transaction {txn}"));
         let mut holder = self.active.remove(pos);
         self.fracs.remove(pos);
-        self.locks_held -= holder.locks;
         // Rebuild the prefix from the removal point with the same
         // left-to-right additions the naive loop would now perform.
         self.prefix.truncate(pos);
@@ -360,10 +340,6 @@ impl ConcurrencyControl for ProbabilisticConflict {
         self.active.len()
     }
 
-    fn locks_held(&self) -> u64 {
-        self.locks_held
-    }
-
     fn reset(&mut self, cfg: &ModelConfig) -> bool {
         if cfg.conflict != ConflictMode::Probabilistic {
             return false;
@@ -378,7 +354,6 @@ impl ConcurrencyControl for ProbabilisticConflict {
         }
         self.fracs.clear();
         self.prefix.clear();
-        self.locks_held = 0;
         true
     }
 }
@@ -404,7 +379,7 @@ mod tests {
         let mut r = rng();
         assert_eq!(m.try_acquire(1, 10, &[], &mut r), ConflictDecision::Granted);
         assert_eq!(m.active_count(), 1);
-        assert_eq!(m.locks_held(), 10);
+        assert_eq!(m.prefix, vec![0.1]);
     }
 
     #[test]
@@ -424,7 +399,7 @@ mod tests {
             let cfg = ModelConfig::table1().with_conflict(mode);
             let cc = build_concurrency_control(&cfg);
             assert_eq!(cc.active_count(), 0);
-            assert_eq!(cc.locks_held(), 0);
+            assert_eq!(cc.stats(), CcStats::default());
         }
     }
 
@@ -444,7 +419,7 @@ mod tests {
         let woken = release_vec(&mut m, 1);
         assert_eq!(woken, (2..20).collect::<Vec<_>>());
         assert_eq!(m.active_count(), 0);
-        assert_eq!(m.locks_held(), 0);
+        assert!(m.prefix.is_empty());
     }
 
     #[test]
@@ -504,7 +479,7 @@ mod tests {
             .find(|&t| m.try_acquire(t, 6, &[], &mut r) == ConflictDecision::Granted)
             .expect("no admission in 1000 draws with p(admit) = 0.4");
         assert_eq!(m.active_count(), 2);
-        assert_eq!(m.locks_held(), 12); // > ltot: oversubscribed
+        assert!(m.prefix[1] > 1.0, "oversubscribed: 12 locks > ltot");
         for t in 1000..1200 {
             assert!(matches!(
                 m.try_acquire(t, 1, &[], &mut r),
@@ -528,14 +503,15 @@ mod tests {
                 holders.push(serial);
             }
         }
-        assert_eq!(m.locks_held(), 40);
+        let held = m.prefix.last().copied().unwrap_or(0.0);
+        assert!((held - 40.0 / 50.0).abs() < 1e-12, "holders cover {held}");
         let blocked_count = serial - 8;
         let mut woken = Vec::new();
         for h in holders {
             m.release(h, &mut woken);
         }
         assert_eq!(m.active_count(), 0);
-        assert_eq!(m.locks_held(), 0);
+        assert!(m.prefix.is_empty());
         assert_eq!(woken.len() as u64, blocked_count, "some waiters never woke");
     }
 
@@ -590,10 +566,14 @@ mod tests {
         let mut m = ProbabilisticConflict::new(137);
         let mut serial = 0u64;
         let mut woken = Vec::new();
+        // Lock count of every admitted serial (the naive loop's input).
+        let mut locks_of = std::collections::BTreeMap::new();
         for step in 0..2_000u32 {
             serial += 1;
             let locks = u64::from(step % 9) + 1;
-            let _ = m.try_acquire(serial, locks, &[], &mut r);
+            if m.try_acquire(serial, locks, &[], &mut r) == ConflictDecision::Granted {
+                locks_of.insert(serial, locks);
+            }
             if step % 5 == 4 && m.active_count() > 1 {
                 // Remove from the middle to exercise the rebuild path.
                 let victim = m.active[m.active.len() / 2].txn;
@@ -603,7 +583,7 @@ mod tests {
             }
             let mut cum = 0.0f64;
             for (i, h) in m.active.iter().enumerate() {
-                cum += h.locks as f64 / 137.0;
+                cum += locks_of[&h.txn] as f64 / 137.0;
                 assert_eq!(
                     cum.to_bits(),
                     m.prefix[i].to_bits(),

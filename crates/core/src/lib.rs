@@ -12,16 +12,16 @@
 //! * [`conflict`] — the [`ConcurrencyControl`] trait (conflict decisions
 //!   plus declared-access sampling and protocol statistics) and the
 //!   paper's probabilistic Ries–Stonebraker implementation of it.
-//! * [`explicit`] — an alternative conflict model backed by a *real* lock
-//!   table ([`lockgran_lockmgr`]), used to validate the probabilistic
-//!   approximation.
-//! * [`hierarchical`] — Gray's multigranularity protocol (database → area
-//!   → granule with IS/IX intention locks and lock escalation) as a third
-//!   conflict model, the production shape of the granularity trade-off.
-//! * [`twophase`] — incremental (claim-as-needed) two-phase locking with
-//!   waits-for deadlock detection and youngest-victim abort as a fourth
-//!   conflict model, re-examining the Ries & Stonebraker claim the paper
-//!   leans on.
+//! * [`locking`] — the lock-table alternative to the partition draw: one
+//!   engine ([`LockingCC`]) over a real lock table ([`lockgran_lockmgr`]),
+//!   built from a tree (flat, or Gray's database → area → granule
+//!   hierarchy with IS/IX intention locks and lock escalation) and an
+//!   acquisition discipline (the paper's predeclared protocol, or
+//!   incremental claim-as-needed 2PL with waits-for deadlock detection
+//!   and youngest-victim abort). Its presets are the explicit,
+//!   hierarchical and twophase conflict modes, used to validate the
+//!   probabilistic approximation and to re-examine the Ries & Stonebraker
+//!   claim the paper leans on.
 //! * [`transaction`] — per-transaction runtime state (`NU_i`, `LU_i`,
 //!   `PU_i`, fork/join bookkeeping).
 //! * [`system`] — the event-driven model itself: lock phase shared across
@@ -52,15 +52,13 @@
 
 pub mod config;
 pub mod conflict;
-pub mod explicit;
-pub mod hierarchical;
+pub mod locking;
 pub mod metrics;
 pub mod sim;
 pub mod system;
 pub mod timeline;
 pub mod trace;
 pub mod transaction;
-pub mod twophase;
 
 pub use config::{
     ConflictMode, HierarchySpec, LockDistribution, ModelConfig, QueueDiscipline, ServiceVariability,
@@ -69,11 +67,9 @@ pub use conflict::{
     build_concurrency_control, AccessSampler, CcStats, ConcurrencyControl, ConflictDecision,
     ProbabilisticConflict,
 };
-pub use explicit::ExplicitConflict;
-pub use hierarchical::HierarchicalConflict;
+pub use locking::LockingCC;
 pub use metrics::RunMetrics;
 pub use sim::RunArena;
 pub use timeline::{TimelineCollector, TimelinePoint};
 pub use trace::{NullTracer, TraceEvent, Tracer, VecTracer};
 pub use transaction::{Transaction, TxnPhase};
-pub use twophase::TwoPhaseConflict;

@@ -34,7 +34,7 @@
 //! | D002 | `std::time::{Instant, SystemTime}` (wall-clock reads) | all but `crates/bench` |
 //! | D003 | `==`/`!=` against a float literal | library code |
 //! | D004 | raw `thread::spawn` / `mpsc` outside the worker pool | all but `crates/sim/src/pool.rs` |
-//! | D005 | `BTreeMap`/`BTreeSet` on the lock-manager hot path (use `DetMap`) | lockmgr hot modules |
+//! | D005 | `BTreeMap`/`BTreeSet` on the lock-manager hot path (use `DetMap`) | locking-engine hot modules |
 //! | P001 | `.unwrap()` / `.expect("…")` panics | library code |
 //! | P002 | `.remove(0)` front-shift (use `VecDeque::pop_front`) | library code |
 //! | Z001 | non-local dependency in a `Cargo.toml` | all manifests |

@@ -36,22 +36,24 @@ pub fn check_tokens(
     if path != "crates/sim/src/pool.rs" {
         check_raw_threading(src, tokens, &mut sink);
     }
-    // D005 is gated to the lock manager's per-request modules; ordered
-    // maps elsewhere (escalation bookkeeping, the reference oracle) are
+    // D005 is gated to the locking engine's per-request modules; ordered
+    // maps elsewhere (the reference oracle, reporting code) are
     // legitimate and stay unflagged.
     if HOT_LOCK_MODULES.contains(&path) {
         check_ordered_map_hot_path(src, tokens, &mut sink);
     }
 }
 
-/// The lock-manager modules on the per-request path, where every map
-/// lookup sits inside the acquire/release cycle.
-const HOT_LOCK_MODULES: [&str; 5] = [
+/// The locking engine's modules on the per-request path, where every map
+/// lookup sits inside the acquire/release cycle: the engine itself, its
+/// two disciplines, the hierarchy context layer and the table beneath.
+const HOT_LOCK_MODULES: [&str; 6] = [
+    "crates/core/src/locking.rs",
     "crates/lockmgr/src/table.rs",
     "crates/lockmgr/src/deadlock.rs",
     "crates/lockmgr/src/conservative.rs",
     "crates/lockmgr/src/twophase.rs",
-    "crates/lockmgr/src/sharded.rs",
+    "crates/lockmgr/src/hierarchy.rs",
 ];
 
 struct Sink<'a> {
@@ -221,7 +223,7 @@ fn check_raw_threading(src: &str, tokens: &[Token], sink: &mut Sink<'_>) {
     }
 }
 
-/// D005: `BTreeMap` / `BTreeSet` inside a lock-manager hot-path module
+/// D005: `BTreeMap` / `BTreeSet` inside a locking-engine hot-path module
 /// (see [`HOT_LOCK_MODULES`]). Per-request granule and transaction
 /// lookups were rebuilt on the O(1) `lockgran_sim::DetMap`; an ordered
 /// map sneaking back in reintroduces O(log n) pointer-chasing on every
@@ -475,11 +477,11 @@ mod tests {
 
     #[test]
     fn d005_exempts_cold_modules_and_other_crates() {
-        // The reference oracle and escalation bookkeeping are off the
-        // per-request path; ordered maps there are the point.
+        // The reference oracle and the lock-mode algebra are off the
+        // per-request path; ordered maps there are legitimate.
         for path in [
             "crates/lockmgr/src/reference.rs",
-            "crates/lockmgr/src/escalation.rs",
+            "crates/lockmgr/src/mode.rs",
             "crates/core/src/system.rs",
         ] {
             assert!(

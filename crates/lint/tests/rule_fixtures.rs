@@ -91,16 +91,20 @@ fn d004_raw_threading() {
 
 #[test]
 fn d005_ordered_maps_in_hot_lock_module() {
-    assert_eq!(
-        lint_fixture_at("d005.rs", "crates/lockmgr/src/table.rs"),
-        vec![
-            (3, 23, "D005"),
-            (4, 23, "D005"),
-            (7, 14, "D005"),
-            (8, 12, "D005"),
-            // The allowed occurrence (line 12) is suppressed.
-        ]
-    );
+    // The lock table and the locking engine that drives it.
+    for rel in ["crates/lockmgr/src/table.rs", "crates/core/src/locking.rs"] {
+        assert_eq!(
+            lint_fixture_at("d005.rs", rel),
+            vec![
+                (3, 23, "D005"),
+                (4, 23, "D005"),
+                (7, 14, "D005"),
+                (8, 12, "D005"),
+                // The allowed occurrence (line 12) is suppressed.
+            ],
+            "{rel}"
+        );
+    }
 }
 
 #[test]
@@ -217,19 +221,19 @@ fn l001_gated_to_lock_crates() {
 }
 
 #[test]
-fn l001_applies_to_core_twophase_module() {
-    // The incremental-2PL adapter lives at crates/core/src/twophase.rs;
-    // the acquire/release pairing rules must keep gating it.
+fn l001_applies_to_core_locking_engine() {
+    // The locking engine lives at crates/core/src/locking.rs; the
+    // acquire/release pairing rules must keep gating it.
     assert_eq!(
-        lint_fixture_at("l001.rs", "crates/core/src/twophase.rs"),
+        lint_fixture_at("l001.rs", "crates/core/src/locking.rs"),
         vec![(5, 23, "L001"), (7, 9, "L001"), (28, 13, "L001")]
     );
 }
 
 #[test]
-fn l002_applies_to_core_twophase_module() {
+fn l002_applies_to_core_locking_engine() {
     assert_eq!(
-        lint_fixture_at("l002.rs", "crates/core/src/twophase.rs"),
+        lint_fixture_at("l002.rs", "crates/core/src/locking.rs"),
         vec![(4, 15, "L002"), (5, 7, "L002")]
     );
 }

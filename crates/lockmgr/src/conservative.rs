@@ -27,8 +27,9 @@ pub enum ConservativeOutcome {
     /// Every lock in the set is now held.
     Granted,
     /// Nothing is held; the transaction is recorded as blocked by
-    /// `blocker` and will be returned by [`ConservativeScheduler::release`]
-    /// when `blocker` releases (to be retried by the caller).
+    /// `blocker` and will be returned by
+    /// [`ConservativeScheduler::release_into`] when `blocker` releases
+    /// (to be retried by the caller).
     Blocked {
         /// The first conflicting lock holder, in granule order.
         blocker: TxnId,
@@ -154,15 +155,6 @@ impl ConservativeScheduler {
         ConservativeOutcome::Granted
     }
 
-    /// Release everything `txn` holds and return the transactions that
-    /// were blocked on it (allocating wrapper around
-    /// [`ConservativeScheduler::release_into`]).
-    pub fn release(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let mut woken = Vec::new();
-        self.release_into(txn, &mut woken);
-        woken
-    }
-
     /// Release everything `txn` holds and append the transactions that
     /// were blocked on it to `woken` (cleared first), in the order they
     /// blocked. The caller re-issues
@@ -251,6 +243,11 @@ mod tests {
     fn xs(ids: &[u64]) -> Vec<(GranuleId, LockMode)> {
         ids.iter().map(|&i| (g(i), X)).collect()
     }
+    fn release(s: &mut ConservativeScheduler, txn: TxnId) -> Vec<TxnId> {
+        let mut woken = vec![t(99)];
+        s.release_into(txn, &mut woken);
+        woken
+    }
 
     #[test]
     fn disjoint_sets_run_concurrently() {
@@ -295,7 +292,7 @@ mod tests {
             s.request_all(t(3), &xs(&[0])),
             ConservativeOutcome::Blocked { .. }
         ));
-        let woken = s.release(t(1));
+        let woken = release(&mut s, t(1));
         assert_eq!(woken, vec![t(2), t(3)]);
         assert_eq!(s.blocked_count(), 0);
         // First retry wins; second blocks again, now on t2.
@@ -320,7 +317,7 @@ mod tests {
             s.request_all(t(2), &xs(&[1, 0])),
             ConservativeOutcome::Blocked { blocker: t(1) }
         );
-        let woken = s.release(t(1));
+        let woken = release(&mut s, t(1));
         assert_eq!(woken, vec![t(2)]);
         assert_eq!(
             s.request_all(t(2), &xs(&[1, 0])),
@@ -367,7 +364,7 @@ mod tests {
     fn empty_lock_set_is_trivially_granted() {
         let mut s = ConservativeScheduler::new();
         assert_eq!(s.request_all(t(1), &[]), ConservativeOutcome::Granted);
-        assert!(s.release(t(1)).is_empty());
+        assert!(release(&mut s, t(1)).is_empty());
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! Multi-granularity (hierarchical) locking.
+//! Multi-granularity (hierarchical) locking: the context layer.
 //!
 //! The paper's conclusion points at Gamma-style mixed granularity:
 //! "providing granularity at the block level and at the file level … may
-//! be adequate for practical purposes". This module implements Gray's
-//! multi-granularity protocol over a uniform granule tree
-//! (database → file → block → record or any subset of levels): to lock a
-//! node in mode `M`, a transaction first holds the matching intention mode
-//! (`IS` for reads, `IX` for writes) on every ancestor, root first.
+//! be adequate for practical purposes". This module holds everything
+//! Gray's multi-granularity protocol needs to know about the granule tree
+//! (database → file → block → record or any subset of levels), while the
+//! [`LockTable`](crate::table::LockTable) underneath stays blind to it:
 //!
-//! The tree is *implicit*: levels have fixed fan-outs, node ids are
-//! computed arithmetically, and ancestor chains never allocate. A node id
-//! is globally unique across levels so a single flat [`LockTable`] stores
-//! the whole hierarchy.
+//! * [`GranuleTree`] — the geometry. The tree is *implicit*: levels have
+//!   fixed fan-outs, node ids are computed arithmetically, and a node id
+//!   is globally unique across levels, so a single flat lock table stores
+//!   the whole hierarchy.
+//! * [`GranuleTree::intent_chain_into`] — to lock a node in mode `M`, a
+//!   transaction first holds the matching intention mode (`IS` for reads,
+//!   `IX` for writes) on every ancestor, root first. The chain is written
+//!   into the caller's buffer, so building a request never allocates.
+//! * [`escalate_predeclared_into`] — lock escalation over a predeclared
+//!   set: the adaptive counterpart of the paper's static granule-size
+//!   sweep.
 
 use lockgran_sim::{FromJson, Json, ToJson};
 
 use crate::mode::LockMode;
-use crate::table::{GranuleId, LockOutcome, LockTable, TxnId};
+use crate::table::GranuleId;
 
 /// A level in the granule hierarchy, 0 = root (whole database).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -156,73 +162,113 @@ impl GranuleTree {
         })
     }
 
-    /// Ancestors of a node, root first (excluding the node itself).
-    pub fn ancestors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut chain = Vec::with_capacity(node.level.0);
-        let mut cur = node;
-        while let Some(p) = self.parent(cur) {
-            chain.push(p);
-            cur = p;
-        }
-        chain.reverse();
-        chain
-    }
-
-    /// Lock `node` in `mode` for `txn`, taking the required intention
-    /// locks on all ancestors (root first) beforehand.
-    ///
-    /// All-or-nothing: if any lock on the path conflicts, every lock
-    /// acquired by *this call* is rolled back and the blockers are
-    /// returned. (Locks the transaction already held are untouched.)
-    pub fn lock_hierarchical(
+    /// Append the requests that lock `node` in `mode` under Gray's
+    /// protocol to `out`: the intention mode `mode` requires on every
+    /// ancestor, root first, then `node` itself in `mode`.
+    pub fn intent_chain_into(
         &self,
-        table: &mut LockTable,
-        txn: TxnId,
         node: NodeId,
         mode: LockMode,
-    ) -> Result<(), Vec<TxnId>> {
+        out: &mut Vec<(GranuleId, LockMode)>,
+    ) {
         let intent = mode.required_ancestor_intent();
-        let mut path: Vec<(GranuleId, LockMode)> = self
-            .ancestors(node)
-            .into_iter()
-            .map(|a| (self.flat_id(a), intent))
-            .collect();
-        path.push((self.flat_id(node), mode));
-
-        let mut acquired: Vec<(GranuleId, Option<LockMode>)> = Vec::new();
-        for (g, m) in &path {
-            let prior = table.held_mode(txn, *g);
-            // Probe first so a conflict leaves no queued request behind.
-            if !table.would_grant(txn, *g, *m) {
-                let blockers = table.conflicts_with(txn, *g, *m);
-                // Roll back everything acquired by this call.
-                for (g, prior) in acquired.into_iter().rev() {
-                    match prior {
-                        None => {
-                            table.unlock(txn, g);
-                        }
-                        Some(_) => {
-                            // Downgrade is not supported by the flat table;
-                            // holding the stronger mode is safe (it only
-                            // over-locks), so leave it.
-                        }
-                    }
-                }
-                return Err(blockers);
-            }
-            let out = table.lock(txn, *g, *m);
-            debug_assert_eq!(out, LockOutcome::Granted);
-            if prior.is_none() || prior != table.held_mode(txn, *g) {
-                acquired.push((*g, prior));
-            }
+        let start = out.len();
+        let mut cur = node;
+        while let Some(p) = self.parent(cur) {
+            out.push((self.flat_id(p), intent));
+            cur = p;
         }
-        Ok(())
+        out[start..].reverse();
+        out.push((self.flat_id(node), mode));
     }
+}
+
+/// Escalation policy: when a transaction declares at least `threshold`
+/// children under one parent, it locks the parent instead.
+#[derive(Clone, Copy, Debug)]
+pub struct EscalationPolicy {
+    /// Child count that triggers escalation.
+    pub threshold: usize,
+}
+
+impl EscalationPolicy {
+    /// A policy that never escalates (the threshold is unreachable) —
+    /// pure multigranularity locking.
+    pub fn never() -> Self {
+        EscalationPolicy {
+            threshold: usize::MAX,
+        }
+    }
+}
+
+/// Apply the escalation policy to a *predeclared* request set.
+///
+/// The conservative protocol (the one the paper simulates) declares every
+/// leaf up front, so escalation runs on the whole set before any lock is
+/// taken: wherever at least `policy.threshold` requested children share a
+/// parent, the children are replaced by the parent requested whole in
+/// `mode`. The promotion cascades bottom-up — promoted parents that
+/// themselves cluster under one grandparent can escalate again, so
+/// `threshold = 1` always collapses a non-empty set to the root
+/// (whole-database locking).
+///
+/// `kept` receives the surviving requests (cleared first), each to be
+/// taken in `mode`; callers still owe intention locks on the ancestors of
+/// every survivor. `current` and `promoted` are pure scratch whose
+/// contents after the call are unspecified. Returns the number of
+/// promotions performed.
+pub fn escalate_predeclared_into(
+    tree: &GranuleTree,
+    policy: EscalationPolicy,
+    leaves: &[NodeId],
+    mode: LockMode,
+    kept: &mut Vec<(NodeId, LockMode)>,
+    current: &mut Vec<NodeId>,
+    promoted: &mut Vec<NodeId>,
+) -> u64 {
+    kept.clear();
+    let mut escalations = 0u64;
+    // Sort (and dedup) so nodes sharing a parent are contiguous; every
+    // round works on a single level, so ordering by index suffices.
+    current.clear();
+    current.extend_from_slice(leaves);
+    current.sort_unstable_by_key(|n| (n.level.0, n.index));
+    current.dedup();
+    while let Some(&first) = current.first() {
+        if first.level.0 == 0 {
+            // The root cannot escalate further.
+            kept.extend(current.drain(..).map(|n| (n, mode)));
+            break;
+        }
+        promoted.clear();
+        let mut i = 0;
+        while i < current.len() {
+            let parent = tree
+                .parent(current[i])
+                // lint:allow(P001): non-root nodes always have a parent
+                .expect("non-root node has a parent");
+            let mut j = i;
+            while j < current.len() && tree.parent(current[j]) == Some(parent) {
+                j += 1;
+            }
+            if j - i >= policy.threshold {
+                escalations += 1;
+                promoted.push(parent);
+            } else {
+                kept.extend(current[i..j].iter().map(|&n| (n, mode)));
+            }
+            i = j;
+        }
+        std::mem::swap(current, promoted);
+    }
+    escalations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conservative::{ConservativeOutcome, ConservativeScheduler};
+    use crate::table::TxnId;
     use LockMode::{IS, IX, S, X};
 
     fn t(n: u64) -> TxnId {
@@ -241,6 +287,43 @@ mod tests {
         GranuleTree::new(&[10, 50])
     }
 
+    fn chain(tr: &GranuleTree, n: NodeId, mode: LockMode) -> Vec<(GranuleId, LockMode)> {
+        let mut out = Vec::new();
+        tr.intent_chain_into(n, mode, &mut out);
+        out
+    }
+
+    /// Lock `n` in `mode` with its intent chain, as one conservative
+    /// request (the production path).
+    fn lock(
+        s: &mut ConservativeScheduler,
+        tr: &GranuleTree,
+        txn: TxnId,
+        n: NodeId,
+        mode: LockMode,
+    ) -> ConservativeOutcome {
+        s.request_all(txn, &chain(tr, n, mode))
+    }
+
+    fn escalate(
+        tr: &GranuleTree,
+        policy: EscalationPolicy,
+        leaves: &[NodeId],
+        mode: LockMode,
+    ) -> (Vec<(NodeId, LockMode)>, u64) {
+        let (mut kept, mut current, mut promoted) = (Vec::new(), Vec::new(), Vec::new());
+        let n = escalate_predeclared_into(
+            tr,
+            policy,
+            leaves,
+            mode,
+            &mut kept,
+            &mut current,
+            &mut promoted,
+        );
+        (kept, n)
+    }
+
     #[test]
     fn geometry() {
         let tr = tree();
@@ -255,13 +338,15 @@ mod tests {
     #[test]
     fn flat_ids_are_unique_across_levels() {
         let tr = tree();
-        let mut seen = std::collections::BTreeSet::new();
-        for level in 0..tr.levels() {
-            for index in 0..tr.level_size(HierarchyLevel(level)) {
-                assert!(seen.insert(tr.flat_id(node(level, index))), "collision");
-            }
-        }
-        assert_eq!(seen.len() as u64, tr.total_nodes());
+        let mut ids: Vec<GranuleId> = (0..tr.levels())
+            .flat_map(|level| {
+                let tr = &tr;
+                (0..tr.level_size(HierarchyLevel(level))).map(move |i| tr.flat_id(node(level, i)))
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len() as u64, tr.total_nodes(), "collision");
     }
 
     #[test]
@@ -272,91 +357,163 @@ mod tests {
         assert_eq!(tr.parent(b), Some(node(1, 2)));
         assert_eq!(tr.parent(node(1, 2)), Some(node(0, 0)));
         assert_eq!(tr.parent(node(0, 0)), None);
-        assert_eq!(tr.ancestors(b), vec![node(0, 0), node(1, 2)]);
+        assert_eq!(
+            chain(&tr, b, X),
+            vec![
+                (tr.flat_id(node(0, 0)), IX),
+                (tr.flat_id(node(1, 2)), IX),
+                (tr.flat_id(b), X),
+            ]
+        );
+        // Reads take IS intents; the chain appends to the buffer.
+        let mut out = chain(&tr, b, X);
+        tr.intent_chain_into(node(1, 3), S, &mut out);
+        assert_eq!(
+            &out[3..],
+            &[(tr.flat_id(node(0, 0)), IS), (tr.flat_id(node(1, 3)), S)]
+        );
+        assert_eq!(chain(&tr, node(0, 0), X), vec![(GranuleId(0), X)]);
     }
 
     #[test]
     fn read_and_write_different_files_coexist() {
         let tr = tree();
-        let mut lt = LockTable::new();
+        let mut s = ConservativeScheduler::new();
         // t1 writes a block in file 0; t2 reads a block in file 3.
-        tr.lock_hierarchical(&mut lt, t(1), node(2, 5), X).unwrap();
-        tr.lock_hierarchical(&mut lt, t(2), node(2, 170), S)
-            .unwrap();
+        assert_eq!(
+            lock(&mut s, &tr, t(1), node(2, 5), X),
+            ConservativeOutcome::Granted
+        );
+        assert_eq!(
+            lock(&mut s, &tr, t(2), node(2, 170), S),
+            ConservativeOutcome::Granted
+        );
         // Root carries IX (t1) + IS (t2): compatible.
-        assert_eq!(lt.held_mode(t(1), tr.flat_id(node(0, 0))), Some(IX));
-        assert_eq!(lt.held_mode(t(2), tr.flat_id(node(0, 0))), Some(IS));
-        lt.check_invariants().unwrap();
+        let root = tr.flat_id(node(0, 0));
+        assert_eq!(s.table().held_mode(t(1), root), Some(IX));
+        assert_eq!(s.table().held_mode(t(2), root), Some(IS));
+        s.check_invariants().unwrap();
     }
 
     #[test]
     fn file_lock_blocks_block_write_within_it() {
         let tr = tree();
-        let mut lt = LockTable::new();
+        let mut s = ConservativeScheduler::new();
         // t1 S-locks file 2 (covers blocks 100..149).
-        tr.lock_hierarchical(&mut lt, t(1), node(1, 2), S).unwrap();
+        assert_eq!(
+            lock(&mut s, &tr, t(1), node(1, 2), S),
+            ConservativeOutcome::Granted
+        );
         // t2 writing block 120 needs IX on file 2 -> conflicts with S.
-        let err = tr
-            .lock_hierarchical(&mut lt, t(2), node(2, 120), X)
-            .unwrap_err();
-        assert_eq!(err, vec![t(1)]);
-        // Roll-back check: t2 holds nothing.
-        assert!(lt.holdings(t(2)).next().is_none());
-        lt.check_invariants().unwrap();
+        assert_eq!(
+            lock(&mut s, &tr, t(2), node(2, 120), X),
+            ConservativeOutcome::Blocked { blocker: t(1) }
+        );
+        // All or nothing: t2 holds nothing, not even the root intent.
+        assert!(s.holdings(t(2)).next().is_none());
+        s.check_invariants().unwrap();
     }
 
     #[test]
     fn block_write_blocks_covering_file_read() {
         let tr = tree();
-        let mut lt = LockTable::new();
-        tr.lock_hierarchical(&mut lt, t(1), node(2, 120), X)
-            .unwrap();
+        let mut s = ConservativeScheduler::new();
+        assert_eq!(
+            lock(&mut s, &tr, t(1), node(2, 120), X),
+            ConservativeOutcome::Granted
+        );
         // t2 reading all of file 2 needs S on file 2, which conflicts with
         // t1's IX there.
-        let err = tr
-            .lock_hierarchical(&mut lt, t(2), node(1, 2), S)
-            .unwrap_err();
-        assert_eq!(err, vec![t(1)]);
+        assert_eq!(
+            lock(&mut s, &tr, t(2), node(1, 2), S),
+            ConservativeOutcome::Blocked { blocker: t(1) }
+        );
         // But reading a *different* file is fine.
-        tr.lock_hierarchical(&mut lt, t(2), node(1, 3), S).unwrap();
-        lt.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn failed_lock_preserves_prior_holdings() {
-        let tr = tree();
-        let mut lt = LockTable::new();
-        // t2 already reads file 3.
-        tr.lock_hierarchical(&mut lt, t(2), node(1, 3), S).unwrap();
-        let before = lt.holdings(t(2)).count();
-        // t1 X-locks the whole database; t2's next request fails...
-        tr.lock_hierarchical(&mut lt, t(1), node(1, 5), X).unwrap();
-        let err = tr.lock_hierarchical(&mut lt, t(2), node(1, 5), S);
-        assert!(err.is_err());
-        // ...but its earlier locks are intact.
-        assert_eq!(lt.holdings(t(2)).count(), before);
-        assert_eq!(lt.held_mode(t(2), tr.flat_id(node(1, 3))), Some(S));
-        lt.check_invariants().unwrap();
+        assert_eq!(
+            lock(&mut s, &tr, t(3), node(1, 3), S),
+            ConservativeOutcome::Granted
+        );
+        s.check_invariants().unwrap();
     }
 
     #[test]
     fn single_level_tree_degenerates_to_flat_locking() {
         let tr = GranuleTree::new(&[]);
-        let mut lt = LockTable::new();
-        tr.lock_hierarchical(&mut lt, t(1), node(0, 0), X).unwrap();
-        let err = tr
-            .lock_hierarchical(&mut lt, t(2), node(0, 0), S)
-            .unwrap_err();
-        assert_eq!(err, vec![t(1)]);
+        let mut s = ConservativeScheduler::new();
+        assert_eq!(
+            lock(&mut s, &tr, t(1), node(0, 0), X),
+            ConservativeOutcome::Granted
+        );
+        assert_eq!(
+            lock(&mut s, &tr, t(2), node(0, 0), S),
+            ConservativeOutcome::Blocked { blocker: t(1) }
+        );
+    }
+
+    fn leaves(ids: &[u64]) -> Vec<NodeId> {
+        ids.iter().map(|&i| node(2, i)).collect()
     }
 
     #[test]
-    fn repeated_lock_by_same_txn_is_idempotent() {
+    fn predeclared_threshold_one_collapses_to_root() {
         let tr = tree();
-        let mut lt = LockTable::new();
-        tr.lock_hierarchical(&mut lt, t(1), node(2, 7), X).unwrap();
-        tr.lock_hierarchical(&mut lt, t(1), node(2, 7), X).unwrap();
-        tr.lock_hierarchical(&mut lt, t(1), node(2, 8), X).unwrap();
-        lt.check_invariants().unwrap();
+        let pol = EscalationPolicy { threshold: 1 };
+        // Any non-empty leaf set cascades all the way to the root.
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[7]), X);
+        assert_eq!(kept, vec![(node(0, 0), X)]);
+        assert_eq!(escalations, 2); // file 0, then the database
+
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[0, 60, 499]), X);
+        assert_eq!(kept, vec![(node(0, 0), X)]);
+        assert_eq!(escalations, 4); // three files, then the database
+    }
+
+    #[test]
+    fn predeclared_never_policy_keeps_all_leaves() {
+        let tr = tree();
+        let (kept, escalations) = escalate(&tr, EscalationPolicy::never(), &leaves(&[3, 1, 2]), X);
+        assert_eq!(escalations, 0);
+        assert_eq!(
+            kept,
+            vec![(node(2, 1), X), (node(2, 2), X), (node(2, 3), X)],
+            "survivors come back sorted"
+        );
+    }
+
+    #[test]
+    fn predeclared_escalates_only_dense_parents() {
+        let tr = tree();
+        let pol = EscalationPolicy { threshold: 3 };
+        // Three blocks in file 0 (escalates), two in file 1 (kept).
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[0, 1, 2, 50, 51]), X);
+        assert_eq!(escalations, 1);
+        assert_eq!(
+            kept,
+            vec![(node(2, 50), X), (node(2, 51), X), (node(1, 0), X)]
+        );
+    }
+
+    #[test]
+    fn predeclared_cascades_through_intermediate_levels() {
+        // 2 files × 2 blocks; threshold 2: both files escalate, then the
+        // two file locks escalate to the root.
+        let tr = GranuleTree::new(&[2, 2]);
+        let pol = EscalationPolicy { threshold: 2 };
+        let all: Vec<NodeId> = (0..4).map(|i| node(2, i)).collect();
+        let (kept, escalations) = escalate(&tr, pol, &all, X);
+        assert_eq!(kept, vec![(node(0, 0), X)]);
+        assert_eq!(escalations, 3);
+    }
+
+    #[test]
+    fn predeclared_dedups_and_handles_empty_sets() {
+        let tr = tree();
+        let pol = EscalationPolicy { threshold: 2 };
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[9, 9]), S);
+        assert_eq!(escalations, 0);
+        assert_eq!(kept, vec![(node(2, 9), S)]);
+        let (kept, escalations) = escalate(&tr, pol, &[], X);
+        assert!(kept.is_empty());
+        assert_eq!(escalations, 0);
     }
 }

@@ -46,7 +46,9 @@ pub struct TxnId(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct GranuleId(pub u64);
 
-/// Result of a lock request.
+/// Result of a lock request, as [`crate::ReferenceLockTable::lock`]
+/// reports it ([`LockTable::lock_into`] returns the same information as a
+/// grant flag plus a caller-owned blocker buffer).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LockOutcome {
     /// The lock is held (possibly upgraded).
@@ -467,17 +469,6 @@ impl LockTable {
 
     // ---- public API ------------------------------------------------------
 
-    /// Request `granule` in `mode` for `txn` (allocating convenience
-    /// wrapper around [`LockTable::lock_into`]).
-    pub fn lock(&mut self, txn: TxnId, granule: GranuleId, mode: LockMode) -> LockOutcome {
-        let mut blockers = Vec::new();
-        if self.lock_into(txn, granule, mode, &mut blockers) {
-            LockOutcome::Granted
-        } else {
-            LockOutcome::Queued { blockers }
-        }
-    }
-
     /// Request `granule` in `mode` for `txn`. Returns `true` when the
     /// lock is held (possibly upgraded); otherwise the request queued
     /// and `blockers` is filled with the transactions it waits behind
@@ -668,14 +659,6 @@ impl LockTable {
         }
     }
 
-    /// Release `granule` for `txn` (allocating convenience wrapper
-    /// around [`LockTable::unlock_into`]).
-    pub fn unlock(&mut self, txn: TxnId, granule: GranuleId) -> Vec<(TxnId, LockMode)> {
-        let mut woken = Vec::new();
-        self.unlock_into(txn, granule, &mut woken);
-        woken
-    }
-
     /// Release `granule` for `txn`. Waiters granted as a result are
     /// appended to `woken` (cleared first), in grant order. Releasing a
     /// granule not held is a no-op (idempotent release simplifies
@@ -697,14 +680,6 @@ impl LockTable {
         self.gc_txn(txn);
         self.promote(slot, granule, None, woken);
         self.gc_entry(granule, slot);
-    }
-
-    /// Release every granule held by `txn` and remove it from any wait
-    /// queues (allocating wrapper around [`LockTable::release_all_into`]).
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, GranuleId, LockMode)> {
-        let mut woken = Vec::new();
-        self.release_all_into(txn, &mut woken);
-        woken
     }
 
     /// Release every granule held by `txn` and remove it from any wait
@@ -950,6 +925,30 @@ mod tests {
         GranuleId(n)
     }
 
+    /// `lock_into` into a dirty blocker buffer (it must be cleared first),
+    /// as a comparable outcome.
+    fn lock(lt: &mut LockTable, txn: TxnId, granule: GranuleId, mode: LockMode) -> LockOutcome {
+        let mut blockers = vec![t(99)];
+        if lt.lock_into(txn, granule, mode, &mut blockers) {
+            assert!(blockers.is_empty(), "a grant reports no blockers");
+            LockOutcome::Granted
+        } else {
+            LockOutcome::Queued { blockers }
+        }
+    }
+
+    fn unlock(lt: &mut LockTable, txn: TxnId, granule: GranuleId) -> Vec<(TxnId, LockMode)> {
+        let mut woken = vec![(t(99), X)];
+        lt.unlock_into(txn, granule, &mut woken);
+        woken
+    }
+
+    fn release_all(lt: &mut LockTable, txn: TxnId) -> Vec<(TxnId, GranuleId, LockMode)> {
+        let mut woken = vec![(t(99), g(99), X)];
+        lt.release_all_into(txn, &mut woken);
+        woken
+    }
+
     fn holding_vec(lt: &LockTable, txn: TxnId) -> Vec<GranuleId> {
         lt.holdings(txn).collect()
     }
@@ -957,21 +956,21 @@ mod tests {
     #[test]
     fn exclusive_conflict_queues_fifo() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), X), LockOutcome::Granted);
-        let out = lt.lock(t(2), g(0), X);
+        assert_eq!(lock(&mut lt, t(1), g(0), X), LockOutcome::Granted);
+        let out = lock(&mut lt, t(2), g(0), X);
         assert_eq!(
             out,
             LockOutcome::Queued {
                 blockers: vec![t(1)]
             }
         );
-        let out = lt.lock(t(3), g(0), X);
+        let out = lock(&mut lt, t(3), g(0), X);
         assert!(matches!(out, LockOutcome::Queued { .. }));
         lt.check_invariants().unwrap();
 
-        let granted = lt.unlock(t(1), g(0));
+        let granted = unlock(&mut lt, t(1), g(0));
         assert_eq!(granted, vec![(t(2), X)]);
-        let granted = lt.unlock(t(2), g(0));
+        let granted = unlock(&mut lt, t(2), g(0));
         assert_eq!(granted, vec![(t(3), X)]);
         lt.check_invariants().unwrap();
     }
@@ -980,11 +979,11 @@ mod tests {
     fn shared_locks_coexist() {
         let mut lt = LockTable::new();
         for i in 1..=5 {
-            assert_eq!(lt.lock(t(i), g(0), S), LockOutcome::Granted);
+            assert_eq!(lock(&mut lt, t(i), g(0), S), LockOutcome::Granted);
         }
         lt.check_invariants().unwrap();
         // An X request queues behind all of them.
-        let out = lt.lock(t(9), g(0), X);
+        let out = lock(&mut lt, t(9), g(0), X);
         match out {
             LockOutcome::Queued { blockers } => assert_eq!(blockers.len(), 5),
             other => panic!("expected queue, got {other:?}"),
@@ -994,21 +993,24 @@ mod tests {
     #[test]
     fn fifo_prevents_reader_starvation_of_writers() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), S), LockOutcome::Granted);
-        assert!(matches!(lt.lock(t(2), g(0), X), LockOutcome::Queued { .. }));
+        assert_eq!(lock(&mut lt, t(1), g(0), S), LockOutcome::Granted);
+        assert!(matches!(
+            lock(&mut lt, t(2), g(0), X),
+            LockOutcome::Queued { .. }
+        ));
         // A later S must queue behind the X even though it is compatible
         // with the granted group.
-        let out = lt.lock(t(3), g(0), S);
+        let out = lock(&mut lt, t(3), g(0), S);
         match out {
             LockOutcome::Queued { blockers } => assert_eq!(blockers, vec![t(2)]),
             other => panic!("expected queue, got {other:?}"),
         }
         // Release the reader: X is granted alone; S still waits.
-        let granted = lt.unlock(t(1), g(0));
+        let granted = unlock(&mut lt, t(1), g(0));
         assert_eq!(granted, vec![(t(2), X)]);
         assert!(lt.held_mode(t(3), g(0)).is_none());
         // Release the writer: S finally granted.
-        let granted = lt.unlock(t(2), g(0));
+        let granted = unlock(&mut lt, t(2), g(0));
         assert_eq!(granted, vec![(t(3), S)]);
         lt.check_invariants().unwrap();
     }
@@ -1016,12 +1018,18 @@ mod tests {
     #[test]
     fn batch_promotion_of_compatible_prefix() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), X), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(1), g(0), X), LockOutcome::Granted);
         for i in 2..=4 {
-            assert!(matches!(lt.lock(t(i), g(0), S), LockOutcome::Queued { .. }));
+            assert!(matches!(
+                lock(&mut lt, t(i), g(0), S),
+                LockOutcome::Queued { .. }
+            ));
         }
-        assert!(matches!(lt.lock(t(5), g(0), X), LockOutcome::Queued { .. }));
-        let granted = lt.unlock(t(1), g(0));
+        assert!(matches!(
+            lock(&mut lt, t(5), g(0), X),
+            LockOutcome::Queued { .. }
+        ));
+        let granted = unlock(&mut lt, t(1), g(0));
         // The three S waiters are admitted together; the X stays queued.
         assert_eq!(granted, vec![(t(2), S), (t(3), S), (t(4), S)]);
         assert!(lt.held_mode(t(5), g(0)).is_none());
@@ -1031,8 +1039,8 @@ mod tests {
     #[test]
     fn rerequest_same_mode_is_granted() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), S), LockOutcome::Granted);
-        assert_eq!(lt.lock(t(1), g(0), S), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(1), g(0), S), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(1), g(0), S), LockOutcome::Granted);
         assert_eq!(holding_vec(&lt, t(1)), vec![g(0)]);
         lt.check_invariants().unwrap();
     }
@@ -1040,8 +1048,8 @@ mod tests {
     #[test]
     fn upgrade_succeeds_when_alone() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), S), LockOutcome::Granted);
-        assert_eq!(lt.lock(t(1), g(0), X), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(1), g(0), S), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(1), g(0), X), LockOutcome::Granted);
         assert_eq!(lt.held_mode(t(1), g(0)), Some(X));
         lt.check_invariants().unwrap();
     }
@@ -1049,9 +1057,9 @@ mod tests {
     #[test]
     fn upgrade_blocks_on_other_reader() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), S), LockOutcome::Granted);
-        assert_eq!(lt.lock(t(2), g(0), S), LockOutcome::Granted);
-        let out = lt.lock(t(1), g(0), X);
+        assert_eq!(lock(&mut lt, t(1), g(0), S), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(2), g(0), S), LockOutcome::Granted);
+        let out = lock(&mut lt, t(1), g(0), X);
         assert_eq!(
             out,
             LockOutcome::Queued {
@@ -1059,7 +1067,7 @@ mod tests {
             }
         );
         // When the other reader leaves, the upgrade is granted as X.
-        let granted = lt.unlock(t(2), g(0));
+        let granted = unlock(&mut lt, t(2), g(0));
         assert_eq!(granted, vec![(t(1), X)]);
         assert_eq!(lt.held_mode(t(1), g(0)), Some(X));
         lt.check_invariants().unwrap();
@@ -1069,11 +1077,17 @@ mod tests {
     fn release_all_frees_everything_and_promotes() {
         let mut lt = LockTable::new();
         for i in 0..10 {
-            assert_eq!(lt.lock(t(1), g(i), X), LockOutcome::Granted);
+            assert_eq!(lock(&mut lt, t(1), g(i), X), LockOutcome::Granted);
         }
-        assert!(matches!(lt.lock(t(2), g(3), X), LockOutcome::Queued { .. }));
-        assert!(matches!(lt.lock(t(3), g(7), S), LockOutcome::Queued { .. }));
-        let promoted = lt.release_all(t(1));
+        assert!(matches!(
+            lock(&mut lt, t(2), g(3), X),
+            LockOutcome::Queued { .. }
+        ));
+        assert!(matches!(
+            lock(&mut lt, t(3), g(7), S),
+            LockOutcome::Queued { .. }
+        ));
+        let promoted = release_all(&mut lt, t(1));
         let mut promoted_txns: Vec<TxnId> = promoted.iter().map(|(t, _, _)| *t).collect();
         promoted_txns.sort();
         assert_eq!(promoted_txns, vec![t(2), t(3)]);
@@ -1086,13 +1100,19 @@ mod tests {
     #[test]
     fn release_all_cancels_pending_waits() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), X), LockOutcome::Granted);
-        assert!(matches!(lt.lock(t(2), g(0), X), LockOutcome::Queued { .. }));
-        assert!(matches!(lt.lock(t(3), g(0), X), LockOutcome::Queued { .. }));
+        assert_eq!(lock(&mut lt, t(1), g(0), X), LockOutcome::Granted);
+        assert!(matches!(
+            lock(&mut lt, t(2), g(0), X),
+            LockOutcome::Queued { .. }
+        ));
+        assert!(matches!(
+            lock(&mut lt, t(3), g(0), X),
+            LockOutcome::Queued { .. }
+        ));
         // t2 aborts while waiting; t3 must not be lost behind it.
-        let promoted = lt.release_all(t(2));
+        let promoted = release_all(&mut lt, t(2));
         assert!(promoted.is_empty());
-        let granted = lt.unlock(t(1), g(0));
+        let granted = unlock(&mut lt, t(1), g(0));
         assert_eq!(granted, vec![(t(3), X)]);
         lt.check_invariants().unwrap();
     }
@@ -1100,39 +1120,42 @@ mod tests {
     #[test]
     fn unlock_unheld_is_noop() {
         let mut lt = LockTable::new();
-        assert!(lt.unlock(t(1), g(0)).is_empty());
-        assert_eq!(lt.lock(t(1), g(0), S), LockOutcome::Granted);
-        assert!(lt.unlock(t(2), g(0)).is_empty());
+        assert!(unlock(&mut lt, t(1), g(0)).is_empty());
+        assert_eq!(lock(&mut lt, t(1), g(0), S), LockOutcome::Granted);
+        assert!(unlock(&mut lt, t(2), g(0)).is_empty());
         assert_eq!(lt.held_mode(t(1), g(0)), Some(S));
     }
 
     #[test]
     fn intention_modes_follow_matrix() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), IX), LockOutcome::Granted);
-        assert_eq!(lt.lock(t(2), g(0), IX), LockOutcome::Granted);
-        assert_eq!(lt.lock(t(3), g(0), IS), LockOutcome::Granted);
-        assert!(matches!(lt.lock(t(4), g(0), S), LockOutcome::Queued { .. }));
+        assert_eq!(lock(&mut lt, t(1), g(0), IX), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(2), g(0), IX), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(3), g(0), IS), LockOutcome::Granted);
+        assert!(matches!(
+            lock(&mut lt, t(4), g(0), S),
+            LockOutcome::Queued { .. }
+        ));
         lt.check_invariants().unwrap();
     }
 
     #[test]
     fn counters_track_activity() {
         let mut lt = LockTable::new();
-        lt.lock(t(1), g(0), X);
-        lt.lock(t(2), g(0), X);
+        lock(&mut lt, t(1), g(0), X);
+        lock(&mut lt, t(2), g(0), X);
         assert_eq!(lt.grant_count(), 1);
         assert_eq!(lt.wait_count(), 1);
-        lt.unlock(t(1), g(0));
+        unlock(&mut lt, t(1), g(0));
         assert_eq!(lt.grant_count(), 2); // promotion counts as a grant
     }
 
     #[test]
     fn entries_are_garbage_collected() {
         let mut lt = LockTable::new();
-        lt.lock(t(1), g(0), X);
+        lock(&mut lt, t(1), g(0), X);
         assert_eq!(lt.active_granules(), 1);
-        lt.unlock(t(1), g(0));
+        unlock(&mut lt, t(1), g(0));
         assert_eq!(lt.active_granules(), 0);
     }
 
@@ -1140,11 +1163,11 @@ mod tests {
     fn would_grant_probe_matches_lock() {
         let mut lt = LockTable::new();
         assert!(lt.would_grant(t(1), g(0), X));
-        lt.lock(t(1), g(0), S);
+        lock(&mut lt, t(1), g(0), S);
         assert!(lt.would_grant(t(2), g(0), S));
         assert!(!lt.would_grant(t(2), g(0), X));
         assert!(lt.would_grant(t(1), g(0), X)); // upgrade when alone
-        lt.lock(t(2), g(0), S);
+        lock(&mut lt, t(2), g(0), S);
         assert!(!lt.would_grant(t(1), g(0), X)); // upgrade blocked by t2
         assert_eq!(lt.conflicts_with(t(3), g(0), X), vec![t(1), t(2)]);
         assert_eq!(lt.first_conflict(t(3), g(0), X), Some(t(1)));
@@ -1158,12 +1181,18 @@ mod tests {
     #[test]
     fn rerequest_while_waiting_merges_without_duplicates() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(0), X), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(1), g(0), X), LockOutcome::Granted);
         // t2 queues for X, then re-requests S while still waiting: the
         // waiter keeps X (supremum), no second queue entry appears.
-        assert!(matches!(lt.lock(t(2), g(0), X), LockOutcome::Queued { .. }));
-        assert!(matches!(lt.lock(t(2), g(0), S), LockOutcome::Queued { .. }));
-        let granted = lt.unlock(t(1), g(0));
+        assert!(matches!(
+            lock(&mut lt, t(2), g(0), X),
+            LockOutcome::Queued { .. }
+        ));
+        assert!(matches!(
+            lock(&mut lt, t(2), g(0), S),
+            LockOutcome::Queued { .. }
+        ));
+        let granted = unlock(&mut lt, t(1), g(0));
         assert_eq!(granted, vec![(t(2), X)], "supremum mode, single grant");
         assert_eq!(lt.held_mode(t(2), g(0)), Some(X));
         assert_eq!(holding_vec(&lt, t(2)), vec![g(0)]);
@@ -1172,11 +1201,17 @@ mod tests {
         // Upgrade flavor: holder re-requests an upgrade twice while the
         // first upgrade is still queued behind another reader.
         let mut lt = LockTable::new();
-        assert_eq!(lt.lock(t(1), g(1), S), LockOutcome::Granted);
-        assert_eq!(lt.lock(t(2), g(1), S), LockOutcome::Granted);
-        assert!(matches!(lt.lock(t(1), g(1), X), LockOutcome::Queued { .. }));
-        assert!(matches!(lt.lock(t(1), g(1), X), LockOutcome::Queued { .. }));
-        let granted = lt.unlock(t(2), g(1));
+        assert_eq!(lock(&mut lt, t(1), g(1), S), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(2), g(1), S), LockOutcome::Granted);
+        assert!(matches!(
+            lock(&mut lt, t(1), g(1), X),
+            LockOutcome::Queued { .. }
+        ));
+        assert!(matches!(
+            lock(&mut lt, t(1), g(1), X),
+            LockOutcome::Queued { .. }
+        ));
+        let granted = unlock(&mut lt, t(2), g(1));
         assert_eq!(granted, vec![(t(1), X)]);
         assert_eq!(
             holding_vec(&lt, t(1)),
@@ -1189,15 +1224,15 @@ mod tests {
     #[test]
     fn reset_behaves_like_fresh() {
         let mut lt = LockTable::new();
-        lt.lock(t(1), g(0), X);
-        lt.lock(t(2), g(0), X);
-        lt.lock(t(1), g(5), S);
+        lock(&mut lt, t(1), g(0), X);
+        lock(&mut lt, t(2), g(0), X);
+        lock(&mut lt, t(1), g(5), S);
         lt.reset();
         assert_eq!(lt.active_granules(), 0);
         assert_eq!(lt.grant_count(), 0);
         assert_eq!(lt.wait_count(), 0);
         assert!(holding_vec(&lt, t(1)).is_empty());
-        assert_eq!(lt.lock(t(2), g(0), X), LockOutcome::Granted);
+        assert_eq!(lock(&mut lt, t(2), g(0), X), LockOutcome::Granted);
         lt.check_invariants().unwrap();
     }
 
@@ -1207,10 +1242,10 @@ mod tests {
         for round in 0..100 {
             let base = round * 10;
             for i in 0..5 {
-                lt.lock(t(i), g(base), S);
+                lock(&mut lt, t(i), g(base), S);
             }
             for i in 0..5 {
-                lt.unlock(t(i), g(base));
+                unlock(&mut lt, t(i), g(base));
             }
         }
         // One round's worth of blocks suffices for all 100 rounds.

@@ -10,11 +10,11 @@
 //! alternative; youngest-aborts gives deterministic, starvation-resistant
 //! behaviour with monotone transaction ids).
 //!
-//! The steady-state entry points are [`TwoPhaseScheduler::acquire_into`],
+//! The entry points [`TwoPhaseScheduler::acquire_into`],
 //! [`TwoPhaseScheduler::release_into`] and
-//! [`TwoPhaseScheduler::abort_into`], which report side effects through
+//! [`TwoPhaseScheduler::abort_into`] report side effects through
 //! caller-owned [`AcquireEffects`]/`Vec` buffers and allocate nothing once
-//! warm; the `Vec`-returning wrappers remain for tests and diagnostics.
+//! warm.
 
 use lockgran_sim::DetMap;
 
@@ -22,50 +22,26 @@ use crate::deadlock::WaitsForGraph;
 use crate::mode::LockMode;
 use crate::table::{GranuleId, LockTable, TxnId};
 
-/// Outcome of an incremental lock acquisition (allocating wrapper form;
-/// see [`AcquireStatus`] for the buffer-reusing variant).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AcquireOutcome {
-    /// Lock held; proceed.
-    Granted,
-    /// Queued behind the returned blockers; the transaction must wait for
-    /// a [`TwoPhaseScheduler::release`] that grants it.
-    Waiting {
-        /// Transactions waited on.
-        blockers: Vec<TxnId>,
-    },
-    /// Granting would deadlock. One request can close several cycles at
-    /// once (every pre-existing inbound edge to the requester is a
-    /// potential return path), so victims are aborted — youngest on the
-    /// detected cycle first — until the graph is acyclic again; each has
-    /// all its locks released and its waits cancelled. The requester's
-    /// queued request is re-evaluated against the post-abort table and
-    /// its status is reported in `retry`; if the requester is among the
-    /// victims the caller must restart it.
-    Deadlock {
-        /// The aborted transactions, in abort order (each the youngest on
-        /// the cycle that condemned it). Never empty.
-        victims: Vec<TxnId>,
-        /// *Other* transactions granted locks as a side effect of the
-        /// aborts. The requester is never listed here — its post-abort
-        /// status is `retry`.
-        granted: Vec<TxnId>,
-        /// Post-abort status of the requester's queued request.
-        retry: RetryOutcome,
-    },
-}
-
-/// Tag returned by [`TwoPhaseScheduler::acquire_into`]; the lists backing
-/// the corresponding [`AcquireOutcome`] variants land in the caller's
-/// [`AcquireEffects`].
+/// Outcome of an incremental lock acquisition
+/// ([`TwoPhaseScheduler::acquire_into`]); the lists that go with it land
+/// in the caller's [`AcquireEffects`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcquireStatus {
     /// Lock held; proceed. (`effects` untouched beyond the initial clear.)
     Granted,
-    /// Queued; `effects.blockers` lists the transactions waited on.
+    /// Queued; `effects.blockers` lists the transactions waited on. The
+    /// transaction must wait for a release that grants it.
     Waiting,
-    /// Deadlock broken; `effects.victims`/`effects.granted` carry the
-    /// side effects and `retry` the requester's post-abort status.
+    /// Granting would deadlock. One request can close several cycles at
+    /// once (every pre-existing inbound edge to the requester is a
+    /// potential return path), so victims are aborted — youngest on the
+    /// detected cycle first — until the graph is acyclic again; each has
+    /// all its locks released and its waits cancelled. `effects.victims`
+    /// lists them in abort order (never empty), and `effects.granted`
+    /// the *other* transactions granted as a side effect. The
+    /// requester's queued request is re-evaluated against the post-abort
+    /// table and reported in `retry`; if the requester is among the
+    /// victims the caller must restart it.
     Deadlock {
         /// Post-abort status of the requester's queued request.
         retry: RetryOutcome,
@@ -94,8 +70,8 @@ impl AcquireEffects {
     }
 }
 
-/// Post-abort status of the requester whose `acquire` detected a deadlock
-/// (see [`AcquireOutcome::Deadlock::retry`]).
+/// Post-abort status of the requester whose acquire detected a deadlock
+/// (see [`AcquireStatus::Deadlock`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetryOutcome {
     /// The requester itself was the victim: its locks were released and
@@ -150,33 +126,15 @@ impl TwoPhaseScheduler {
         self.promote_scratch.clear();
     }
 
-    /// Acquire one lock for `txn` (allocating wrapper around
-    /// [`TwoPhaseScheduler::acquire_into`]). If a deadlock would result,
-    /// the youngest (largest-id) transaction on each cycle is aborted
-    /// until no cycle remains.
+    /// Acquire one lock for `txn`, reporting side effects through the
+    /// caller's reusable `effects` buffers (cleared first). If a deadlock
+    /// would result, the youngest (largest-id) transaction on each cycle
+    /// is aborted until no cycle remains.
     ///
     /// # Panics
     /// Panics if `txn` is already waiting for a lock (a transaction is a
     /// single thread of control: it cannot issue a second request while
     /// blocked).
-    pub fn acquire(&mut self, txn: TxnId, granule: GranuleId, mode: LockMode) -> AcquireOutcome {
-        let mut fx = AcquireEffects::default();
-        match self.acquire_into(txn, granule, mode, &mut fx) {
-            AcquireStatus::Granted => AcquireOutcome::Granted,
-            AcquireStatus::Waiting => AcquireOutcome::Waiting {
-                blockers: fx.blockers,
-            },
-            AcquireStatus::Deadlock { retry } => AcquireOutcome::Deadlock {
-                victims: fx.victims,
-                granted: fx.granted,
-                retry,
-            },
-        }
-    }
-
-    /// Acquire one lock for `txn`, reporting side effects through the
-    /// caller's reusable `effects` buffers (cleared first). See
-    /// [`TwoPhaseScheduler::acquire`] for semantics and panics.
     pub fn acquire_into(
         &mut self,
         txn: TxnId,
@@ -235,15 +193,8 @@ impl TwoPhaseScheduler {
     }
 
     /// Abort `victim`: drop its locks and queued request, grant whatever
-    /// becomes available. Returns the transactions granted as a result.
-    pub fn abort(&mut self, victim: TxnId) -> Vec<TxnId> {
-        let mut granted = Vec::new();
-        self.abort_into(victim, &mut granted);
-        granted
-    }
-
-    /// Abort `victim`, appending the transactions granted as a result to
-    /// `granted` (cleared first).
+    /// becomes available, and append the transactions granted as a result
+    /// to `granted` (cleared first).
     pub fn abort_into(&mut self, victim: TxnId, granted: &mut Vec<TxnId>) {
         granted.clear();
         self.abort_collect(victim, granted);
@@ -260,17 +211,9 @@ impl TwoPhaseScheduler {
         self.promote_scratch = promoted;
     }
 
-    /// Commit `txn`: release all its locks. Returns the transactions
-    /// granted as a result (their `acquire` has now succeeded; callers
-    /// resume them).
-    pub fn release(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let mut granted = Vec::new();
-        self.release_into(txn, &mut granted);
-        granted
-    }
-
-    /// Commit `txn`, appending the transactions granted as a result to
-    /// `granted` (cleared first).
+    /// Commit `txn`: release all its locks and append the transactions
+    /// granted as a result to `granted` (cleared first) — their acquire
+    /// has now succeeded; callers resume them.
     pub fn release_into(&mut self, txn: TxnId, granted: &mut Vec<TxnId>) {
         granted.clear();
         debug_assert!(
@@ -334,6 +277,7 @@ impl TwoPhaseScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use AcquireStatus::{Deadlock, Granted, Waiting};
     use LockMode::{S, X};
 
     fn t(n: u64) -> TxnId {
@@ -343,6 +287,25 @@ mod tests {
         GranuleId(n)
     }
 
+    /// One acquire with fresh effect buffers.
+    fn acq(
+        s: &mut TwoPhaseScheduler,
+        txn: u64,
+        granule: u64,
+        mode: LockMode,
+    ) -> (AcquireStatus, AcquireEffects) {
+        let mut fx = AcquireEffects::default();
+        let status = s.acquire_into(t(txn), g(granule), mode, &mut fx);
+        (status, fx)
+    }
+
+    /// Release into a dirty buffer (the scheduler must clear it first).
+    fn release(s: &mut TwoPhaseScheduler, txn: u64) -> Vec<TxnId> {
+        let mut granted = vec![t(99)];
+        s.release_into(t(txn), &mut granted);
+        granted
+    }
+
     fn holds_nothing(s: &TwoPhaseScheduler, txn: TxnId) -> bool {
         s.table().holdings(txn).next().is_none()
     }
@@ -350,17 +313,12 @@ mod tests {
     #[test]
     fn grant_wait_release_cycle() {
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), X), AcquireOutcome::Granted);
-        let out = s.acquire(t(2), g(0), X);
-        assert_eq!(
-            out,
-            AcquireOutcome::Waiting {
-                blockers: vec![t(1)]
-            }
-        );
+        assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
+        let (status, fx) = acq(&mut s, 2, 0, X);
+        assert_eq!(status, Waiting);
+        assert_eq!(fx.blockers, vec![t(1)]);
         assert!(s.is_waiting(t(2)));
-        let granted = s.release(t(1));
-        assert_eq!(granted, vec![t(2)]);
+        assert_eq!(release(&mut s, 1), vec![t(2)]);
         assert!(!s.is_waiting(t(2)));
         assert_eq!(s.table().held_mode(t(2), g(0)), Some(X));
     }
@@ -368,26 +326,20 @@ mod tests {
     #[test]
     fn classic_two_transaction_deadlock_aborts_youngest() {
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), X), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(2), g(1), X), AcquireOutcome::Granted);
-        assert!(matches!(
-            s.acquire(t(1), g(1), X),
-            AcquireOutcome::Waiting { .. }
-        ));
+        assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 2, 1, X).0, Granted);
+        assert_eq!(acq(&mut s, 1, 1, X).0, Waiting);
         // t2 closing the cycle: youngest (t2) is the victim.
-        match s.acquire(t(2), g(0), X) {
-            AcquireOutcome::Deadlock {
-                victims,
-                granted,
-                retry,
-            } => {
-                assert_eq!(victims, vec![t(2)]);
-                // Aborting t2 frees g1, granting t1's queued request.
-                assert_eq!(granted, vec![t(1)]);
-                assert_eq!(retry, RetryOutcome::SelfAborted);
+        let (status, fx) = acq(&mut s, 2, 0, X);
+        assert_eq!(
+            status,
+            Deadlock {
+                retry: RetryOutcome::SelfAborted
             }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        );
+        assert_eq!(fx.victims, vec![t(2)]);
+        // Aborting t2 frees g1, granting t1's queued request.
+        assert_eq!(fx.granted, vec![t(1)]);
         assert_eq!(s.abort_count(), 1);
         assert_eq!(s.table().held_mode(t(1), g(1)), Some(X));
         assert!(holds_nothing(&s, t(2)));
@@ -397,20 +349,13 @@ mod tests {
     fn three_way_deadlock_detected() {
         let mut s = TwoPhaseScheduler::new();
         for i in 0..3u64 {
-            assert_eq!(s.acquire(t(i + 1), g(i), X), AcquireOutcome::Granted);
+            assert_eq!(acq(&mut s, i + 1, i, X).0, Granted);
         }
-        assert!(matches!(
-            s.acquire(t(1), g(1), X),
-            AcquireOutcome::Waiting { .. }
-        ));
-        assert!(matches!(
-            s.acquire(t(2), g(2), X),
-            AcquireOutcome::Waiting { .. }
-        ));
-        match s.acquire(t(3), g(0), X) {
-            AcquireOutcome::Deadlock { victims, .. } => assert_eq!(victims, vec![t(3)]),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        assert_eq!(acq(&mut s, 1, 1, X).0, Waiting);
+        assert_eq!(acq(&mut s, 2, 2, X).0, Waiting);
+        let (status, fx) = acq(&mut s, 3, 0, X);
+        assert!(matches!(status, Deadlock { .. }), "{status:?}");
+        assert_eq!(fx.victims, vec![t(3)]);
     }
 
     #[test]
@@ -420,42 +365,31 @@ mod tests {
         // edge from T3 still queued behind it, so the cycle closed below
         // went undetected (a permanent, silent deadlock).
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(3), g(2), X), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(1), g(0), X), AcquireOutcome::Granted);
-        assert!(matches!(
-            s.acquire(t(2), g(0), X),
-            AcquireOutcome::Waiting { .. }
-        ));
+        assert_eq!(acq(&mut s, 3, 2, X).0, Granted);
+        assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 2, 0, X).0, Waiting);
         // T3 queues behind T2 on g0: edge T3 -> T2.
-        assert!(matches!(
-            s.acquire(t(3), g(0), X),
-            AcquireOutcome::Waiting { .. }
-        ));
+        assert_eq!(acq(&mut s, 3, 0, X).0, Waiting);
         // T1's release grants T2. T3 now waits on the *holder* T2 — that
         // edge must survive the grant.
-        assert_eq!(s.release(t(1)), vec![t(2)]);
+        assert_eq!(release(&mut s, 1), vec![t(2)]);
         assert!(s.is_waiting(t(3)));
         // T1 re-requests, queueing on g2 behind T3: edge T1 -> T3.
-        assert!(matches!(
-            s.acquire(t(1), g(2), X),
-            AcquireOutcome::Waiting { .. }
-        ));
+        assert_eq!(acq(&mut s, 1, 2, X).0, Waiting);
         // T2 requests g2, closing T2 -> T1 -> T3 -> T2. Detectable only
         // through the preserved T3 -> T2 edge.
-        match s.acquire(t(2), g(2), X) {
-            AcquireOutcome::Deadlock {
-                victims,
-                granted,
-                retry,
-            } => {
-                assert_eq!(victims, vec![t(3)]);
-                // Aborting T3 frees g2; the earlier waiter T1 is granted.
-                assert_eq!(granted, vec![t(1)]);
-                // T2 stays queued on g2 behind T1.
-                assert_eq!(retry, RetryOutcome::StillWaiting);
-            }
-            other => panic!("cycle through the granted txn went undetected: {other:?}"),
-        }
+        let (status, fx) = acq(&mut s, 2, 2, X);
+        assert_eq!(
+            status,
+            Deadlock {
+                retry: RetryOutcome::StillWaiting
+            },
+            "cycle through the granted txn went undetected"
+        );
+        assert_eq!(fx.victims, vec![t(3)]);
+        // Aborting T3 frees g2; the earlier waiter T1 is granted, and T2
+        // stays queued on g2 behind it.
+        assert_eq!(fx.granted, vec![t(1)]);
         assert_eq!(s.abort_count(), 1);
         assert_eq!(s.table().held_mode(t(1), g(2)), Some(X));
         assert!(s.is_waiting(t(2)));
@@ -467,26 +401,20 @@ mod tests {
         // The requester closes the cycle but an *older* id means the other
         // transaction is the victim; the re-evaluated request is granted.
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), X), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(2), g(1), X), AcquireOutcome::Granted);
-        assert!(matches!(
-            s.acquire(t(2), g(0), X),
-            AcquireOutcome::Waiting { .. }
-        ));
-        match s.acquire(t(1), g(1), X) {
-            AcquireOutcome::Deadlock {
-                victims,
-                granted,
-                retry,
-            } => {
-                assert_eq!(victims, vec![t(2)]);
-                // The requester's own grant is reported via `retry`, not
-                // in the side-effect list.
-                assert!(granted.is_empty());
-                assert_eq!(retry, RetryOutcome::Granted);
+        assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 2, 1, X).0, Granted);
+        assert_eq!(acq(&mut s, 2, 0, X).0, Waiting);
+        let (status, fx) = acq(&mut s, 1, 1, X);
+        assert_eq!(
+            status,
+            Deadlock {
+                retry: RetryOutcome::Granted
             }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        );
+        assert_eq!(fx.victims, vec![t(2)]);
+        // The requester's own grant is reported via `retry`, not in the
+        // side-effect list.
+        assert!(fx.granted.is_empty());
         assert_eq!(s.table().held_mode(t(1), g(1)), Some(X));
         assert!(!s.is_waiting(t(1)));
         assert!(holds_nothing(&s, t(2)));
@@ -495,10 +423,10 @@ mod tests {
     #[test]
     fn readers_do_not_deadlock() {
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), S), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(2), g(1), S), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(1), g(1), S), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(2), g(0), S), AcquireOutcome::Granted);
+        assert_eq!(acq(&mut s, 1, 0, S).0, Granted);
+        assert_eq!(acq(&mut s, 2, 1, S).0, Granted);
+        assert_eq!(acq(&mut s, 1, 1, S).0, Granted);
+        assert_eq!(acq(&mut s, 2, 0, S).0, Granted);
         assert_eq!(s.abort_count(), 0);
     }
 
@@ -507,55 +435,39 @@ mod tests {
         // Both read the same granule, both try to upgrade: a classic
         // conversion deadlock.
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), S), AcquireOutcome::Granted);
-        assert_eq!(s.acquire(t(2), g(0), S), AcquireOutcome::Granted);
-        assert!(matches!(
-            s.acquire(t(1), g(0), X),
-            AcquireOutcome::Waiting { .. }
-        ));
-        match s.acquire(t(2), g(0), X) {
-            AcquireOutcome::Deadlock {
-                victims,
-                granted,
-                retry,
-            } => {
-                assert_eq!(victims, vec![t(2)]);
-                assert_eq!(granted, vec![t(1)]);
-                assert_eq!(retry, RetryOutcome::SelfAborted);
-                assert_eq!(s.table().held_mode(t(1), g(0)), Some(X));
+        assert_eq!(acq(&mut s, 1, 0, S).0, Granted);
+        assert_eq!(acq(&mut s, 2, 0, S).0, Granted);
+        assert_eq!(acq(&mut s, 1, 0, X).0, Waiting);
+        let (status, fx) = acq(&mut s, 2, 0, X);
+        assert_eq!(
+            status,
+            Deadlock {
+                retry: RetryOutcome::SelfAborted
             }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        );
+        assert_eq!(fx.victims, vec![t(2)]);
+        assert_eq!(fx.granted, vec![t(1)]);
+        assert_eq!(s.table().held_mode(t(1), g(0)), Some(X));
     }
 
     #[test]
     fn release_grants_batch_of_readers() {
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), X), AcquireOutcome::Granted);
-        assert!(matches!(
-            s.acquire(t(2), g(0), S),
-            AcquireOutcome::Waiting { .. }
-        ));
-        assert!(matches!(
-            s.acquire(t(3), g(0), S),
-            AcquireOutcome::Waiting { .. }
-        ));
-        let granted = s.release(t(1));
-        assert_eq!(granted, vec![t(2), t(3)]);
+        assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 2, 0, S).0, Waiting);
+        assert_eq!(acq(&mut s, 3, 0, S).0, Waiting);
+        assert_eq!(release(&mut s, 1), vec![t(2), t(3)]);
     }
 
     #[test]
     fn reset_behaves_like_fresh() {
         let mut s = TwoPhaseScheduler::new();
-        assert_eq!(s.acquire(t(1), g(0), X), AcquireOutcome::Granted);
-        assert!(matches!(
-            s.acquire(t(2), g(0), X),
-            AcquireOutcome::Waiting { .. }
-        ));
+        assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 2, 0, X).0, Waiting);
         s.reset();
         assert_eq!(s.abort_count(), 0);
         assert!(!s.is_waiting(t(2)));
-        assert_eq!(s.acquire(t(2), g(0), X), AcquireOutcome::Granted);
+        assert_eq!(acq(&mut s, 2, 0, X).0, Granted);
         assert_eq!(s.table().held_mode(t(2), g(0)), Some(X));
     }
 
@@ -563,8 +475,8 @@ mod tests {
     #[should_panic(expected = "already waiting")]
     fn request_while_waiting_panics() {
         let mut s = TwoPhaseScheduler::new();
-        s.acquire(t(1), g(0), X);
-        let _ = s.acquire(t(2), g(0), X);
-        let _ = s.acquire(t(2), g(1), X);
+        let _ = acq(&mut s, 1, 0, X);
+        let _ = acq(&mut s, 2, 0, X);
+        let _ = acq(&mut s, 2, 1, X);
     }
 }

@@ -3,7 +3,7 @@
 //! The paper never materializes which granules a transaction locks — it
 //! works with lock *counts* and a probabilistic conflict draw. To validate
 //! that approximation against a real lock table (see
-//! `lockgran-core::explicit`), we need concrete granule sets whose
+//! `lockgran-core::locking`), we need concrete granule sets whose
 //! statistics match each placement model:
 //!
 //! * [`AccessPattern::Sequential`] — a contiguous run of granules starting

@@ -13,6 +13,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Run every test binary on four threads whatever the host's core count,
+# so a race between tests of one binary (shared process-global state)
+# shows on a 1-core machine too instead of only on wider CI hosts.
+export RUST_TEST_THREADS=4
+
 if [[ "${1:-}" == "--fix-allow" ]]; then
     exec cargo run --offline -q -p lockgran-lint -- --fix-allow
 fi

@@ -5,9 +5,11 @@
 //! The contract is *reset-equals-fresh*: every run through an arena is
 //! bit-identical to `sim::run` on a fresh system, no matter what ran in
 //! the arena before — only heap capacities may differ. These tests drive
-//! one arena through a gauntlet of configurations (all three conflict
+//! one arena through a gauntlet of configurations (all four conflict
 //! models, failures, admission control, changed geometry) and compare
-//! every run's full `RunMetrics` JSON against fresh construction.
+//! every run's full `RunMetrics` JSON against fresh construction. The
+//! three lock-table modes are presets of one engine, so consecutive
+//! lock-table steps cross presets through a single in-place reset.
 
 use lockgran_core::{
     sim, ConflictMode, HierarchySpec, LockDistribution, ModelConfig, RunArena, ServiceVariability,
@@ -37,6 +39,16 @@ fn gauntlet() -> Vec<(ModelConfig, u64)> {
                 .with_partitioning(Partitioning::Random),
             14,
         ),
+        // Incremental 2PL straight after the flat predeclared table: the
+        // reset swaps the discipline in place. Coarse locking makes the
+        // run deadlock, so victim replay crosses the reset boundary too.
+        (
+            quick()
+                .with_conflict(ConflictMode::Twophase)
+                .with_ltot(10)
+                .with_placement(Placement::Random),
+            20,
+        ),
         // Hierarchical with escalation.
         (
             quick()
@@ -52,6 +64,16 @@ fn gauntlet() -> Vec<(ModelConfig, u64)> {
                 .with_conflict(ConflictMode::Hierarchical)
                 .with_hierarchy(Some(HierarchySpec::default().with_areas(25))),
             16,
+        ),
+        // Incremental 2PL straight after the hierarchy: the reset drops
+        // the tree and swaps the discipline. A higher multiprogramming
+        // level re-provisions the prewarmed structures.
+        (
+            quick()
+                .with_conflict(ConflictMode::Twophase)
+                .with_ntrans(40)
+                .with_ltot(50),
+            21,
         ),
         // Back to probabilistic (mode change in the other direction),
         // with warm-up, admission control and service variability.

@@ -10,24 +10,44 @@
 //! This test is the proof: a `#[global_allocator]` wrapper counts every
 //! `alloc`/`realloc`, and the count must not move across the measured
 //! half of the run.
+//!
+//! The count is kept per thread. libtest runs the tests of this binary
+//! on parallel threads, and a process-wide counter would charge each test
+//! with the allocations of the others.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lockgran_core::system::System;
 use lockgran_core::{ConflictMode, ModelConfig};
 use lockgran_sim::{Executor, FelKind, Time};
 
-/// Passthrough allocator that counts heap acquisitions (`alloc` and
-/// `realloc`; `dealloc` is free to run — returning memory is not the
-/// failure mode this test polices).
+/// Passthrough allocator that counts the calling thread's heap
+/// acquisitions (`alloc` and `realloc`; `dealloc` is free to run —
+/// returning memory is not the failure mode this test polices).
 struct CountingAlloc;
 
-static HEAP_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialization: no lazy-init allocation inside the
+    // allocator itself.
+    static HEAP_ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one heap acquisition on the calling thread. During thread
+/// teardown the slot may already be gone; such allocations belong to no
+/// test and are not counted.
+fn count_acquisition() {
+    let _ = HEAP_ACQUISITIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap acquisitions made so far by the calling thread.
+fn heap_acquisitions() -> u64 {
+    HEAP_ACQUISITIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count_acquisition();
         SystemAlloc.alloc(layout)
     }
 
@@ -36,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count_acquisition();
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -58,12 +78,12 @@ fn assert_steady_state_is_silent(cfg: ModelConfig, what: &str) {
     let mid = Time::from_units(horizon.units() / 2.0);
     ex.run(&mut system, mid);
     let events_before = ex.events_processed();
-    let allocs_before = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
+    let allocs_before = heap_acquisitions();
 
     // Steady state: every buffer is recycled, so the heap must be silent.
     let end = ex.run(&mut system, horizon);
     let events = ex.events_processed() - events_before;
-    let allocs = HEAP_ACQUISITIONS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = heap_acquisitions() - allocs_before;
 
     assert!(
         events > 1_000,
@@ -95,6 +115,17 @@ fn explicit_steady_state_allocates_nothing() {
     assert_steady_state_is_silent(cfg, "explicit");
 }
 
+/// The hierarchical model adds the escalation pass and an intention-lock
+/// chain per target on top of the lock table: the chain is written into a
+/// reused request buffer, so the steady state must stay silent too.
+#[test]
+fn hierarchical_steady_state_allocates_nothing() {
+    let cfg = ModelConfig::table1()
+        .with_conflict(ConflictMode::Hierarchical)
+        .with_tmax(4_000.0);
+    assert_steady_state_is_silent(cfg, "hierarchical");
+}
+
 /// Incremental 2PL adds the waits-for graph, deadlock detection and
 /// victim abort/replay on top of the lock table — the full machinery
 /// must be allocation-free once warm.
@@ -118,12 +149,12 @@ fn arena_second_run_allocates_a_small_fraction_of_the_first() {
     let cfg = ModelConfig::table1().with_tmax(1_500.0);
     let mut arena = lockgran_core::RunArena::new();
 
-    let before_first = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
+    let before_first = heap_acquisitions();
     let first = arena.run(&cfg, 7);
-    let after_first = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
+    let after_first = heap_acquisitions();
 
     let second = arena.run(&cfg, 8);
-    let after_second = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
+    let after_second = heap_acquisitions();
 
     assert!(first.totcom > 0 && second.totcom > 0);
     let cold = after_first - before_first;

@@ -2,12 +2,43 @@
 //!
 //! Push/pop throughput at the queue sizes the model actually reaches
 //! (tens to a few thousands of pending events) — the simulator's hottest
-//! data structure.
+//! data structure — plus the capacity point's start-up pattern: 10⁵
+//! staggered arrivals appended in time order, then drained.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lockgran_sim::{CalendarQueue, EventQueue, Time};
+use lockgran_sim::{CalendarQueue, Dur, EventQueue, Time};
+
+/// Initial arrivals per start-up, as at the capacity point (`ntrans`).
+const ARRIVALS: u64 = 100_000;
+
+/// Clear `q`, append [`ARRIVALS`] events one time unit apart — through
+/// the sorted lane or as plain pushes — then drain the queue under
+/// push/pop churn: every popped event with id below `3 * ARRIVALS`
+/// schedules a follow-on up to 20 units ahead, the way a spawned
+/// transaction's server completions follow its arrival. Returns the
+/// number of events popped.
+fn append_and_drain(q: &mut CalendarQueue<u64>, sorted: bool) -> u64 {
+    q.clear();
+    for i in 0..ARRIVALS {
+        let at = Time::from_ticks(i * 1_000);
+        if sorted {
+            q.push_sorted(at, i);
+        } else {
+            q.push(at, i);
+        }
+    }
+    let mut popped = 0;
+    while let Some((at, v)) = q.pop() {
+        popped += 1;
+        if v < 3 * ARRIVALS {
+            let delay = Dur::from_ticks(1 + v.wrapping_mul(7_919) % 20_000);
+            q.push(at + delay, v + ARRIVALS);
+        }
+    }
+    popped
+}
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
@@ -43,6 +74,18 @@ fn bench(c: &mut Criterion) {
                     q.push(Time::from_ticks(t), v);
                     black_box(at);
                 });
+            },
+        );
+    }
+    for (label, sorted) in [("push", false), ("sorted", true)] {
+        group.bench_with_input(
+            BenchmarkId::new("calendar_append_drain", label),
+            &sorted,
+            |b, &sorted| {
+                // One queue across iterations, cleared each time, as a
+                // `RunArena` reuses its executor.
+                let mut q = CalendarQueue::new();
+                b.iter(|| black_box(append_and_drain(&mut q, sorted)));
             },
         );
     }

@@ -320,10 +320,12 @@ impl System {
     /// unit apart (paper §2), the warm-up boundary, and (when the failure
     /// extension is on) every processor's first failure. Shared by
     /// [`System::new`] and [`System::reset`] so the event sequence numbers
-    /// of a reset run match a fresh run exactly.
+    /// of a reset run match a fresh run exactly. The arrivals are in time
+    /// order, so they go to the FEL's sorted lane: `ntrans` of them (10⁵
+    /// at capacity) never enter the calendar's buckets.
     fn schedule_initial(&mut self, cfg: &ModelConfig, root: &SimRng, ex: &mut Executor<Event>) {
         for i in 0..cfg.ntrans {
-            ex.schedule(Time::from_units(f64::from(i)), Event::Arrive);
+            ex.schedule_sorted(Time::from_units(f64::from(i)), Event::Arrive);
         }
         if self.warmup > Time::ZERO {
             ex.schedule(self.warmup, Event::WarmupReached);
@@ -1077,7 +1079,7 @@ impl System {
         let lock_denials = self.lock_denials - self.snapshot.lock_denials;
         let span = measured_time.max(f64::MIN_POSITIVE);
 
-        RunMetrics {
+        let metrics = RunMetrics {
             totcpus,
             totios,
             lockcpus,
@@ -1110,7 +1112,10 @@ impl System {
             deadlocks: self.conflict.stats().deadlocks - self.snapshot.cc.deadlocks,
             response_ci95_batch: self.response_batch.ci95_half_width(),
             response_batches: self.response_batch.batches(),
-        }
+        };
+        // Every debug-profile run checks its own accounting.
+        debug_assert_eq!(metrics.check_consistency(self.npros), Ok(()));
+        metrics
     }
 
     /// Number of transactions currently resident (always `ntrans` once the

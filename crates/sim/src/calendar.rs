@@ -9,48 +9,98 @@
 //!
 //! Same contract as [`crate::event::EventQueue`], including **stable FIFO
 //! ordering among simultaneous events** (each entry carries a sequence
-//! number; buckets are kept sorted by `(time, seq)`). Buckets are
-//! `VecDeque`s so popping the head is O(1) rather than the O(n)
-//! front-shift a `Vec::remove(0)` would cost.
+//! number; buckets are kept sorted by `(time, seq)`).
+//!
+//! Bucketed entries live in one pooled slab: each bucket is an intrusive
+//! singly linked list (head and tail indices into the slab), and vacated
+//! nodes form a free list. The slab only grows when the number of
+//! bucketed entries passes its high-water mark, so the queue's heap use
+//! depends on how many events are pending, never on which day they hash
+//! to.
+//!
+//! Beside the buckets sits a **sorted lane**: a FIFO for events the caller
+//! appends in non-decreasing time order ([`CalendarQueue::push_sorted`]),
+//! such as a closed model's staggered initial arrivals. Lane entries draw
+//! their sequence number from the same counter as bucketed ones, and `pop`
+//! takes whichever head has the smaller `(time, seq)`, so the lane changes
+//! where an event waits, never when it fires.
 //!
 //! The queue resizes itself (doubling/halving the bucket count and
-//! re-estimating the width) when the population strays outside the
-//! N/4 … 2N band — wider than Brown's classic N/2 lower edge so that a
+//! re-estimating the width) when the bucketed population strays outside
+//! the N/4 … 2N band — wider than Brown's classic N/2 lower edge so that a
 //! workload whose population breathes by a few × settles on one geometry
-//! instead of thrashing. A resize merges the already-sorted buckets
-//! (k-way, O(n log k)) instead of re-sorting every entry from scratch,
-//! and recycles all of its working storage, so steady-state operation is
-//! allocation-free (`tests/steady_state_alloc.rs` enforces this).
+//! instead of thrashing. Lane entries never count towards the band. A
+//! resize merges the already-sorted buckets (k-way, O(n log k)) into one
+//! chain and relinks it, moving no entry, and recycles its merge heap, so
+//! steady-state operation is allocation-free (`tests/steady_state_alloc.rs`
+//! enforces this).
 
 use crate::time::Time;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
+/// Sentinel for "no node" in the pooled bucket lists.
+const NIL: u32 = u32::MAX;
+
+/// One entry of the sorted lane.
 struct Entry<E> {
     at: Time,
     seq: u64,
     event: E,
 }
 
+/// One bucketed entry in the slab.
+struct Node<E> {
+    at: Time,
+    seq: u64,
+    /// Next node of the same bucket, or of the free list while vacant.
+    next: u32,
+    /// `None` while the node is on the free list.
+    event: Option<E>,
+}
+
+/// One day's sorted list, as indices into the slab.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Where the earliest pending event waits.
+enum Head {
+    Lane,
+    Bucket(usize),
+}
+
 /// A calendar-queue future-event list (see module docs).
 pub struct CalendarQueue<E> {
-    buckets: Vec<VecDeque<Entry<E>>>,
+    buckets: Vec<Bucket>,
+    /// Pooled storage of every bucketed entry.
+    nodes: Vec<Node<E>>,
+    /// Head of the vacant-node list threaded through `Node::next`.
+    free: u32,
     /// Width of one bucket (one "day"), in ticks. Always ≥ 1.
     width: u64,
     /// Index of the day currently being scanned.
     current: usize,
-    /// Start tick of the bucket at `current`.
+    /// Start tick of the bucket at `current`. Invariant: no bucketed
+    /// event lies before it, so a lane head earlier than this tick is the
+    /// global minimum without a scan.
     bucket_start: u64,
-    len: usize,
+    /// Entries in the buckets (the lane is counted by `lane.len()`).
+    bucketed: usize,
+    /// Sorted FIFO of in-order appends (see [`CalendarQueue::push_sorted`]).
+    lane: VecDeque<Entry<E>>,
     next_seq: u64,
     /// Smallest event time ever admissible (monotone pop guarantee).
     last_popped: Time,
-    /// Retired bucket deques (capacity kept) for reuse by the next resize,
-    /// so a steady-state resize touches the heap zero times.
-    spare: Vec<VecDeque<Entry<E>>>,
-    /// Resize scratch: the merged entry stream (drained every resize).
-    merge_scratch: Vec<Entry<E>>,
     /// Resize scratch: backing storage for the k-way merge heap.
-    heads_scratch: Vec<std::cmp::Reverse<(Time, u64, usize)>>,
+    heads_scratch: Vec<Reverse<(Time, u64, usize)>>,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -73,21 +123,28 @@ impl<E> CalendarQueue<E> {
         assert!(buckets > 0, "need at least one bucket");
         assert!(width > 0, "bucket width must be positive");
         CalendarQueue {
-            buckets: (0..buckets).map(|_| VecDeque::new()).collect(),
+            buckets: vec![EMPTY_BUCKET; buckets],
+            nodes: Vec::new(),
+            free: NIL,
             width,
             current: 0,
             bucket_start: 0,
-            len: 0,
+            bucketed: 0,
+            lane: VecDeque::new(),
             next_seq: 0,
             last_popped: Time::ZERO,
-            spare: Vec::new(),
-            merge_scratch: Vec::new(),
             heads_scratch: Vec::new(),
         }
     }
 
     fn bucket_of(&self, at: Time) -> usize {
         ((at.ticks() / self.width) % self.buckets.len() as u64) as usize
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -97,61 +154,147 @@ impl<E> CalendarQueue<E> {
     /// the calendar, like any future-event list, is monotone.
     pub fn push(&mut self, at: Time, event: E) {
         debug_assert!(at >= self.last_popped, "scheduling into the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let idx = self.bucket_of(at);
-        let bucket = &mut self.buckets[idx];
-        // Insert keeping the bucket sorted by (time, seq); events mostly
-        // arrive near the end, so scan from the back.
-        let pos = bucket
-            .iter()
-            .rposition(|e| (e.at, e.seq) < (at, seq))
-            .map_or(0, |p| p + 1);
-        bucket.insert(pos, Entry { at, seq, event });
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
+        let seq = self.take_seq();
+        if at.ticks() < self.bucket_start {
+            // Keep the cursor at or before the earliest bucketed event: a
+            // peek may have moved it past `at` while the lane won.
+            self.current = self.bucket_of(at);
+            self.bucket_start = (at.ticks() / self.width) * self.width;
+        }
+        let node = self.alloc_node(at, seq, event);
+        self.link(node);
+        self.bucketed += 1;
+        if self.bucketed > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
         }
     }
 
-    /// Advance the day cursor until the head of the current bucket is the
-    /// earliest pending event, then return that bucket's index.
+    /// Schedule `event` at `at`, which the caller promises is no earlier
+    /// than any time it appended this way before (since the last
+    /// [`CalendarQueue::clear`]). Such events wait in the sorted lane
+    /// instead of the buckets: O(1) each, and they neither grow the
+    /// calendar nor count towards its resize band. Pop order is the same
+    /// `(time, seq)` order as for [`CalendarQueue::push`]; an append that
+    /// breaks the promise is bucketed like a plain push.
+    pub fn push_sorted(&mut self, at: Time, event: E) {
+        if self.lane.back().is_some_and(|e| e.at > at) {
+            self.push(at, event);
+            return;
+        }
+        debug_assert!(at >= self.last_popped, "scheduling into the past");
+        let seq = self.take_seq();
+        self.lane.push_back(Entry { at, seq, event });
+    }
+
+    fn alloc_node(&mut self, at: Time, seq: u64, event: E) -> u32 {
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.nodes[slot as usize].next;
+            self.nodes[slot as usize] = node;
+            slot
+        }
+    }
+
+    /// Insert the unlinked `node` into its bucket, keeping the bucket
+    /// sorted by `(time, seq)`. Pushed events mostly land at the end, and
+    /// a resize relinks in order, so the tail is tried first.
+    fn link(&mut self, node: u32) {
+        let (at, seq) = {
+            let n = &self.nodes[node as usize];
+            (n.at, n.seq)
+        };
+        let idx = self.bucket_of(at);
+        let Bucket { head, tail } = self.buckets[idx];
+        if tail == NIL {
+            self.buckets[idx] = Bucket {
+                head: node,
+                tail: node,
+            };
+            return;
+        }
+        let tail_node = &self.nodes[tail as usize];
+        if (tail_node.at, tail_node.seq) < (at, seq) {
+            self.nodes[tail as usize].next = node;
+            self.buckets[idx].tail = node;
+            return;
+        }
+        let (mut prev, mut cur) = (NIL, head);
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
+            if (n.at, n.seq) > (at, seq) {
+                break;
+            }
+            prev = cur;
+            cur = n.next;
+        }
+        // `cur` is not NIL: the tail sorts after `node`.
+        self.nodes[node as usize].next = cur;
+        if prev == NIL {
+            self.buckets[idx].head = node;
+        } else {
+            self.nodes[prev as usize].next = node;
+        }
+    }
+
+    fn head_key(&self, idx: usize) -> (Time, u64) {
+        let n = &self.nodes[self.buckets[idx].head as usize];
+        (n.at, n.seq)
+    }
+
+    /// Find the earliest pending event across the lane and the buckets,
+    /// advancing the day cursor until the head of the current bucket is
+    /// the earliest bucketed event.
     ///
     /// Idempotent: once positioned, calling it again finds the head in-day
     /// immediately and changes nothing — which is what lets `peek_time`
-    /// share it with `pop`.
-    fn locate(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
+    /// share it with `pop`. The cursor only passes days that hold no
+    /// bucketed event, so it never overtakes the earliest one, and a lane
+    /// head before the cursor's day wins without a scan.
+    fn locate(&mut self) -> Option<Head> {
+        let lane_key = self.lane.front().map(|e| (e.at, e.seq));
+        if self.bucketed == 0 || lane_key.is_some_and(|(at, _)| at.ticks() < self.bucket_start) {
+            return lane_key.map(|_| Head::Lane);
         }
         let nbuckets = self.buckets.len();
         // Scan at most one full year; fall back to a direct minimum scan
         // if the calendar is sparse (events far in the future).
-        for _ in 0..nbuckets {
-            let day_end = self.bucket_start + self.width;
-            let head_in_day = self.buckets[self.current]
-                .front()
-                .is_some_and(|e| e.at.ticks() < day_end);
-            if head_in_day {
-                return Some(self.current);
+        let idx = 'scan: {
+            for _ in 0..nbuckets {
+                let day_end = self.bucket_start + self.width;
+                let head = self.buckets[self.current].head;
+                if head != NIL && self.nodes[head as usize].at.ticks() < day_end {
+                    break 'scan self.current;
+                }
+                self.current = (self.current + 1) % nbuckets;
+                self.bucket_start += self.width;
             }
-            self.current = (self.current + 1) % nbuckets;
-            self.bucket_start += self.width;
+            // Sparse case: find the global minimum directly and re-anchor
+            // the calendar there; the head then falls inside the current
+            // day.
+            let (idx, (at, _)) = (0..nbuckets)
+                .filter(|&i| self.buckets[i].head != NIL)
+                .map(|i| (i, self.head_key(i)))
+                .min_by_key(|&(_, key)| key)
+                // lint:allow(P001): `bucketed > 0` was checked at entry;
+                // an empty calendar cannot reach the sparse path
+                .expect("bucketed > 0 implies a head exists");
+            self.current = idx;
+            self.bucket_start = (at.ticks() / self.width) * self.width;
+            idx
+        };
+        match lane_key {
+            Some(key) if key < self.head_key(idx) => Some(Head::Lane),
+            _ => Some(Head::Bucket(idx)),
         }
-        // Sparse case: find the global minimum directly and re-anchor the
-        // calendar there; the head then falls inside the current day.
-        let (idx, (at, _)) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.front().map(|e| (i, (e.at, e.seq))))
-            .min_by_key(|&(_, key)| key)
-            // lint:allow(P001): `len > 0` was checked at entry; an empty
-            // calendar cannot reach the sparse path
-            .expect("len > 0 implies a head exists");
-        self.current = idx;
-        self.bucket_start = (at.ticks() / self.width) * self.width;
-        Some(idx)
     }
 
     /// Time of the earliest event without removing it.
@@ -159,129 +302,159 @@ impl<E> CalendarQueue<E> {
     /// Takes `&mut self` because finding the minimum advances the day
     /// cursor; the queue contents are untouched.
     pub fn peek_time(&mut self) -> Option<Time> {
-        let idx = self.locate()?;
-        self.buckets[idx].front().map(|e| e.at)
+        match self.locate()? {
+            Head::Lane => self.lane.front().map(|e| e.at),
+            Head::Bucket(idx) => Some(self.head_key(idx).0),
+        }
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let idx = self.locate()?;
-        let entry = self.buckets[idx]
-            .pop_front()
-            // lint:allow(P001): locate() only returns buckets with a head
-            .expect("locate() returned a non-empty bucket");
-        self.len -= 1;
-        self.last_popped = entry.at;
+        let (at, event) = match self.locate()? {
+            Head::Lane => {
+                let entry = self
+                    .lane
+                    .pop_front()
+                    // lint:allow(P001): locate() picks the lane only when
+                    // it has a head
+                    .expect("locate() returned a non-empty lane");
+                (entry.at, entry.event)
+            }
+            Head::Bucket(idx) => self.pop_bucket(idx),
+        };
+        self.last_popped = at;
+        Some((at, event))
+    }
+
+    /// Unlink the head of bucket `idx`, return its node to the free list,
+    /// and shrink the calendar if the bucketed population fell out of its
+    /// band.
+    fn pop_bucket(&mut self, idx: usize) -> (Time, E) {
+        let slot = self.buckets[idx].head;
+        let node = &mut self.nodes[slot as usize];
+        let (at, next) = (node.at, node.next);
+        let event = node
+            .event
+            .take()
+            // lint:allow(P001): only vacant nodes hold no event, and those
+            // sit on the free list, never in a bucket
+            .expect("a bucketed node holds its event");
+        node.next = self.free;
+        self.free = slot;
+        self.buckets[idx].head = next;
+        if next == NIL {
+            self.buckets[idx].tail = NIL;
+        }
+        self.bucketed -= 1;
         // Shrink at a quarter, not half: growth triggers at 2N, so a half
         // threshold leaves only a 4× band and a workload whose FEL
         // "breathes" by a few × thrashes between two geometries forever
         // (an O(n) merge each time). The 8× band lets it settle.
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > 16 {
+        if self.bucketed < self.buckets.len() / 4 && self.buckets.len() > 16 {
             self.resize(self.buckets.len() / 2);
         }
-        Some((entry.at, entry.event))
+        (at, event)
     }
 
-    /// Number of pending events.
+    /// Number of pending events, the sorted lane included.
     pub fn len(&self) -> usize {
-        self.len
+        self.bucketed + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Drop every pending event and rewind the clock to [`Time::ZERO`],
     /// keeping the grown calendar geometry (bucket count and width) and
-    /// every bucket's allocation for reuse. Retaining the geometry is
-    /// safe for bit-identity: pop order is the total `(time, seq)` order
-    /// regardless of how events hash into days, so a recycled calendar
-    /// drives a model through the identical event sequence a fresh one
-    /// would — it just skips re-growing to the workload's natural size.
+    /// the capacity of the slab, the lane and the bucket array for reuse.
+    /// Retaining the geometry is safe for bit-identity: pop order is the
+    /// total `(time, seq)` order regardless of how events hash into days,
+    /// so a recycled calendar drives a model through the identical event
+    /// sequence a fresh one would — it just skips re-growing to the
+    /// workload's natural size.
     pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.buckets.fill(EMPTY_BUCKET);
+        self.nodes.clear();
+        self.free = NIL;
+        self.lane.clear();
         self.current = 0;
         self.bucket_start = 0;
-        self.len = 0;
+        self.bucketed = 0;
         self.next_seq = 0;
         self.last_popped = Time::ZERO;
     }
 
     fn resize(&mut self, new_buckets: usize) {
-        // Re-estimate width from the average spacing of the queue contents
-        // (Brown's heuristic, simplified: span / count). Min and max come
-        // from a direct scan — no need to sort anything for that.
-        let lo = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|e| e.at.ticks()))
+        // Re-estimate width from the average spacing of the bucketed
+        // entries (Brown's heuristic, simplified: span / count). Buckets
+        // are sorted, so heads hold the per-bucket minima and tails the
+        // maxima.
+        let occupied = || self.buckets.iter().filter(|b| b.head != NIL);
+        let lo = occupied()
+            .map(|b| self.nodes[b.head as usize].at.ticks())
             .min();
-        let hi = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|e| e.at.ticks()))
+        let hi = occupied()
+            .map(|b| self.nodes[b.tail as usize].at.ticks())
             .max();
         let width = match (lo, hi) {
-            (Some(lo), Some(hi)) if hi > lo && self.len > 1 => {
-                (3 * (hi - lo) / self.len as u64).max(1)
+            (Some(lo), Some(hi)) if hi > lo && self.bucketed > 1 => {
+                (3 * (hi - lo) / self.bucketed as u64).max(1)
             }
             _ => self.width,
         };
-        // Each bucket is already sorted by (time, seq); a k-way merge over
-        // the bucket heads yields the globally sorted stream in O(n log k)
-        // without comparing entries that never interleave. All three pieces
-        // of working storage (merge heap, merged stream, bucket deques) are
-        // recycled across resizes, so in steady state — where the FEL can
-        // cross the resize band repeatedly — a resize allocates nothing.
+        // A k-way merge over the bucket heads threads every node onto one
+        // globally sorted chain in O(n log k), without comparing entries
+        // that never interleave. The merge heap's storage is recycled
+        // across resizes, and nodes are relinked, never moved, so in
+        // steady state — where the FEL can cross the resize band
+        // repeatedly — a resize allocates nothing.
         let mut head_storage = std::mem::take(&mut self.heads_scratch);
         head_storage.clear();
         head_storage.extend(
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| b.front().map(|e| std::cmp::Reverse((e.at, e.seq, i)))),
+            (0..self.buckets.len())
+                .filter(|&i| self.buckets[i].head != NIL)
+                .map(|i| {
+                    let (at, seq) = self.head_key(i);
+                    Reverse((at, seq, i))
+                }),
         );
-        let mut heads = std::collections::BinaryHeap::from(head_storage);
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        merged.clear();
-        while let Some(std::cmp::Reverse((_, _, i))) = heads.pop() {
-            let entry = self.buckets[i]
-                .pop_front()
-                // lint:allow(P001): a bucket index only enters the merge
-                // heap while that bucket has a head
-                .expect("merge heap tracks non-empty buckets");
-            if let Some(next) = self.buckets[i].front() {
-                heads.push(std::cmp::Reverse((next.at, next.seq, i)));
+        let mut heads = BinaryHeap::from(head_storage);
+        let (mut first, mut last) = (NIL, NIL);
+        while let Some(Reverse((_, _, i))) = heads.pop() {
+            let slot = self.buckets[i].head;
+            let next = self.nodes[slot as usize].next;
+            self.buckets[i].head = next;
+            if next != NIL {
+                let n = &self.nodes[next as usize];
+                heads.push(Reverse((n.at, n.seq, i)));
             }
-            merged.push(entry);
-        }
-        // Adjust the (now all-empty) bucket array, parking surplus deques
-        // in the spare pool and drawing shortfalls back out of it.
-        while self.buckets.len() > new_buckets {
-            if let Some(d) = self.buckets.pop() {
-                self.spare.push(d);
+            if last == NIL {
+                first = slot;
+            } else {
+                self.nodes[last as usize].next = slot;
             }
+            last = slot;
         }
-        while self.buckets.len() < new_buckets {
-            self.buckets.push(self.spare.pop().unwrap_or_default());
-        }
+        self.heads_scratch = heads.into_vec();
+        self.buckets.clear();
+        self.buckets.resize(new_buckets, EMPTY_BUCKET);
         self.width = width;
         let anchor = self.last_popped;
         self.current = ((anchor.ticks() / width) % new_buckets as u64) as usize;
         self.bucket_start = (anchor.ticks() / width) * width;
-        for entry in merged.drain(..) {
-            // The merged stream is globally sorted, so appending keeps
-            // every destination bucket sorted; original seqs are kept so
-            // FIFO ties survive the resize.
-            let idx = self.bucket_of(entry.at);
-            self.buckets[idx].push_back(entry);
+        // Relinking the sorted chain in order appends every node at its
+        // bucket's tail; original seqs are kept so FIFO ties survive the
+        // resize.
+        let mut slot = first;
+        while slot != NIL {
+            let next = self.nodes[slot as usize].next;
+            self.nodes[slot as usize].next = NIL;
+            self.link(slot);
+            slot = next;
         }
-        self.merge_scratch = merged;
-        self.heads_scratch = heads.into_vec();
-        // `len` and `next_seq` are unchanged: every entry was moved.
+        // `bucketed` and `next_seq` are unchanged: every entry was relinked.
     }
 }
 
@@ -426,7 +599,12 @@ mod tests {
 
     /// Seeded property test: random interleaved push/peek/pop traffic with
     /// time plateaus (forcing ties) and bursts (forcing resizes in both
-    /// directions) must agree with the binary-heap FEL at every step.
+    /// directions) must agree with the binary-heap FEL at every step. A
+    /// sorted-append stream rides along: a staggered initial batch in
+    /// whole steps (tying with bucketed events on the same ticks), then
+    /// in-order appends that fall behind or run ahead of the buckets, and
+    /// now and then an append that breaks the order. The heap takes those
+    /// as plain pushes.
     #[test]
     fn prop_agrees_with_heap_through_resizes() {
         use crate::event::EventQueue;
@@ -437,7 +615,25 @@ mod tests {
             let mut heap = EventQueue::new();
             let mut clock = 0u64;
             let mut id = 0u64;
+            let step = 1 + case % 5;
+            let mut lane_at = 0u64;
+            for i in 0..rng.uniform_inclusive(0, 400) {
+                lane_at = i * step;
+                cal.push_sorted(Time::from_ticks(lane_at), id);
+                heap.push(Time::from_ticks(lane_at), id);
+                id += 1;
+            }
             for _ in 0..600 {
+                if rng.bernoulli(0.2) {
+                    lane_at = if rng.bernoulli(0.1) {
+                        clock + rng.uniform_inclusive(0, 20)
+                    } else {
+                        lane_at.max(clock) + rng.uniform_inclusive(0, 3) * step
+                    };
+                    cal.push_sorted(Time::from_ticks(lane_at), id);
+                    heap.push(Time::from_ticks(lane_at), id);
+                    id += 1;
+                }
                 // Bursts grow the queue past resize-up; drain phases pull
                 // it back down through resize-down.
                 let burst = if rng.bernoulli(0.1) {

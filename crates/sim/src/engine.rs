@@ -54,6 +54,15 @@ impl<E> Fel<E> {
         }
     }
 
+    /// An in-order append: the calendar's sorted lane, a plain push for
+    /// the heap.
+    fn push_sorted(&mut self, at: Time, event: E) {
+        match self {
+            Fel::Heap(q) => q.push(at, event),
+            Fel::Calendar(q) => q.push_sorted(at, event),
+        }
+    }
+
     fn pop(&mut self) -> Option<(Time, E)> {
         match self {
             Fel::Heap(q) => q.pop(),
@@ -126,7 +135,8 @@ impl<E> Executor<E> {
     }
 
     /// Rewind to a pristine state — clock at [`Time::ZERO`], no pending
-    /// events, counters zeroed — while keeping the FEL's grown storage.
+    /// events, counters zeroed — while keeping the FEL's grown storage
+    /// (the calendar's sorted lane included).
     /// A reset executor is observationally identical to a fresh one (same
     /// FEL kind, same `(time, seq)` pop order), so sweep harnesses can
     /// reuse one executor across runs without perturbing results.
@@ -148,6 +158,25 @@ impl<E> Executor<E> {
             self.now
         );
         self.queue.push(at, event);
+    }
+
+    /// Schedule `event` at `at`, no earlier than any event scheduled this
+    /// way before (since the last [`Executor::reset`]) — for example a
+    /// closed model's staggered initial arrivals. The calendar FEL keeps
+    /// such events in its sorted lane ([`CalendarQueue::push_sorted`]) so
+    /// they never grow its buckets; the heap takes a plain push. Either
+    /// way the event fires exactly where [`Executor::schedule`] would
+    /// have fired it.
+    ///
+    /// # Panics
+    /// In debug builds, panics if `at` is in the past.
+    pub fn schedule_sorted(&mut self, at: Time, event: E) {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past ({at:?} < {:?})",
+            self.now
+        );
+        self.queue.push_sorted(at, event);
     }
 
     /// Schedule `event` after a delay of `d` from the current time.
@@ -297,6 +326,9 @@ mod tests {
         for kind in [FelKind::Heap, FelKind::Calendar] {
             let drive = |ex: &mut Executor<Tagged>| {
                 let mut m = Recorder::default();
+                for i in 0..40u32 {
+                    ex.schedule_sorted(Time::from_ticks(u64::from(i) * 5), Tagged(100 + i));
+                }
                 for i in 0..80u32 {
                     ex.schedule(Time::from_ticks(u64::from(i % 9) * 7), Tagged(i));
                 }
@@ -316,7 +348,8 @@ mod tests {
     }
 
     /// Both FEL kinds drive a model through the identical event sequence —
-    /// including FIFO ties — which is the bit-identity foundation the
+    /// including FIFO ties, between bucketed events and the calendar's
+    /// sorted lane too — which is the bit-identity foundation the
     /// production engine relies on.
     #[test]
     fn heap_and_calendar_executors_see_identical_sequences() {
@@ -325,6 +358,7 @@ mod tests {
             let mut ex = Executor::with_fel(kind);
             for i in 0..50u32 {
                 ex.schedule(Time::from_ticks(u64::from(i % 7) * 10), Tagged(i));
+                ex.schedule_sorted(Time::from_ticks(u64::from(i) * 2), Tagged(100 + i));
             }
             ex.run(&mut m, Time::from_ticks(1_000));
             m.seen

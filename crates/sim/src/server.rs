@@ -24,7 +24,6 @@
 
 use std::collections::VecDeque;
 
-use crate::stats::TimeWeighted;
 use crate::time::{Dur, Time};
 
 /// Order in which queued Transaction-class jobs are served. Lock-class
@@ -141,8 +140,6 @@ pub struct Server {
     busy: [Dur; 2],
     /// Completed job count per class.
     completed: [u64; 2],
-    /// Time-weighted number of jobs present (queued + in service).
-    population: TimeWeighted,
     /// Whether Lock-class work preempts an in-service Transaction job.
     preemptive: bool,
     /// Queued-transaction service order.
@@ -166,7 +163,6 @@ impl Server {
             next_token: 0,
             busy: [Dur::ZERO; 2],
             completed: [0; 2],
-            population: TimeWeighted::new(),
             preemptive: true,
             discipline: Discipline::Fcfs,
         }
@@ -201,7 +197,6 @@ impl Server {
         self.next_token = 0;
         self.busy = [Dur::ZERO; 2];
         self.completed = [0; 2];
-        self.population = TimeWeighted::new();
         self.preemptive = preemptive;
         self.discipline = discipline;
     }
@@ -264,8 +259,6 @@ impl Server {
     /// Zero-demand jobs are legal (the paper's `liotime = 0` case) and
     /// complete at their service start instant.
     pub fn submit(&mut self, now: Time, job: Job) -> Option<Completion> {
-        self.population
-            .record(now, self.jobs_present() as f64 + 1.0);
         match (&self.current, job.class) {
             (None, _) => Some(self.start(now, job)),
             (Some(cur), Class::Lock) if self.preemptive && cur.job.class == Class::Transaction => {
@@ -300,7 +293,6 @@ impl Server {
                     .pop_front()
                     .or_else(|| self.pop_txn())
                     .map(|j| self.start(now, j));
-                self.population.record(now, self.jobs_present() as f64);
                 CompletionOutcome::Finished {
                     job: finished,
                     next,
@@ -327,7 +319,6 @@ impl Server {
                 .pop_front()
                 .or_else(|| self.pop_txn())
                 .map(|j| self.start(now, j));
-            self.population.record(now, self.jobs_present() as f64);
             return CancelOutcome::InService { job, next };
         }
         let dequeued = [&mut self.lock_queue, &mut self.txn_queue]
@@ -339,10 +330,7 @@ impl Server {
                     .and_then(|pos| queue.remove(pos))
             });
         match dequeued {
-            Some(job) => {
-                self.population.record(now, self.jobs_present() as f64);
-                CancelOutcome::Dequeued(job)
-            }
+            Some(job) => CancelOutcome::Dequeued(job),
             None => CancelOutcome::NotFound,
         }
     }
@@ -371,12 +359,6 @@ impl Server {
     /// Completed job count for a class.
     pub fn completed(&self, class: Class) -> u64 {
         self.completed[class.index()]
-    }
-
-    /// Time-weighted mean number of jobs present up to the last recorded
-    /// change (diagnostic).
-    pub fn mean_population(&self, now: Time) -> f64 {
-        self.population.mean_at(now)
     }
 
     /// Account the open service segment up to `now` (without completing

@@ -49,6 +49,12 @@ QUICK_PROP=1 cargo test --offline -q -p lockgran-lockmgr --test prop_difftable
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== simbench build + tests (its own workspace, so the steps above skip it)"
+# simbench/ depends on the library crates by path but is not a workspace
+# member: without this step a library API change that breaks the
+# benchmark would pass the gate.
+cargo test --offline -q --manifest-path simbench/Cargo.toml
+
 echo "== determinism under parallelism (jobs = 1/2/8 byte-identical)"
 cargo test --offline -q --test parallel_determinism
 

@@ -89,3 +89,18 @@ fn failure_runs_are_fel_independent() {
         .with_tmax(1_500.0);
     assert_identical("failure", &cfg);
 }
+
+/// The capacity shape in miniature: 2 000 terminals behind MPL 16, so
+/// most of the staggered initial arrivals wait in the calendar's sorted
+/// lane while admitted transactions complete around them. Arrivals fall
+/// on whole time units and Table 1's demands are multiples of 0.01, so
+/// hundreds of arrivals tie with a completion on the same tick; the lane
+/// must break those ties by push order exactly as the heap does.
+#[test]
+fn capacity_shaped_runs_are_fel_independent() {
+    let cfg = ModelConfig::table1()
+        .with_ntrans(2_000)
+        .with_mpl_limit(Some(16))
+        .with_tmax(2_500.0);
+    assert_identical("capacity-shaped", &cfg);
+}

@@ -96,6 +96,70 @@ fn bench(c: &mut Criterion) {
         });
     });
 
+    for &k in &[8u64, 32] {
+        group.bench_with_input(BenchmarkId::new("queue_tail", k), &k, |b, &k| {
+            // A holder plus k−1 waiters queue on one granule: every new
+            // waiter gets edges to all earlier ones, and nobody waits on
+            // it, so no cycle can close. The holder's release then drains
+            // the queue one grant at a time.
+            let mut s = TwoPhaseScheduler::new();
+            let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
+            let mut serial = 0u64;
+            b.iter(|| {
+                let first = serial;
+                serial += k;
+                for txn in first..serial {
+                    black_box(s.acquire_into(TxnId(txn), GranuleId(0), LockMode::X, &mut fx));
+                }
+                for txn in first..serial {
+                    s.release_into(TxnId(txn), &mut granted);
+                    black_box(granted.len());
+                }
+            });
+        });
+    }
+
+    for &k in &[8u64, 32] {
+        group.bench_with_input(BenchmarkId::new("deadlock_chain", k), &k, |b, &k| {
+            // Member i holds granule i and then waits on member i−1's
+            // granule; the oldest member closes the k-long chain by
+            // requesting the youngest's granule. The search walks the
+            // whole chain, the youngest aborts, and its teardown removes
+            // its in-edge; the survivors then commit oldest first.
+            let mut s = TwoPhaseScheduler::new();
+            let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
+            let mut serial = 0u64;
+            b.iter(|| {
+                let first = serial;
+                serial += k;
+                for i in 0..k {
+                    black_box(s.acquire_into(TxnId(first + i), GranuleId(i), LockMode::X, &mut fx));
+                }
+                for i in 1..k {
+                    black_box(s.acquire_into(
+                        TxnId(first + i),
+                        GranuleId(i - 1),
+                        LockMode::X,
+                        &mut fx,
+                    ));
+                }
+                let out = s.acquire_into(TxnId(first), GranuleId(k - 1), LockMode::X, &mut fx);
+                debug_assert_eq!(
+                    out,
+                    AcquireStatus::Deadlock {
+                        retry: RetryOutcome::Granted
+                    }
+                );
+                debug_assert_eq!(fx.victims, vec![TxnId(serial - 1)]);
+                black_box(out);
+                for txn in first..serial - 1 {
+                    s.release_into(TxnId(txn), &mut granted);
+                    black_box(granted.len());
+                }
+            });
+        });
+    }
+
     group.finish();
 }
 

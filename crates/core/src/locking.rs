@@ -227,7 +227,9 @@ impl LockingCC {
     /// transactions, and `min(size.max(), ltot)` bounds the locks each
     /// can hold — so the steady state stays allocation-free even when a
     /// record waiter count or holdings high-water mark first occurs deep
-    /// into a run. Worst-case provisioning only makes sense while the
+    /// into a run. The one exception is the waits-for graph's edge slab:
+    /// its worst case is quadratic in `ntrans`, so it grows on demand
+    /// (DESIGN.md §12). Worst-case provisioning only makes sense while the
     /// worst case is small: past a fixed budget (capacity-scale MPL
     /// sweeps) the slabs are left to warm lazily instead of eagerly
     /// committing hundreds of megabytes to records never reached.
@@ -240,7 +242,7 @@ impl LockingCC {
         let txns = cfg.ntrans as usize;
         let per_txn = (cfg.size.max().min(cfg.ltot) as usize).max(1);
         let records = txns.saturating_mul(per_txn).saturating_add(txns);
-        if records > BUDGET || txns.saturating_mul(txns) > BUDGET {
+        if records > BUDGET {
             return;
         }
         inc.scheduler.prewarm(txns, records);

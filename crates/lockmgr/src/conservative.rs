@@ -116,7 +116,10 @@ impl ConservativeScheduler {
         let mut sorted = std::mem::take(&mut self.sort_scratch);
         sorted.clear();
         sorted.extend_from_slice(locks);
-        sorted.sort_by_key(|(g, _)| *g);
+        // Unstable is enough: duplicates merge by `supremum`, a lattice
+        // join, so their order cannot change `merged`; the stable sort
+        // would allocate scratch once the list outgrows its stack buffer.
+        sorted.sort_unstable_by_key(|(g, _)| *g);
         let mut merged = std::mem::take(&mut self.merge_scratch);
         merged.clear();
         for (g, m) in sorted.iter().copied() {

@@ -30,10 +30,15 @@
 //!   so deadlock is impossible.
 //! * [`twophase`] — incremental two-phase locking with a waits-for graph
 //!   and deadlock detection (extension beyond the paper).
-//! * [`deadlock`] — the waits-for graph and cycle detection.
+//! * [`deadlock`] — the waits-for graph and cycle detection: dense node
+//!   slots and one pooled edge slab, each edge on its waiter's ascending
+//!   out-list and its holder's in-list, so the search makes no hash
+//!   lookups and a leaving transaction touches only its own edges.
 //! * [`reference`] — a naive ordered-map lock table with identical
 //!   semantics, the oracle for the differential property test pinning
 //!   [`table`]'s pooled implementation to an executable specification.
+//!   The waits-for graph's ordered-map oracle lives in its differential
+//!   test (`tests/prop_waitsfor.rs`), not in the library.
 //!
 //! ## Production status
 //!

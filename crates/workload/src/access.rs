@@ -206,11 +206,11 @@ pub fn sample_granules_hot_into(
 
     let hot = ((skew.fraction * ltot as f64).ceil() as u64).clamp(1, ltot);
     let cold = ltot - hot;
-    let mut set = std::collections::BTreeSet::new();
     out.reserve(count as usize);
     // Rejection sampling with a bounded number of tries per element;
     // afterwards fill deterministically so the contract (exact count)
-    // always holds.
+    // always holds. Duplicates are found in `out` itself, as
+    // `SimRng::sample_distinct_into` does, so a spawn allocates nothing.
     let mut budget = count * 64;
     while (out.len() as u64) < count && budget > 0 {
         budget -= 1;
@@ -219,13 +219,13 @@ pub fn sample_granules_hot_into(
         } else {
             rng.uniform_inclusive(hot, ltot - 1)
         };
-        if set.insert(g) {
+        if !out.contains(&g) {
             out.push(g);
         }
     }
     let mut next = 0;
     while (out.len() as u64) < count {
-        if set.insert(next) {
+        if !out.contains(&next) {
             out.push(next);
         }
         next += 1;

@@ -40,11 +40,11 @@ fi
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
-echo "== differential property test (lock table vs ordered-map oracle, quick profile)"
+echo "== differential property tests (lock table and waits-for graph vs ordered-map oracles, quick profile)"
 # QUICK_PROP trims the seed sweep (24 → 4 seeds per shape) so the
-# cross-check runs early and fast; the full sweep still runs as part of
+# cross-checks run early and fast; the full sweeps still run as part of
 # the workspace test pass below.
-QUICK_PROP=1 cargo test --offline -q -p lockgran-lockmgr --test prop_difftable
+QUICK_PROP=1 cargo test --offline -q -p lockgran-lockmgr --test prop_difftable --test prop_waitsfor
 
 echo "== cargo test"
 cargo test --offline --workspace -q

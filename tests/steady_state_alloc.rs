@@ -21,6 +21,7 @@ use std::cell::Cell;
 use lockgran_core::system::System;
 use lockgran_core::{ConflictMode, ModelConfig};
 use lockgran_sim::{Executor, FelKind, Time};
+use lockgran_workload::{HotSpot, Placement};
 
 /// Passthrough allocator that counts the calling thread's heap
 /// acquisitions (`alloc` and `realloc`; `dealloc` is free to run —
@@ -135,6 +136,26 @@ fn twophase_steady_state_allocates_nothing() {
         .with_conflict(ConflictMode::Twophase)
         .with_tmax(4_000.0);
     assert_steady_state_is_silent(cfg, "twophase");
+}
+
+/// Random placement under an 80/20 hot spot takes other request paths
+/// than best placement: the hot-spot sampler draws the granule set, and
+/// each predeclared request list is long enough to be sorted outside any
+/// stack buffer. Every lock-table preset must stay silent there too.
+#[test]
+fn random_placement_hot_spot_steady_state_allocates_nothing() {
+    for mode in [
+        ConflictMode::Explicit,
+        ConflictMode::Hierarchical,
+        ConflictMode::Twophase,
+    ] {
+        let cfg = ModelConfig::table1()
+            .with_conflict(mode)
+            .with_placement(Placement::Random)
+            .with_hot_spot(Some(HotSpot::eighty_twenty()))
+            .with_tmax(4_000.0);
+        assert_steady_state_is_silent(cfg, &format!("{mode:?}, random placement, hot spot"));
+    }
 }
 
 /// Arena reuse audit: the second run through a [`RunArena`] must get by

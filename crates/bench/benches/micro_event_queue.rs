@@ -2,8 +2,10 @@
 //!
 //! Push/pop throughput at the queue sizes the model actually reaches
 //! (tens to a few thousands of pending events) — the simulator's hottest
-//! data structure — plus the capacity point's start-up pattern: 10⁵
-//! staggered arrivals appended in time order, then drained.
+//! data structure — plus two traffic shapes of the model: a lock
+//! request's fan-out onto shared ticks, and the capacity point's
+//! start-up pattern (10⁵ staggered arrivals appended in time order, then
+//! drained).
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -38,6 +40,69 @@ fn append_and_drain(q: &mut CalendarQueue<u64>, sorted: bool) -> u64 {
         }
     }
     popped
+}
+
+/// Pops per `fanout` iteration.
+const FANOUT_POPS: u64 = 600;
+
+/// The queue operations the fan-out case drives, for both FELs.
+trait Fel {
+    fn clear(&mut self);
+    fn push(&mut self, at: Time, v: u64);
+    fn pop(&mut self) -> Option<(Time, u64)>;
+}
+
+impl Fel for EventQueue<u64> {
+    fn clear(&mut self) {
+        EventQueue::clear(self);
+    }
+    fn push(&mut self, at: Time, v: u64) {
+        EventQueue::push(self, at, v);
+    }
+    fn pop(&mut self) -> Option<(Time, u64)> {
+        EventQueue::pop(self)
+    }
+}
+
+impl Fel for CalendarQueue<u64> {
+    fn clear(&mut self) {
+        CalendarQueue::clear(self);
+    }
+    fn push(&mut self, at: Time, v: u64) {
+        CalendarQueue::push(self, at, v);
+    }
+    fn pop(&mut self) -> Option<(Time, u64)> {
+        CalendarQueue::pop(self)
+    }
+}
+
+/// Push one lock request's shares on `k` processors, as the model does:
+/// `k` CPU shares 10 ticks after `now` and `k` I/O shares 200 ticks
+/// after it, each group on one tick.
+fn fan_out(q: &mut impl Fel, now: Time, k: u64) {
+    for share in 0..k {
+        q.push(now + Dur::from_ticks(10), share);
+    }
+    for share in 0..k {
+        q.push(now + Dur::from_ticks(200), k + share);
+    }
+}
+
+/// Clear `q`, fan out once at time zero, then take [`FANOUT_POPS`]
+/// steps: each pops one event, and every `k`-th pop fans out again from
+/// the popped event's time. Returns the time of the last pop.
+fn fanout_steps(q: &mut impl Fel, k: u64) -> Time {
+    q.clear();
+    fan_out(q, Time::ZERO, k);
+    let mut now = Time::ZERO;
+    for step in 1..=FANOUT_POPS {
+        let Some((at, _)) = q.pop() else { break };
+        now = at;
+        if step % k == 0 {
+            fan_out(q, now, k);
+        }
+    }
+    now
 }
 
 fn bench(c: &mut Criterion) {
@@ -76,6 +141,16 @@ fn bench(c: &mut Criterion) {
                 });
             },
         );
+    }
+    for &k in &[10u64, 30] {
+        group.bench_with_input(BenchmarkId::new("fanout/heap", k), &k, |b, &k| {
+            let mut q = EventQueue::new();
+            b.iter(|| black_box(fanout_steps(&mut q, k)));
+        });
+        group.bench_with_input(BenchmarkId::new("fanout/calendar", k), &k, |b, &k| {
+            let mut q = CalendarQueue::new();
+            b.iter(|| black_box(fanout_steps(&mut q, k)));
+        });
     }
     for (label, sorted) in [("push", false), ("sorted", true)] {
         group.bench_with_input(

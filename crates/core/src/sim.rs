@@ -48,7 +48,7 @@ pub fn run_with_fel(cfg: &ModelConfig, seed: u64, fel: FelKind) -> RunMetrics {
 /// [`RunArena::run`] is bit-identical to [`run`] — the reset paths
 /// ([`Executor::reset`], [`System::reset`]) restore fresh-construction
 /// semantics — but keeps every grown allocation: the future-event list's
-/// buckets, the transaction slab's buffers (drained into the carcass
+/// slabs, the transaction slab's buffers (drained into the carcass
 /// pool), the conflict model's tables, and the workload generator's lock
 /// memo. At capacity scale (10⁵ resident transactions, 10⁷-entity
 /// databases) rebuilding that state dominates short sweep points, so the

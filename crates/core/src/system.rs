@@ -322,7 +322,7 @@ impl System {
     /// [`System::new`] and [`System::reset`] so the event sequence numbers
     /// of a reset run match a fresh run exactly. The arrivals are in time
     /// order, so they go to the FEL's sorted lane: `ntrans` of them (10⁵
-    /// at capacity) never enter the calendar's buckets.
+    /// at capacity) never enter the calendar's tick groups.
     fn schedule_initial(&mut self, cfg: &ModelConfig, root: &SimRng, ex: &mut Executor<Event>) {
         for i in 0..cfg.ntrans {
             ex.schedule_sorted(Time::from_units(f64::from(i)), Event::Arrive);

@@ -8,10 +8,11 @@
 //! reusable and trivially testable.
 //!
 //! The future-event list is pluggable via [`FelKind`]: the binary-heap
-//! [`EventQueue`] (O(log n) per op, zero tuning) or the bucketed
-//! [`CalendarQueue`] (O(1) amortized). Both order events by the same
-//! stable `(time, seq)` key, so a model observes the identical event
-//! sequence — and therefore makes the identical RNG draws — under either.
+//! [`EventQueue`] (O(log n) per event) or the tick-grouped
+//! [`CalendarQueue`] (O(log n) per distinct pending tick, O(1) per event
+//! that ties with one). Both order events by the same stable `(time, seq)`
+//! key, so a model observes the identical event sequence — and therefore
+//! makes the identical RNG draws — under either.
 
 use crate::calendar::CalendarQueue;
 use crate::event::EventQueue;
@@ -33,7 +34,8 @@ pub trait Model {
 pub enum FelKind {
     /// Binary-heap [`EventQueue`]: O(log n), no tuning, the reference.
     Heap,
-    /// [`CalendarQueue`]: O(1) amortized, self-resizing buckets.
+    /// [`CalendarQueue`]: one FIFO per pending tick under a heap of the
+    /// distinct ticks; the production choice.
     Calendar,
 }
 
@@ -70,12 +72,12 @@ impl<E> Fel<E> {
         }
     }
 
-    /// `&mut` because the calendar's peek advances its day cursor (the
-    /// contents are untouched and the result is stable across calls).
-    fn peek_time(&mut self) -> Option<Time> {
+    /// The earliest event, removed, if it fires no later than `until`.
+    fn pop_due(&mut self, until: Time) -> Option<(Time, E)> {
         match self {
-            Fel::Heap(q) => q.peek_time(),
-            Fel::Calendar(q) => q.peek_time(),
+            Fel::Heap(q) if q.peek_time()? > until => None,
+            Fel::Heap(q) => q.pop(),
+            Fel::Calendar(q) => q.pop_due(until),
         }
     }
 
@@ -163,8 +165,8 @@ impl<E> Executor<E> {
     /// Schedule `event` at `at`, no earlier than any event scheduled this
     /// way before (since the last [`Executor::reset`]) — for example a
     /// closed model's staggered initial arrivals. The calendar FEL keeps
-    /// such events in its sorted lane ([`CalendarQueue::push_sorted`]) so
-    /// they never grow its buckets; the heap takes a plain push. Either
+    /// such events in its sorted lane ([`CalendarQueue::push_sorted`]), off
+    /// its tick heap and index; the heap takes a plain push. Either
     /// way the event fires exactly where [`Executor::schedule`] would
     /// have fired it.
     ///
@@ -199,13 +201,7 @@ impl<E> Executor<E> {
     /// processed. Returns the final clock value (== `until` if the horizon
     /// was hit, otherwise the time of the last processed event).
     pub fn run<M: Model<Event = E>>(&mut self, model: &mut M, until: Time) -> Time {
-        while let Some(at) = self.queue.peek_time() {
-            if at > until {
-                break;
-            }
-            let Some((at, event)) = self.queue.pop() else {
-                break;
-            };
+        while let Some((at, event)) = self.queue.pop_due(until) {
             self.now = at;
             self.events_processed += 1;
             model.handle(at, event, self);
@@ -348,7 +344,7 @@ mod tests {
     }
 
     /// Both FEL kinds drive a model through the identical event sequence —
-    /// including FIFO ties, between bucketed events and the calendar's
+    /// including FIFO ties, between grouped events and the calendar's
     /// sorted lane too — which is the bit-identity foundation the
     /// production engine relies on.
     #[test]

@@ -55,6 +55,18 @@ echo "== simbench build + tests (its own workspace, so the steps above skip it)"
 # benchmark would pass the gate.
 cargo test --offline -q --manifest-path simbench/Cargo.toml
 
+echo "== simbench digests (one short pass per workload at seed 0)"
+# The step above never runs a workload. One pass per workload checks
+# every run's output against its pinned digest (simbench/digests.txt),
+# its consistency, and its bit-identity under arena reuse; the binary
+# exits non-zero if any run fails. --seconds 1 keeps it to one timed pass.
+for workload in paper_sweep lock_contention capacity; do
+    simbench_out=$(cargo run --offline -q --release --manifest-path simbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0) \
+        || { echo "$simbench_out"; echo "simbench $workload failed its correctness checks"; exit 1; }
+    tail -n 1 <<<"$simbench_out"
+done
+
 echo "== determinism under parallelism (jobs = 1/2/8 byte-identical)"
 cargo test --offline -q --test parallel_determinism
 

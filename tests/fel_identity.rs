@@ -10,7 +10,7 @@
 use lockgran_core::sim::run_with_fel;
 use lockgran_core::{ConflictMode, LockDistribution, ModelConfig, ServiceVariability};
 use lockgran_sim::{FelKind, ToJson};
-use lockgran_workload::{FailureSpec, Partitioning, Placement};
+use lockgran_workload::{FailureSpec, HotSpot, Partitioning, Placement};
 
 /// Serialize one run to JSON text — byte-identical serialized output is
 /// exactly the claim the committed figure artifacts rest on.
@@ -103,4 +103,46 @@ fn capacity_shaped_runs_are_fel_independent() {
         .with_mpl_limit(Some(16))
         .with_tmax(2_500.0);
     assert_identical("capacity-shaped", &cfg);
+}
+
+/// Figure 10's random-placement corner (npros 30, maxtransize 50), the
+/// tie-heaviest traffic the paper produces: each lock request spreads its
+/// overhead over all 30 processors, so most pushes land on a tick that
+/// already holds a pending event. Transactions here have fewer entities
+/// than processors (NU < PU), so some sub-transactions get zero-demand
+/// stages, whose completions are pushed onto the tick being drained.
+#[test]
+fn fig10_random_corner_is_fel_independent() {
+    let base = ModelConfig::table1()
+        .with_npros(30)
+        .with_maxtransize(50)
+        .with_placement(Placement::Random)
+        .with_tmax(1_000.0);
+    for ltot in [2, 100, 5_000] {
+        assert_identical(
+            &format!("fig10 random, ltot={ltot}"),
+            &base.clone().with_ltot(ltot),
+        );
+    }
+}
+
+/// Extension I's contention shape (50 transactions of up to 50 entities
+/// on 10 processors, random placement, 80/20 hot spot) under both lock
+/// disciplines: blocking, wake-ups, deadlock aborts and replays all
+/// schedule events next to the lock shares' tied completions.
+#[test]
+fn lock_contention_shape_is_fel_independent() {
+    let base = ModelConfig::table1()
+        .with_npros(10)
+        .with_ntrans(50)
+        .with_maxtransize(50)
+        .with_placement(Placement::Random)
+        .with_hot_spot(Some(HotSpot::eighty_twenty()))
+        .with_tmax(1_000.0);
+    for mode in [ConflictMode::Explicit, ConflictMode::Twophase] {
+        for ltot in [10, 1_000] {
+            let cfg = base.clone().with_conflict(mode).with_ltot(ltot);
+            assert_identical(&format!("lock contention, {mode:?}, ltot={ltot}"), &cfg);
+        }
+    }
 }

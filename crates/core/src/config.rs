@@ -7,37 +7,28 @@
 //! 0.2`, `lcputime = 0.01`, `liotime = 0.2`; `tmax = 10 000` time units,
 //! long enough for the closed system to reach steady state).
 
-use lockgran_sim::{FromJson, Json, ToJson};
+use lockgran_sim::{json_struct, named_enum};
 use lockgran_workload::{
     FailureSpec, HotSpot, Partitioning, Placement, SizeDistribution, WorkloadParams,
 };
 
-/// Service order for queued sub-transaction work at the resources
-/// (JSON-friendly mirror of [`lockgran_sim::Discipline`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum QueueDiscipline {
-    /// First come, first served — the paper's model.
-    #[default]
-    Fcfs,
-    /// Shortest job first (non-preemptive) among queued sub-transactions.
-    /// Extension: checks the paper's §4 remark (citing Dandamudi & Chow)
-    /// that sub-transaction-level scheduling has "only marginal effect"
-    /// on locking granularity.
-    Sjf,
+named_enum! {
+    /// Service order for queued sub-transaction work at the resources
+    /// (JSON-friendly mirror of [`lockgran_sim::Discipline`]).
+    #[derive(Default)]
+    pub enum QueueDiscipline {
+        /// First come, first served — the paper's model.
+        #[default]
+        Fcfs => "fcfs",
+        /// Shortest job first (non-preemptive) among queued sub-transactions.
+        /// Extension: checks the paper's §4 remark (citing Dandamudi & Chow)
+        /// that sub-transaction-level scheduling has "only marginal effect"
+        /// on locking granularity.
+        Sjf => "sjf",
+    }
 }
 
 impl QueueDiscipline {
-    /// Both disciplines.
-    pub const ALL: [QueueDiscipline; 2] = [QueueDiscipline::Fcfs, QueueDiscipline::Sjf];
-
-    /// Short lowercase name used in reports and CLI arguments.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueDiscipline::Fcfs => "fcfs",
-            QueueDiscipline::Sjf => "sjf",
-        }
-    }
-
     /// The simulation-kernel equivalent.
     pub fn to_sim(self) -> lockgran_sim::Discipline {
         match self {
@@ -47,140 +38,44 @@ impl QueueDiscipline {
     }
 }
 
-impl ToJson for QueueDiscipline {
-    /// Variant-name string, like the previous serde derive: `"Fcfs"`.
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                QueueDiscipline::Fcfs => "Fcfs",
-                QueueDiscipline::Sjf => "Sjf",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for QueueDiscipline {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Fcfs") => Ok(QueueDiscipline::Fcfs),
-            Some("Sjf") => Ok(QueueDiscipline::Sjf),
-            _ => Err(format!("expected queue discipline (Fcfs|Sjf), got {v}")),
-        }
-    }
-}
-
-impl std::str::FromStr for QueueDiscipline {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "fcfs" => Ok(QueueDiscipline::Fcfs),
-            "sjf" => Ok(QueueDiscipline::Sjf),
-            other => Err(format!("unknown discipline '{other}' (fcfs|sjf)")),
-        }
-    }
-}
-
-/// Which lock-conflict computation drives blocking decisions.
 // lint:exhaustive(ConflictMode): matches must name variants, not hide them
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ConflictMode {
-    /// The paper's probabilistic Ries–Stonebraker partition draw.
-    Probabilistic,
-    /// A real lock table with explicit granule sets (validation mode).
-    Explicit,
-    /// Multigranularity locking over a database → area → granule
-    /// hierarchy: IS/IX intention locks above S/X leaf locks, with
-    /// optional lock escalation (see [`HierarchySpec`]).
-    Hierarchical,
-    /// Incremental two-phase locking: locks are claimed one at a time as
-    /// the lock phase progresses, conflicting requests queue in a real
-    /// lock table, and a waits-for graph detects deadlock cycles — the
-    /// youngest transaction on each cycle aborts and replays its lock
-    /// phase. The non-conservative counterpart of the paper's predeclared
-    /// protocol (extension).
-    Twophase,
-}
-
-impl ConflictMode {
-    /// All modes.
-    pub const ALL: [ConflictMode; 4] = [
-        ConflictMode::Probabilistic,
-        ConflictMode::Explicit,
-        ConflictMode::Hierarchical,
-        ConflictMode::Twophase,
-    ];
-
-    /// Short lowercase name used in reports and CLI arguments.
-    pub fn name(self) -> &'static str {
-        match self {
-            ConflictMode::Probabilistic => "probabilistic",
-            ConflictMode::Explicit => "explicit",
-            ConflictMode::Hierarchical => "hierarchical",
-            ConflictMode::Twophase => "twophase",
-        }
+named_enum! {
+    /// Which lock-conflict computation drives blocking decisions.
+    pub enum ConflictMode {
+        /// The paper's probabilistic Ries–Stonebraker partition draw.
+        Probabilistic => "probabilistic" | "prob",
+        /// A real lock table with explicit granule sets (validation mode).
+        Explicit => "explicit" | "table",
+        /// Multigranularity locking over a database → area → granule
+        /// hierarchy: IS/IX intention locks above S/X leaf locks, with
+        /// optional lock escalation (see [`HierarchySpec`]).
+        Hierarchical => "hierarchical" | "hier",
+        /// Incremental two-phase locking: locks are claimed one at a time as
+        /// the lock phase progresses, conflicting requests queue in a real
+        /// lock table, and a waits-for graph detects deadlock cycles — the
+        /// youngest transaction on each cycle aborts and replays its lock
+        /// phase. The non-conservative counterpart of the paper's predeclared
+        /// protocol (extension).
+        Twophase => "twophase" | "2pl",
     }
 }
 
-impl ToJson for ConflictMode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                ConflictMode::Probabilistic => "Probabilistic",
-                ConflictMode::Explicit => "Explicit",
-                ConflictMode::Hierarchical => "Hierarchical",
-                ConflictMode::Twophase => "Twophase",
-            }
-            .to_string(),
-        )
+json_struct! {
+    /// Parameters of the [`ConflictMode::Hierarchical`] protocol.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct HierarchySpec {
+        /// Number of areas the granule space is partitioned into (the middle
+        /// level of the database → area → granule tree). Clamped to `ltot`
+        /// when larger — every area must hold at least one granule.
+        pub areas: u64,
+        /// Per-transaction escalation threshold: once a transaction declares
+        /// at least this many granules under one area, it locks the whole
+        /// area instead (cascading up to the database when the area locks
+        /// themselves cluster). `None` never escalates — pure
+        /// multigranularity locking; `Some(1)` degenerates to whole-database
+        /// locking.
+        pub escalation_threshold: Option<u64> = None,
     }
-}
-
-// lint:covers(ConflictMode): the string match below mirrors the enum
-impl FromJson for ConflictMode {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Probabilistic") => Ok(ConflictMode::Probabilistic),
-            Some("Explicit") => Ok(ConflictMode::Explicit),
-            Some("Hierarchical") => Ok(ConflictMode::Hierarchical),
-            Some("Twophase") => Ok(ConflictMode::Twophase),
-            _ => Err(format!(
-                "expected conflict mode (Probabilistic|Explicit|Hierarchical|Twophase), got {v}"
-            )),
-        }
-    }
-}
-
-// lint:covers(ConflictMode): CLI names must track the enum
-impl std::str::FromStr for ConflictMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "probabilistic" | "prob" => Ok(ConflictMode::Probabilistic),
-            "explicit" | "table" => Ok(ConflictMode::Explicit),
-            "hierarchical" | "hier" => Ok(ConflictMode::Hierarchical),
-            "twophase" | "2pl" => Ok(ConflictMode::Twophase),
-            other => Err(format!(
-                "unknown conflict mode '{other}' (probabilistic|explicit|hierarchical|twophase)"
-            )),
-        }
-    }
-}
-
-/// Parameters of the [`ConflictMode::Hierarchical`] protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HierarchySpec {
-    /// Number of areas the granule space is partitioned into (the middle
-    /// level of the database → area → granule tree). Clamped to `ltot`
-    /// when larger — every area must hold at least one granule.
-    pub areas: u64,
-    /// Per-transaction escalation threshold: once a transaction declares
-    /// at least this many granules under one area, it locks the whole
-    /// area instead (cascading up to the database when the area locks
-    /// themselves cluster). `None` never escalates — pure
-    /// multigranularity locking; `Some(1)` degenerates to whole-database
-    /// locking.
-    pub escalation_threshold: Option<u64>,
 }
 
 impl Default for HierarchySpec {
@@ -223,302 +118,115 @@ impl HierarchySpec {
     }
 }
 
-impl ToJson for HierarchySpec {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("areas", self.areas.to_json()),
-            ("escalation_threshold", self.escalation_threshold.to_json()),
-        ])
+named_enum! {
+    /// How the `LU_i` lock operations of one request are distributed over the
+    /// processors ("we assume that processors share the work for locking
+    /// mechanism … because relations are equally distributed among the system
+    /// resources", paper §2).
+    #[derive(Default)]
+    pub enum LockDistribution {
+        /// Each of the `LU_i` lock operations is indivisible and lands on one
+        /// processor; operations are spread round-robin (granules are
+        /// declustered with the data). The default — it reproduces the
+        /// paper's observation that per-processor useful time *decreases*
+        /// with `npros` (lock operations create stragglers that the fork/join
+        /// barrier amplifies).
+        #[default]
+        PerOperation => "per-op" | "perop" | "per-operation",
+        /// The total lock time is split into `npros` exactly equal shares —
+        /// an idealized infinitely divisible lock manager (ablation).
+        EvenSplit => "even-split" | "even",
+        /// The entire request is processed by a single (rotating) processor —
+        /// a centralized lock manager (ablation).
+        SingleProcessor => "single" | "single-processor",
     }
 }
 
-impl FromJson for HierarchySpec {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(HierarchySpec {
-            areas: v.field("areas")?,
-            escalation_threshold: v.opt_field("escalation_threshold")?,
-        })
+named_enum! {
+    /// Distribution of sub-transaction stage service times around their
+    /// mean (`entities × per-entity cost`).
+    #[derive(Default)]
+    pub enum ServiceVariability {
+        /// Exactly the mean — the paper's deterministic per-entity costs.
+        #[default]
+        Deterministic => "deterministic" | "det",
+        /// Exponentially distributed with the same mean (disk-seek/CPU-burst
+        /// variance). Extension: with random stage times the fork/join
+        /// barrier waits for the slowest of `PU_i` sub-transactions, which
+        /// reproduces the sublinear speedup (and the Fig 3 useful-time
+        /// ordering) that deterministic symmetric service hides.
+        Exponential => "exponential" | "exp",
     }
 }
 
-/// How the `LU_i` lock operations of one request are distributed over the
-/// processors ("we assume that processors share the work for locking
-/// mechanism … because relations are equally distributed among the system
-/// resources", paper §2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum LockDistribution {
-    /// Each of the `LU_i` lock operations is indivisible and lands on one
-    /// processor; operations are spread round-robin (granules are
-    /// declustered with the data). The default — it reproduces the
-    /// paper's observation that per-processor useful time *decreases*
-    /// with `npros` (lock operations create stragglers that the fork/join
-    /// barrier amplifies).
-    #[default]
-    PerOperation,
-    /// The total lock time is split into `npros` exactly equal shares —
-    /// an idealized infinitely divisible lock manager (ablation).
-    EvenSplit,
-    /// The entire request is processed by a single (rotating) processor —
-    /// a centralized lock manager (ablation).
-    SingleProcessor,
-}
-
-impl LockDistribution {
-    /// All distribution policies.
-    pub const ALL: [LockDistribution; 3] = [
-        LockDistribution::PerOperation,
-        LockDistribution::EvenSplit,
-        LockDistribution::SingleProcessor,
-    ];
-
-    /// Short lowercase name used in reports and CLI arguments.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockDistribution::PerOperation => "per-op",
-            LockDistribution::EvenSplit => "even-split",
-            LockDistribution::SingleProcessor => "single",
-        }
-    }
-}
-
-impl ToJson for LockDistribution {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                LockDistribution::PerOperation => "PerOperation",
-                LockDistribution::EvenSplit => "EvenSplit",
-                LockDistribution::SingleProcessor => "SingleProcessor",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for LockDistribution {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("PerOperation") => Ok(LockDistribution::PerOperation),
-            Some("EvenSplit") => Ok(LockDistribution::EvenSplit),
-            Some("SingleProcessor") => Ok(LockDistribution::SingleProcessor),
-            _ => Err(format!(
-                "expected lock distribution (PerOperation|EvenSplit|SingleProcessor), got {v}"
-            )),
-        }
-    }
-}
-
-impl std::str::FromStr for LockDistribution {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "per-op" | "perop" | "per-operation" => Ok(LockDistribution::PerOperation),
-            "even-split" | "even" => Ok(LockDistribution::EvenSplit),
-            "single" | "single-processor" => Ok(LockDistribution::SingleProcessor),
-            other => Err(format!(
-                "unknown lock distribution '{other}' (per-op|even-split|single)"
-            )),
-        }
-    }
-}
-
-/// Distribution of sub-transaction stage service times around their
-/// mean (`entities × per-entity cost`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum ServiceVariability {
-    /// Exactly the mean — the paper's deterministic per-entity costs.
-    #[default]
-    Deterministic,
-    /// Exponentially distributed with the same mean (disk-seek/CPU-burst
-    /// variance). Extension: with random stage times the fork/join
-    /// barrier waits for the slowest of `PU_i` sub-transactions, which
-    /// reproduces the sublinear speedup (and the Fig 3 useful-time
-    /// ordering) that deterministic symmetric service hides.
-    Exponential,
-}
-
-impl ServiceVariability {
-    /// Both options.
-    pub const ALL: [ServiceVariability; 2] = [
-        ServiceVariability::Deterministic,
-        ServiceVariability::Exponential,
-    ];
-
-    /// Short lowercase name used in reports and CLI arguments.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServiceVariability::Deterministic => "deterministic",
-            ServiceVariability::Exponential => "exponential",
-        }
-    }
-}
-
-impl ToJson for ServiceVariability {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                ServiceVariability::Deterministic => "Deterministic",
-                ServiceVariability::Exponential => "Exponential",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for ServiceVariability {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Deterministic") => Ok(ServiceVariability::Deterministic),
-            Some("Exponential") => Ok(ServiceVariability::Exponential),
-            _ => Err(format!(
-                "expected service variability (Deterministic|Exponential), got {v}"
-            )),
-        }
-    }
-}
-
-impl std::str::FromStr for ServiceVariability {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "deterministic" | "det" => Ok(ServiceVariability::Deterministic),
-            "exponential" | "exp" => Ok(ServiceVariability::Exponential),
-            other => Err(format!(
-                "unknown service variability '{other}' (deterministic|exponential)"
-            )),
-        }
-    }
-}
-
-/// Complete description of one simulation run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ModelConfig {
-    /// `dbsize`: accessible entities in the database.
-    pub dbsize: u64,
-    /// `ltot`: number of granule locks (1 = whole-database lock,
-    /// `dbsize` = entity-level locks).
-    pub ltot: u64,
-    /// `ntrans`: multiprogramming level (simulated terminals).
-    pub ntrans: u32,
-    /// Distribution of transaction sizes (`NU_i`); the paper's default is
-    /// `U(1, maxtransize)`.
-    pub size: SizeDistribution,
-    /// `cputime`: CPU time units per entity processed.
-    pub cputime: f64,
-    /// `iotime`: I/O time units per entity processed (read + write).
-    pub iotime: f64,
-    /// `lcputime`: CPU time units per lock (request + set + release).
-    pub lcputime: f64,
-    /// `liotime`: I/O time units per lock (0 = lock table in memory).
-    pub liotime: f64,
-    /// `npros`: number of processors (each with private CPU + disk).
-    pub npros: u32,
-    /// `tmax`: simulated time units to run.
-    pub tmax: f64,
-    /// Granule placement model (determines `LU_i`).
-    pub placement: Placement,
-    /// Declustering strategy (determines `PU_i`).
-    pub partitioning: Partitioning,
-    /// Conflict computation.
-    pub conflict: ConflictMode,
-    /// How lock operations are spread over processors. Optional in JSON
-    /// (defaults to [`LockDistribution::PerOperation`]).
-    pub lock_distribution: LockDistribution,
-    /// Sub-transaction stage service-time variability. Optional in JSON
-    /// (defaults to [`ServiceVariability::Deterministic`]).
-    pub service: ServiceVariability,
-    /// Service order for queued sub-transaction work. Optional in JSON
-    /// (defaults to [`QueueDiscipline::Fcfs`]).
-    pub discipline: QueueDiscipline,
-    /// Optional hot-spot access skew. Only the explicit conflict model
-    /// can honour it (the probabilistic draw assumes uniform access);
-    /// validation rejects the combination with `Probabilistic`.
-    pub hot_spot: Option<HotSpot>,
-    /// Whether lock work preempts transaction work at the resources
-    /// (the paper gives the locking mechanism "preemptive power"); false
-    /// demotes it to non-preemptive head-of-line priority (ablation).
-    /// Optional in JSON (defaults to `true`).
-    pub lock_preemption: bool,
-    /// Transaction-level admission control: at most this many
-    /// transactions may compete for locks at once; the rest wait in the
-    /// pending queue. `None` (the paper's model) admits everyone
-    /// immediately. The paper's §3.7 points to exactly this mechanism
-    /// ("transaction level scheduling can be used to effectively handle
-    /// this problem") as the remedy for heavy-load lock thrashing.
-    pub mpl_limit: Option<u32>,
-    /// Measurement warm-up, in time units: statistics collected before
-    /// this instant are discarded. The paper uses none (0.0). Optional in
-    /// JSON (defaults to `0.0`).
-    pub warmup: f64,
-    /// Optional processor failure/repair process (exponential MTBF/MTTR
-    /// per processor). `None` — the paper's model — is bit-identical to
-    /// the pre-extension behavior. Optional in JSON (defaults to `None`).
-    pub failure: Option<FailureSpec>,
-    /// Parameters for the hierarchical conflict mode. `None` with
-    /// [`ConflictMode::Hierarchical`] uses [`HierarchySpec::default`];
-    /// setting it with any other mode fails validation. Optional in JSON
-    /// (defaults to `None`).
-    pub hierarchy: Option<HierarchySpec>,
-}
-
-impl ToJson for ModelConfig {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("dbsize", self.dbsize.to_json()),
-            ("ltot", self.ltot.to_json()),
-            ("ntrans", self.ntrans.to_json()),
-            ("size", self.size.to_json()),
-            ("cputime", self.cputime.to_json()),
-            ("iotime", self.iotime.to_json()),
-            ("lcputime", self.lcputime.to_json()),
-            ("liotime", self.liotime.to_json()),
-            ("npros", self.npros.to_json()),
-            ("tmax", self.tmax.to_json()),
-            ("placement", self.placement.to_json()),
-            ("partitioning", self.partitioning.to_json()),
-            ("conflict", self.conflict.to_json()),
-            ("lock_distribution", self.lock_distribution.to_json()),
-            ("service", self.service.to_json()),
-            ("discipline", self.discipline.to_json()),
-            ("hot_spot", self.hot_spot.to_json()),
-            ("lock_preemption", self.lock_preemption.to_json()),
-            ("mpl_limit", self.mpl_limit.to_json()),
-            ("warmup", self.warmup.to_json()),
-            ("failure", self.failure.to_json()),
-            ("hierarchy", self.hierarchy.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ModelConfig {
-    /// Mirrors the old serde semantics: the fields added after the first
-    /// release (`lock_distribution` onwards) are optional and fall back to
-    /// their documented defaults, so configs written for earlier versions
-    /// keep parsing.
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(ModelConfig {
-            dbsize: v.field("dbsize")?,
-            ltot: v.field("ltot")?,
-            ntrans: v.field("ntrans")?,
-            size: v.field("size")?,
-            cputime: v.field("cputime")?,
-            iotime: v.field("iotime")?,
-            lcputime: v.field("lcputime")?,
-            liotime: v.field("liotime")?,
-            npros: v.field("npros")?,
-            tmax: v.field("tmax")?,
-            placement: v.field("placement")?,
-            partitioning: v.field("partitioning")?,
-            conflict: v.field("conflict")?,
-            lock_distribution: v.field_or("lock_distribution", LockDistribution::default())?,
-            service: v.field_or("service", ServiceVariability::default())?,
-            discipline: v.field_or("discipline", QueueDiscipline::default())?,
-            hot_spot: v.opt_field("hot_spot")?,
-            lock_preemption: v.field_or("lock_preemption", true)?,
-            mpl_limit: v.opt_field("mpl_limit")?,
-            warmup: v.field_or("warmup", 0.0)?,
-            failure: v.opt_field("failure")?,
-            hierarchy: v.opt_field("hierarchy")?,
-        })
+json_struct! {
+    /// Complete description of one simulation run.
+    ///
+    /// In JSON the fields from `lock_distribution` on were added after the
+    /// first release; each carries its default, so configs written for
+    /// earlier versions keep parsing (the old serde semantics).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ModelConfig {
+        /// `dbsize`: accessible entities in the database.
+        pub dbsize: u64,
+        /// `ltot`: number of granule locks (1 = whole-database lock,
+        /// `dbsize` = entity-level locks).
+        pub ltot: u64,
+        /// `ntrans`: multiprogramming level (simulated terminals).
+        pub ntrans: u32,
+        /// Distribution of transaction sizes (`NU_i`); the paper's default is
+        /// `U(1, maxtransize)`.
+        pub size: SizeDistribution,
+        /// `cputime`: CPU time units per entity processed.
+        pub cputime: f64,
+        /// `iotime`: I/O time units per entity processed (read + write).
+        pub iotime: f64,
+        /// `lcputime`: CPU time units per lock (request + set + release).
+        pub lcputime: f64,
+        /// `liotime`: I/O time units per lock (0 = lock table in memory).
+        pub liotime: f64,
+        /// `npros`: number of processors (each with private CPU + disk).
+        pub npros: u32,
+        /// `tmax`: simulated time units to run.
+        pub tmax: f64,
+        /// Granule placement model (determines `LU_i`).
+        pub placement: Placement,
+        /// Declustering strategy (determines `PU_i`).
+        pub partitioning: Partitioning,
+        /// Conflict computation.
+        pub conflict: ConflictMode,
+        /// How lock operations are spread over processors.
+        pub lock_distribution: LockDistribution = LockDistribution::PerOperation,
+        /// Sub-transaction stage service-time variability.
+        pub service: ServiceVariability = ServiceVariability::Deterministic,
+        /// Service order for queued sub-transaction work.
+        pub discipline: QueueDiscipline = QueueDiscipline::Fcfs,
+        /// Optional hot-spot access skew. Only the explicit conflict model
+        /// can honour it (the probabilistic draw assumes uniform access);
+        /// validation rejects the combination with `Probabilistic`.
+        pub hot_spot: Option<HotSpot> = None,
+        /// Whether lock work preempts transaction work at the resources
+        /// (the paper gives the locking mechanism "preemptive power"); false
+        /// demotes it to non-preemptive head-of-line priority (ablation).
+        pub lock_preemption: bool = true,
+        /// Transaction-level admission control: at most this many
+        /// transactions may compete for locks at once; the rest wait in the
+        /// pending queue. `None` (the paper's model) admits everyone
+        /// immediately. The paper's §3.7 points to exactly this mechanism
+        /// ("transaction level scheduling can be used to effectively handle
+        /// this problem") as the remedy for heavy-load lock thrashing.
+        pub mpl_limit: Option<u32> = None,
+        /// Measurement warm-up, in time units: statistics collected before
+        /// this instant are discarded. The paper uses none (0.0).
+        pub warmup: f64 = 0.0,
+        /// Optional processor failure/repair process (exponential MTBF/MTTR
+        /// per processor). `None` — the paper's model — is bit-identical to
+        /// the pre-extension behavior.
+        pub failure: Option<FailureSpec> = None,
+        /// Parameters for the hierarchical conflict mode. `None` with
+        /// [`ConflictMode::Hierarchical`] uses [`HierarchySpec::default`];
+        /// setting it with any other mode fails validation.
+        pub hierarchy: Option<HierarchySpec> = None,
     }
 }
 
@@ -746,13 +454,40 @@ impl ModelConfig {
         if let Some(f) = &self.failure {
             f.validate()?;
         }
-        Ok(())
+        // The largest transaction's entity and lock counts.
+        let nu = self.size.max();
+        let (nu, lu) = (nu as f64, nu.min(self.ltot) as f64);
+        let (mtbf, mttr) = self.failure.map_or((0.0, 0.0), |f| (f.mtbf, f.mttr));
+        let spans = [
+            ("tmax", self.tmax),
+            ("largest CPU demand", nu * self.cputime),
+            ("largest I/O demand", nu * self.iotime),
+            ("largest lock CPU work", lu * self.lcputime),
+            ("largest lock I/O work", lu * self.liotime),
+            ("mtbf", mtbf),
+            ("mttr", mttr),
+        ];
+        match spans.iter().find(|(_, units)| *units > MAX_SPAN_UNITS) {
+            Some((what, units)) => Err(format!(
+                "{what} ({units} time units) exceeds the simulation clock's range \
+                 ({MAX_SPAN_UNITS:e} units)"
+            )),
+            None => Ok(()),
+        }
     }
 }
+
+/// Longest span, in model time units, that a valid configuration may
+/// imply: its horizon, one stage's or one lock request's demand, or a
+/// failure mean. The clock counts `u64` ticks (about 1.8·10¹⁶ units);
+/// the margin leaves room for exponential draws far above their mean and
+/// for spans added to the current time.
+const MAX_SPAN_UNITS: f64 = 1e12;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockgran_sim::{FromJson, ToJson};
 
     #[test]
     fn table1_matches_paper_text() {
@@ -861,6 +596,27 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_spans_beyond_the_clock() {
+        let mut c = ModelConfig::table1();
+        c.iotime = 1e18;
+        assert!(c.validate().unwrap_err().contains("I/O demand"));
+        let mut c = ModelConfig::table1();
+        c.lcputime = 1e11; // × up to 100 locks
+        assert!(c.validate().unwrap_err().contains("lock CPU work"));
+        assert!(ModelConfig::table1().with_tmax(1e13).validate().is_err());
+        assert!(ModelConfig::table1()
+            .with_failure(Some(FailureSpec::new(2000.0, 1e18)))
+            .validate()
+            .is_err());
+        // Huge counts alone are fine: a lock request needs at most
+        // min(maxtransize, ltot) locks.
+        let big = 1_000_000_000_000_000_000;
+        let mut c = ModelConfig::table1().with_tmax(1e12);
+        c.dbsize = big;
+        assert_eq!(c.with_ltot(big).validate(), Ok(()));
+    }
+
+    #[test]
     fn validation_rejects_bad_failure_spec() {
         assert!(ModelConfig::table1()
             .with_failure(Some(FailureSpec::new(0.0, 50.0)))
@@ -935,6 +691,14 @@ mod tests {
         let text = c.to_json().pretty();
         let back = ModelConfig::from_json(&lockgran_sim::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, c);
+
+        // An absent threshold means None; `areas` is required.
+        let spec = |text| HierarchySpec::from_json(&lockgran_sim::json::parse(text).unwrap());
+        assert_eq!(
+            spec(r#"{"areas": 8}"#),
+            Ok(HierarchySpec::default().with_areas(8))
+        );
+        assert!(spec(r#"{"escalation_threshold": 2}"#).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   window series into [`lockgran_sim::stats::welch`] to pick a
 //!   defensible truncation point.
 
-use lockgran_sim::{Dur, Json, Time, ToJson};
+use lockgran_sim::{Dur, Time};
 
 /// One sampling window's measurements.
 #[derive(Clone, Copy, Debug)]
@@ -28,20 +28,6 @@ pub struct TimelinePoint {
     pub cpu_utilization: f64,
     /// Mean I/O utilization within the window.
     pub io_utilization: f64,
-}
-
-impl ToJson for TimelinePoint {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("t", self.t.to_json()),
-            ("completions", self.completions.to_json()),
-            ("throughput", self.throughput.to_json()),
-            ("active", self.active.to_json()),
-            ("blocked", self.blocked.to_json()),
-            ("cpu_utilization", self.cpu_utilization.to_json()),
-            ("io_utilization", self.io_utilization.to_json()),
-        ])
-    }
 }
 
 /// Accumulates timeline points (driven by the system's sample ticks).

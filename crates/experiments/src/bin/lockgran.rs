@@ -50,7 +50,6 @@ fn main() -> ExitCode {
     }
 }
 
-// lint:covers(ConflictMode): usage text lists every conflict mode
 const USAGE: &str = "usage:
   lockgran list
   lockgran <table1|fig2..fig12|all|extA|extB|extC|extD|extE|extF|extG|extH|extI|ext> [--quick] [--chart] [--seed N] [--reps N] [--tmax T] [--jobs N] [--out DIR]
@@ -369,16 +368,15 @@ fn run_batch(args: &[String]) -> Result<(), String> {
     let configs: Vec<ModelConfig> =
         lockgran_sim::FromJson::from_json(&value).map_err(|e| format!("parsing {path}: {e}"))?;
     let mut csv = String::from(
-        "index,ltot,npros,ntrans,placement,partitioning,conflict,throughput,response_time,         usefulcpus,usefulios,lockcpus,lockios,denial_rate
-",
+        "index,ltot,npros,ntrans,placement,partitioning,conflict,throughput,response_time,\
+         usefulcpus,usefulios,lockcpus,lockios,denial_rate\n",
     );
     for (i, cfg) in configs.iter().enumerate() {
         cfg.validate()
             .map_err(|e| format!("config #{i} invalid: {e}"))?;
         let m = sim::run(cfg, seed.wrapping_add(i as u64));
         csv.push_str(&format!(
-            "{i},{},{},{},{},{},{},{},{},{},{},{},{},{}
-",
+            "{i},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
             cfg.ltot,
             cfg.npros,
             cfg.ntrans,
@@ -403,41 +401,10 @@ fn run_batch(args: &[String]) -> Result<(), String> {
 }
 
 fn run_single(args: &[String]) -> Result<(), String> {
-    let mut cfg = ModelConfig::table1();
-    let mut seed = 0u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ltot" => cfg.ltot = next_val(&mut it, "--ltot")?,
-            "--npros" => cfg.npros = next_val(&mut it, "--npros")?,
-            "--ntrans" => cfg.ntrans = next_val(&mut it, "--ntrans")?,
-            "--maxtransize" => {
-                let m: u64 = next_val(&mut it, "--maxtransize")?;
-                cfg = cfg.with_maxtransize(m);
-            }
-            "--placement" => {
-                cfg.placement = next_str(&mut it, "--placement")?.parse::<Placement>()?;
-            }
-            "--partitioning" => {
-                cfg.partitioning = next_str(&mut it, "--partitioning")?.parse::<Partitioning>()?;
-            }
-            "--conflict" => {
-                cfg.conflict = next_str(&mut it, "--conflict")?.parse::<ConflictMode>()?;
-            }
-            "--areas" => {
-                hierarchy_of(&mut cfg).areas = next_val(&mut it, "--areas")?;
-            }
-            "--escalation" => {
-                hierarchy_of(&mut cfg).escalation_threshold =
-                    parse_escalation(next_str(&mut it, "--escalation")?)?;
-            }
-            "--liotime" => cfg.liotime = next_val(&mut it, "--liotime")?,
-            "--tmax" => cfg.tmax = next_val(&mut it, "--tmax")?,
-            "--seed" => seed = next_val(&mut it, "--seed")?,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+    let (cfg, seed, rest) = parse_run_flags(args)?;
+    if let Some(flag) = rest.first() {
+        return Err(format!("unknown flag '{flag}'"));
     }
-    cfg.validate()?;
     let m = sim::run(&cfg, seed);
     println!(
         "config : ltot={} npros={} ntrans={} placement={} partitioning={} conflict={}",
@@ -536,6 +503,28 @@ mod tests {
         for id in EXT_IDS {
             assert!(USAGE.contains(id), "USAGE is missing extension id '{id}'");
         }
+    }
+
+    /// The run flags' help lists every name the conflict, placement and
+    /// partitioning parsers accept as a primary spelling.
+    #[test]
+    fn usage_names_every_run_flag_value() {
+        let names = ConflictMode::ALL
+            .map(ConflictMode::name)
+            .into_iter()
+            .chain(Placement::ALL.map(Placement::name))
+            .chain(Partitioning::ALL.map(Partitioning::name));
+        for name in names {
+            assert!(USAGE.contains(name), "USAGE is missing '{name}'");
+        }
+    }
+
+    /// `run` parses with the shared run-flag parser and rejects whatever
+    /// that parser leaves over.
+    #[test]
+    fn run_rejects_unknown_flags() {
+        let args = ["--ltot", "50", "--bogus", "1"].map(String::from);
+        assert_eq!(run_single(&args), Err("unknown flag '--bogus'".into()));
     }
 
     /// A batch with failing figures renders the survivors and returns a

@@ -5,69 +5,51 @@
 //! symbolically.
 
 use lockgran_core::RunMetrics;
-use lockgran_sim::{FromJson, Json, ToJson};
+use lockgran_sim::named_enum;
 
-/// A scalar output of one simulation run.
 // lint:exhaustive(Metric): matches must name variants, not hide them
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Metric {
-    /// `throughput = totcom / tmax`.
-    Throughput,
-    /// Mean response time.
-    ResponseTime,
-    /// 95th-percentile response time (histogram estimate).
-    ResponseP95,
-    /// `usefulcpus`: per-processor transaction CPU time.
-    UsefulCpu,
-    /// `usefulios`: per-processor transaction I/O time.
-    UsefulIo,
-    /// `lockcpus + lockios`: total lock overhead.
-    LockOverhead,
-    /// `lockcpus` only.
-    LockCpu,
-    /// `lockios` only.
-    LockIo,
-    /// Fraction of lock request attempts denied.
-    DenialRate,
-    /// Time-average number of active transactions.
-    MeanActive,
-    /// Mean CPU utilization.
-    CpuUtilization,
-    /// Mean I/O utilization.
-    IoUtilization,
-    /// Transaction aborts: processor-failure kills (failure extension)
-    /// plus deadlock victims (twophase conflict model).
-    Aborts,
-    /// Waits-for cycles broken by aborting a victim (twophase conflict
-    /// model).
-    Deadlocks,
-    /// Lock escalations (hierarchical conflict model).
-    Escalations,
-    /// Intention locks granted (hierarchical conflict model).
-    IntentLocks,
+named_enum! {
+    /// A scalar output of one simulation run; its name is the identifier
+    /// used in CSV/JSON columns.
+    pub enum Metric {
+        /// `throughput = totcom / tmax`.
+        Throughput => "throughput",
+        /// Mean response time.
+        ResponseTime => "response_time",
+        /// 95th-percentile response time (histogram estimate).
+        ResponseP95 => "response_p95",
+        /// `usefulcpus`: per-processor transaction CPU time.
+        UsefulCpu => "useful_cpu",
+        /// `usefulios`: per-processor transaction I/O time.
+        UsefulIo => "useful_io",
+        /// `lockcpus + lockios`: total lock overhead.
+        LockOverhead => "lock_overhead",
+        /// `lockcpus` only.
+        LockCpu => "lock_cpu",
+        /// `lockios` only.
+        LockIo => "lock_io",
+        /// Fraction of lock request attempts denied.
+        DenialRate => "denial_rate",
+        /// Time-average number of active transactions.
+        MeanActive => "mean_active",
+        /// Mean CPU utilization.
+        CpuUtilization => "cpu_utilization",
+        /// Mean I/O utilization.
+        IoUtilization => "io_utilization",
+        /// Transaction aborts: processor-failure kills (failure extension)
+        /// plus deadlock victims (twophase conflict model).
+        Aborts => "aborts",
+        /// Waits-for cycles broken by aborting a victim (twophase conflict
+        /// model).
+        Deadlocks => "deadlocks",
+        /// Lock escalations (hierarchical conflict model).
+        Escalations => "escalations",
+        /// Intention locks granted (hierarchical conflict model).
+        IntentLocks => "intent_locks",
+    }
 }
 
 impl Metric {
-    /// All metrics, for CLI listings.
-    pub const ALL: [Metric; 16] = [
-        Metric::Throughput,
-        Metric::ResponseTime,
-        Metric::ResponseP95,
-        Metric::UsefulCpu,
-        Metric::UsefulIo,
-        Metric::LockOverhead,
-        Metric::LockCpu,
-        Metric::LockIo,
-        Metric::DenialRate,
-        Metric::MeanActive,
-        Metric::CpuUtilization,
-        Metric::IoUtilization,
-        Metric::Aborts,
-        Metric::Deadlocks,
-        Metric::Escalations,
-        Metric::IntentLocks,
-    ];
-
     /// Extract this metric from a run.
     pub fn get(self, m: &RunMetrics) -> f64 {
         match self {
@@ -88,98 +70,6 @@ impl Metric {
             Metric::Escalations => m.escalations as f64,
             Metric::IntentLocks => m.intent_locks as f64,
         }
-    }
-
-    /// Short identifier used in CSV/JSON columns.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::Throughput => "throughput",
-            Metric::ResponseTime => "response_time",
-            Metric::ResponseP95 => "response_p95",
-            Metric::UsefulCpu => "useful_cpu",
-            Metric::UsefulIo => "useful_io",
-            Metric::LockOverhead => "lock_overhead",
-            Metric::LockCpu => "lock_cpu",
-            Metric::LockIo => "lock_io",
-            Metric::DenialRate => "denial_rate",
-            Metric::MeanActive => "mean_active",
-            Metric::CpuUtilization => "cpu_utilization",
-            Metric::IoUtilization => "io_utilization",
-            Metric::Aborts => "aborts",
-            Metric::Deadlocks => "deadlocks",
-            Metric::Escalations => "escalations",
-            Metric::IntentLocks => "intent_locks",
-        }
-    }
-}
-
-impl ToJson for Metric {
-    /// Variant-name string, like the previous serde derive:
-    /// `"ResponseTime"`.
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Metric::Throughput => "Throughput",
-                Metric::ResponseTime => "ResponseTime",
-                Metric::ResponseP95 => "ResponseP95",
-                Metric::UsefulCpu => "UsefulCpu",
-                Metric::UsefulIo => "UsefulIo",
-                Metric::LockOverhead => "LockOverhead",
-                Metric::LockCpu => "LockCpu",
-                Metric::LockIo => "LockIo",
-                Metric::DenialRate => "DenialRate",
-                Metric::MeanActive => "MeanActive",
-                Metric::CpuUtilization => "CpuUtilization",
-                Metric::IoUtilization => "IoUtilization",
-                Metric::Aborts => "Aborts",
-                Metric::Deadlocks => "Deadlocks",
-                Metric::Escalations => "Escalations",
-                Metric::IntentLocks => "IntentLocks",
-            }
-            .to_string(),
-        )
-    }
-}
-
-// lint:covers(Metric): the string match below mirrors the enum
-impl FromJson for Metric {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Throughput") => Ok(Metric::Throughput),
-            Some("ResponseTime") => Ok(Metric::ResponseTime),
-            Some("ResponseP95") => Ok(Metric::ResponseP95),
-            Some("UsefulCpu") => Ok(Metric::UsefulCpu),
-            Some("UsefulIo") => Ok(Metric::UsefulIo),
-            Some("LockOverhead") => Ok(Metric::LockOverhead),
-            Some("LockCpu") => Ok(Metric::LockCpu),
-            Some("LockIo") => Ok(Metric::LockIo),
-            Some("DenialRate") => Ok(Metric::DenialRate),
-            Some("MeanActive") => Ok(Metric::MeanActive),
-            Some("CpuUtilization") => Ok(Metric::CpuUtilization),
-            Some("IoUtilization") => Ok(Metric::IoUtilization),
-            Some("Aborts") => Ok(Metric::Aborts),
-            Some("Deadlocks") => Ok(Metric::Deadlocks),
-            Some("Escalations") => Ok(Metric::Escalations),
-            Some("IntentLocks") => Ok(Metric::IntentLocks),
-            _ => Err(format!("expected metric variant name, got {v}")),
-        }
-    }
-}
-
-impl std::str::FromStr for Metric {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Metric::ALL
-            .iter()
-            .copied()
-            .find(|m| m.name() == s.to_ascii_lowercase())
-            .ok_or_else(|| format!("unknown metric '{s}'"))
-    }
-}
-
-impl std::fmt::Display for Metric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 

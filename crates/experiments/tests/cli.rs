@@ -118,6 +118,14 @@ fn batch_runs_config_file() {
         "--out",
         out_path.to_str().unwrap(),
     ]);
+    assert_eq!(
+        stdout.lines().next(),
+        Some(
+            "index,ltot,npros,ntrans,placement,partitioning,conflict,throughput,\
+             response_time,usefulcpus,usefulios,lockcpus,lockios,denial_rate"
+        ),
+        "CSV header:\n{stdout}"
+    );
     assert!(
         stdout.lines().count() >= 3,
         "header + 2 rows expected:\n{stdout}"

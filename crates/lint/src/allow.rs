@@ -22,12 +22,9 @@
 //! directive that suppressed nothing is itself reported as stale (rule
 //! W001), so allows cannot silently outlive the code they vouched for.
 //!
-//! Two *marker* directives feed the exhaustiveness rules rather than
+//! One *marker* directive feeds the exhaustiveness rule rather than
 //! suppressing anything: `lint:exhaustive(Enum)` marks an enum whose
-//! matches must not hide variants behind `_` (rule E001), and
-//! `lint:covers(Enum)` asserts that the item below the comment mentions
-//! every variant of the enum (rule E002) — the drift guard for string
-//! matches and CLI usage text that rustc cannot check.
+//! matches must not hide variants behind `_` (rule E001).
 
 use std::cell::Cell;
 
@@ -52,22 +49,10 @@ pub struct AllowDirective {
     pub used: Cell<bool>,
 }
 
-/// What a [`Marker`] asserts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MarkerKind {
-    /// `lint:exhaustive(Enum)`: matches on this enum must not hide
-    /// variants behind a `_` arm (rule E001).
-    Exhaustive,
-    /// `lint:covers(Enum)`: the item below must mention every variant
-    /// (rule E002).
-    Covers,
-}
-
-/// One parsed `lint:exhaustive` / `lint:covers` marker.
+/// One parsed `lint:exhaustive(Enum)` marker: matches on `Enum` must not
+/// hide variants behind a `_` arm (rule E001).
 #[derive(Clone, Debug)]
 pub struct Marker {
-    /// The assertion the marker makes.
-    pub kind: MarkerKind,
     /// The enum the marker names.
     pub name: String,
     /// 1-based line the marker's comment starts on.
@@ -77,23 +62,19 @@ pub struct Marker {
 impl Marker {
     /// Scan one comment's text for markers and append them to `out`.
     pub fn scan(comment: &str, line: u32, out: &mut Vec<Marker>) {
-        for (kw, kind) in [
-            ("lint:exhaustive", MarkerKind::Exhaustive),
-            ("lint:covers", MarkerKind::Covers),
-        ] {
-            let mut rest = comment;
-            while let Some(at) = rest.find(kw) {
-                let after = &rest[at + kw.len()..];
-                if let Some(args) = after.strip_prefix('(') {
-                    if let Some(close) = args.find(')') {
-                        let name = args[..close].trim().to_string();
-                        if !name.is_empty() {
-                            out.push(Marker { kind, name, line });
-                        }
+        const KW: &str = "lint:exhaustive";
+        let mut rest = comment;
+        while let Some(at) = rest.find(KW) {
+            let after = &rest[at + KW.len()..];
+            if let Some(args) = after.strip_prefix('(') {
+                if let Some(close) = args.find(')') {
+                    let name = args[..close].trim().to_string();
+                    if !name.is_empty() {
+                        out.push(Marker { name, line });
                     }
                 }
-                rest = &rest[at + kw.len()..];
             }
+            rest = after;
         }
     }
 }
@@ -303,14 +284,13 @@ mod tests {
     fn markers_are_scanned() {
         let mut out = Vec::new();
         Marker::scan("// lint:exhaustive(Metric)", 3, &mut out);
-        Marker::scan("/// lint:covers(ConflictMode): CLI usage", 9, &mut out);
-        Marker::scan("// no marker here", 12, &mut out);
+        Marker::scan("/// lint:exhaustive( ConflictMode ): matches", 9, &mut out);
+        Marker::scan("// no marker here, nor lint:exhaustive()", 12, &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].kind, MarkerKind::Exhaustive);
         assert_eq!(out[0].name, "Metric");
         assert_eq!(out[0].line, 3);
-        assert_eq!(out[1].kind, MarkerKind::Covers);
         assert_eq!(out[1].name, "ConflictMode");
+        assert_eq!(out[1].line, 9);
     }
 
     #[test]

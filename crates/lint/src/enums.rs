@@ -1,43 +1,25 @@
-//! Exhaustiveness-drift rules (E).
+//! Exhaustiveness rule (E001).
 //!
 //! rustc checks that `match` covers every variant — until someone writes
-//! `_`, mirrors an enum in a string match (`Metric::from_json`), lists
-//! variants in CLI usage text, or maintains a parallel `ALL` array. All
-//! four drift silently when a variant is added. These rules close the
-//! gap:
+//! `_`. **E001** flags a `match` on an enum marked
+//! `lint:exhaustive(Name)` that names more than half the variants but
+//! hides the rest behind a `_` arm. Such a match clearly *intends*
+//! per-variant handling; the wildcard means a new variant is absorbed
+//! silently instead of failing to compile.
 //!
-//! * **E001** — a `match` on an enum marked `lint:exhaustive(Name)`
-//!   names more than half the variants but hides the rest behind a `_`
-//!   arm. Such a match clearly *intends* per-variant handling; the
-//!   wildcard means a new variant is absorbed silently instead of
-//!   failing to compile.
-//! * **E002** — an item annotated `lint:covers(Name)` must mention every
-//!   variant of `Name`, either as an identifier or (case-insensitively)
-//!   inside a string literal. This is the drift guard for
-//!   `from_json`-style string matches and `USAGE` text.
-//! * **E003** — a `const ALL: [Name; k]` array whose length or
-//!   initializer disagrees with the enum definition: wrong `k`, or an
-//!   initializer that skips (or double-counts) a variant.
+//! The name, parse and JSON mirrors of an enum need no rule: the
+//! `named_enum!` macro generates them from the declaration, so they
+//! cannot drift from it.
 
 use std::collections::BTreeSet;
 
-use crate::allow::MarkerKind;
 use crate::lexer::TokenKind;
-use crate::parse::{visit_const_arrays, visit_fns, Arm, Block, Stmt};
+use crate::parse::{visit_fns, Arm, Block, Stmt};
 use crate::symbols::SymbolTable;
 use crate::{emit, Diagnostic, FileAnalysis, Rule};
 
-/// Run E001/E002/E003 over one file (library scope only; the caller
-/// gates).
+/// Run E001 over one file (library scope only; the caller gates).
 pub fn check_exhaustiveness(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec<Diagnostic>) {
-    check_wildcard_matches(fa, table, out);
-    check_covers_markers(fa, table, out);
-    check_all_arrays(fa, table, out);
-}
-
-// ----- E001 -----
-
-fn check_wildcard_matches(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec<Diagnostic>) {
     visit_fns(&fa.ast.items, &mut |f, _| {
         let Some(body) = &f.body else { return };
         if fa.tokens.get(f.span.0).is_some_and(|t| t.in_test) {
@@ -129,158 +111,6 @@ fn check_one_match(
     }
 }
 
-// ----- E002 -----
-
-fn check_covers_markers(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec<Diagnostic>) {
-    for m in &fa.markers {
-        if m.kind != MarkerKind::Covers {
-            continue;
-        }
-        let Some(variants) = table.enums.get(&m.name) else {
-            emit(
-                fa,
-                out,
-                Rule::E002,
-                m.line,
-                1,
-                format!(
-                    "lint:covers({}) names an enum the workspace symbol \
-                     table does not know — fix the name or define the enum",
-                    m.name
-                ),
-            );
-            continue;
-        };
-        let Some(region) = covered_region(fa, m.line) else {
-            continue;
-        };
-        let mut missing: Vec<&str> = Vec::new();
-        for v in variants {
-            let vl = v.to_ascii_lowercase();
-            let mentioned = fa.tokens[region.0..region.1].iter().any(|t| match t.kind {
-                TokenKind::Ident => t.text(&fa.src).eq_ignore_ascii_case(v),
-                TokenKind::Str => t.text(&fa.src).to_ascii_lowercase().contains(&vl),
-                _ => false,
-            });
-            if !mentioned {
-                missing.push(v);
-            }
-        }
-        if !missing.is_empty() {
-            emit(
-                fa,
-                out,
-                Rule::E002,
-                m.line,
-                1,
-                format!(
-                    "item below lint:covers({}) never mentions variant(s) \
-                     {} — the mirror has drifted from the enum",
-                    m.name,
-                    missing
-                        .iter()
-                        .map(|v| format!("`{v}`"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            );
-        }
-    }
-}
-
-/// Token range of the item that starts after `marker_line`: from the
-/// first token past the line to the end of the first item (the matching
-/// `}` of the first depth-0 brace group, or a depth-0 `;`).
-fn covered_region(fa: &FileAnalysis, marker_line: u32) -> Option<(usize, usize)> {
-    let start = fa.tokens.iter().position(|t| t.line > marker_line)?;
-    let mut depth = 0i32;
-    let mut i = start;
-    while i < fa.tokens.len() {
-        let t = &fa.tokens[i];
-        if t.kind == TokenKind::Punct {
-            let text = t.text(&fa.src);
-            match text.as_bytes().first() {
-                Some(b'{') | Some(b'(') | Some(b'[') => depth += 1,
-                Some(b'}') | Some(b')') | Some(b']') => {
-                    depth -= 1;
-                    if depth == 0 && text == "}" {
-                        return Some((start, i + 1));
-                    }
-                }
-                Some(b';') if depth == 0 => return Some((start, i + 1)),
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    Some((start, i))
-}
-
-// ----- E003 -----
-
-fn check_all_arrays(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec<Diagnostic>) {
-    visit_const_arrays(&fa.ast.items, &mut |c, _| {
-        if c.name != "ALL" {
-            return;
-        }
-        // `in_test` lives on tokens; look it up via the item's line.
-        if fa
-            .tokens
-            .iter()
-            .find(|t| t.line >= c.line)
-            .is_some_and(|t| t.in_test)
-        {
-            return;
-        }
-        let Some(variants) = table.enums.get(&c.elem_type) else {
-            return;
-        };
-        if let Some(len) = c.len {
-            if len as usize != variants.len() {
-                emit(
-                    fa,
-                    out,
-                    Rule::E003,
-                    c.line,
-                    c.col,
-                    format!(
-                        "`ALL: [{0}; {len}]` disagrees with `{0}`'s {1} \
-                         variants — the mirror array has drifted",
-                        c.elem_type,
-                        variants.len()
-                    ),
-                );
-                return;
-            }
-        }
-        let mut missing: Vec<&str> = Vec::new();
-        for v in variants {
-            if !c.init_idents.iter().any(|i| i == v) {
-                missing.push(v);
-            }
-        }
-        if !missing.is_empty() {
-            emit(
-                fa,
-                out,
-                Rule::E003,
-                c.line,
-                c.col,
-                format!(
-                    "`{}::ALL` never lists variant(s) {} — the mirror array \
-                     has drifted from the enum",
-                    c.elem_type,
-                    missing
-                        .iter()
-                        .map(|v| format!("`{v}`"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            );
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{lint_rust_source_as, Scope};
@@ -330,75 +160,6 @@ fn other(o: Other) -> u32 {
 }
 ";
         // `pick` names 1/4 (dispatch, fine); `Other` is unmarked.
-        assert!(codes_at(src).is_empty());
-    }
-
-    #[test]
-    fn e002_flags_missing_variant_mention() {
-        let src = "\
-enum Mode { Alpha, Beta, Gamma }
-// lint:covers(Mode)
-fn from_str(s: &str) -> Option<Mode> {
-    match s {
-        \"alpha\" => Some(Mode::Alpha),
-        \"beta\" => Some(Mode::Beta),
-        _ => None,
-    }
-}
-";
-        assert_eq!(codes_at(src), vec![(2, "E002")]);
-    }
-
-    #[test]
-    fn e002_satisfied_by_strings_or_idents() {
-        let src = "\
-enum Mode { Alpha, Beta, Gamma }
-// lint:covers(Mode): usage text lists every mode
-const USAGE: &str = \"--mode alpha|beta|gamma\";
-";
-        assert!(codes_at(src).is_empty());
-    }
-
-    #[test]
-    fn e002_unknown_enum_is_reported() {
-        let src = "\
-// lint:covers(NoSuchEnum)
-const USAGE: &str = \"x\";
-";
-        assert_eq!(codes_at(src), vec![(1, "E002")]);
-    }
-
-    #[test]
-    fn e003_flags_length_and_membership_drift() {
-        let src = "\
-enum Mode { Alpha, Beta, Gamma }
-impl Mode {
-    pub const ALL: [Mode; 2] = [Mode::Alpha, Mode::Beta];
-}
-";
-        assert_eq!(codes_at(src), vec![(3, "E003")]);
-    }
-
-    #[test]
-    fn e003_flags_skipped_variant_with_right_length() {
-        let src = "\
-enum Mode { Alpha, Beta, Gamma }
-impl Mode {
-    pub const ALL: [Mode; 3] = [Mode::Alpha, Mode::Beta, Mode::Beta];
-}
-";
-        assert_eq!(codes_at(src), vec![(3, "E003")]);
-    }
-
-    #[test]
-    fn e003_silent_when_in_sync_or_differently_named() {
-        let src = "\
-enum Mode { Alpha, Beta }
-impl Mode {
-    pub const ALL: [Mode; 2] = [Mode::Alpha, Mode::Beta];
-}
-const MATRIX: [Mode; 1] = [Mode::Alpha];
-";
         assert!(codes_at(src).is_empty());
     }
 }

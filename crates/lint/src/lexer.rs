@@ -84,7 +84,7 @@ pub struct LexOutput {
     pub tokens: Vec<Token>,
     /// Suppression directives found in comments, in source order.
     pub allows: Vec<AllowDirective>,
-    /// `lint:exhaustive` / `lint:covers` markers, in source order.
+    /// `lint:exhaustive` markers, in source order.
     pub markers: Vec<Marker>,
 }
 
@@ -566,7 +566,7 @@ mod tests {
         let src = "\
 //! // lint:allow(P001): example in module docs
 /// // lint:allow(D001): example in item docs
-/** lint:covers(Mode) */
+/** lint:exhaustive(Mode) */
 //// lint:allow(Z001): a ruler comment is not a doc comment
 // lint:exhaustive(Metric)
 fn f() {}

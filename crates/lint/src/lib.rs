@@ -21,10 +21,9 @@
 //! 3. [`symbols`] — a per-workspace symbol table: enum variant lists,
 //!    `lint:exhaustive` marks, and a conservative may-release closure
 //!    over the name-keyed call graph.
-//! 4. Rules — token rules ([`rules`], [`json_pairs`], [`manifest`]) plus
-//!    the AST-level families: lock protocol ([`flow`] L-rules),
-//!    determinism dataflow ([`flow`] R-rules), and exhaustiveness drift
-//!    ([`enums`] E-rules).
+//! 4. Rules — token rules ([`rules`], [`manifest`]) plus the AST-level
+//!    families: lock protocol ([`flow`] L-rules), determinism dataflow
+//!    ([`flow`] R-rules), and wildcard exhaustiveness ([`enums`] E001).
 //!
 //! # Rule catalog
 //!
@@ -38,14 +37,11 @@
 //! | P001 | `.unwrap()` / `.expect("…")` panics | library code |
 //! | P002 | `.remove(0)` front-shift (use `VecDeque::pop_front`) | library code |
 //! | Z001 | non-local dependency in a `Cargo.toml` | all manifests |
-//! | J001 | `ToJson`/`FromJson` pairs that don't round-trip field names | all `.rs` |
 //! | L001 | `return`/`?` escaping between a lock acquire and its release | `core`, `lockmgr` library |
 //! | L002 | acquire-family call whose result is discarded | `core`, `lockmgr` library |
 //! | R001 | RNG draw under a branch depending on pool/job config | `core`, `workload` library |
 //! | R002 | shared-stream RNG draw under a CC-dependent branch | `core`, `workload` library |
 //! | E001 | `_` arm hiding variants of a `lint:exhaustive` enum | library code |
-//! | E002 | `lint:covers(Enum)` item missing a variant mention | library code |
-//! | E003 | `const ALL: [Enum; N]` drifted from the enum definition | library code |
 //! | W001 | stale `lint:allow` that no longer suppresses anything | library code |
 //!
 //! "Library code" excludes `tests/`, `benches/`, `examples/` directories
@@ -67,8 +63,10 @@
 //! cannot outlive the code they vouched for. Doc comments (`///`, `//!`)
 //! never register directives — examples in documentation stay examples.
 //!
-//! Two marker directives feed the E-rules: `lint:exhaustive(Enum)` and
-//! `lint:covers(Enum)` (see [`allow`]).
+//! One marker directive feeds E001: `lint:exhaustive(Enum)` (see
+//! [`allow`]). Config enums and structs need no drift rules: the
+//! `named_enum!` and `json_struct!` macros of `lockgran_sim::json`
+//! generate their name, parse and JSON mirrors from one declaration.
 
 #![warn(missing_docs)]
 
@@ -76,7 +74,6 @@ pub mod allow;
 pub mod context;
 pub mod enums;
 pub mod flow;
-pub mod json_pairs;
 pub mod lexer;
 pub mod manifest;
 pub mod parse;
@@ -111,8 +108,6 @@ pub enum Rule {
     P002,
     /// External dependency in a manifest.
     Z001,
-    /// JSON impl pair that does not round-trip.
-    J001,
     /// Early exit between a lock acquire and its release.
     L001,
     /// Discarded result of a lock acquisition.
@@ -123,10 +118,6 @@ pub enum Rule {
     R002,
     /// Wildcard arm hiding variants of a `lint:exhaustive` enum.
     E001,
-    /// `lint:covers` item that fails to mention every variant.
-    E002,
-    /// `const ALL` mirror array drifted from its enum.
-    E003,
     /// Stale `lint:allow` directive that suppresses nothing.
     W001,
 }
@@ -143,20 +134,17 @@ impl Rule {
             Rule::P001 => "P001",
             Rule::P002 => "P002",
             Rule::Z001 => "Z001",
-            Rule::J001 => "J001",
             Rule::L001 => "L001",
             Rule::L002 => "L002",
             Rule::R001 => "R001",
             Rule::R002 => "R002",
             Rule::E001 => "E001",
-            Rule::E002 => "E002",
-            Rule::E003 => "E003",
             Rule::W001 => "W001",
         }
     }
 
     /// Every rule in the catalog.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 14] = [
         Rule::D001,
         Rule::D002,
         Rule::D003,
@@ -165,14 +153,11 @@ impl Rule {
         Rule::P001,
         Rule::P002,
         Rule::Z001,
-        Rule::J001,
         Rule::L001,
         Rule::L002,
         Rule::R001,
         Rule::R002,
         Rule::E001,
-        Rule::E002,
-        Rule::E003,
         Rule::W001,
     ];
 }
@@ -216,7 +201,7 @@ pub enum Scope {
     /// (a nondeterministic test flakes), panic/float rules do not.
     TestCode,
     /// `crates/bench`: measures wall-clock time by design; only the
-    /// JSON pairing rule applies.
+    /// raw-threading rule (D004) applies.
     Bench,
 }
 
@@ -299,7 +284,6 @@ pub(crate) fn emit(
 /// Run every applicable rule over one analyzed file.
 fn check_file(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec<Diagnostic>) {
     rules::check_tokens(&fa.rel, &fa.src, &fa.tokens, fa.scope, &fa.allows, out);
-    json_pairs::check_json_pairs(&fa.rel, &fa.src, &fa.tokens, &fa.allows, out);
     if fa.scope == Scope::Library {
         flow::check_lock_protocol(fa, table, out);
         flow::check_determinism_flow(fa, out);
@@ -425,10 +409,35 @@ mod tests {
         assert_eq!(
             codes,
             [
-                "D001", "D002", "D003", "D004", "D005", "P001", "P002", "Z001", "J001", "L001",
-                "L002", "R001", "R002", "E001", "E002", "E003", "W001"
+                "D001", "D002", "D003", "D004", "D005", "P001", "P002", "Z001", "L001", "L002",
+                "R001", "R002", "E001", "W001"
             ]
         );
+        // `ALL` is a hand-written mirror of the enum (this crate cannot use
+        // the workspace's `named_enum!`). The match is exhaustive, so a new
+        // variant does not compile until it gets a slot here, and a slot
+        // that `ALL` does not hold fails the count below.
+        let slot = |rule: Rule| match rule {
+            Rule::D001 => 0,
+            Rule::D002 => 1,
+            Rule::D003 => 2,
+            Rule::D004 => 3,
+            Rule::D005 => 4,
+            Rule::P001 => 5,
+            Rule::P002 => 6,
+            Rule::Z001 => 7,
+            Rule::L001 => 8,
+            Rule::L002 => 9,
+            Rule::R001 => 10,
+            Rule::R002 => 11,
+            Rule::E001 => 12,
+            Rule::W001 => 13,
+        };
+        const SLOTS: usize = 14;
+        assert_eq!(Rule::ALL.len(), SLOTS, "`ALL` misses a variant");
+        for (i, rule) in Rule::ALL.into_iter().enumerate() {
+            assert_eq!(slot(rule), i, "{rule:?} is out of place in `ALL`");
+        }
     }
 
     #[test]

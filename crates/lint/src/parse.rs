@@ -38,8 +38,6 @@ pub enum Item {
     Impl(ImplDef),
     /// An inline module.
     Mod(ModDef),
-    /// A `const` / `static` of array-of-path type, e.g. `Metric::ALL`.
-    ConstArray(ConstArrayDef),
 }
 
 /// A function item.
@@ -80,22 +78,6 @@ pub struct ModDef {
     pub name: String,
     /// Nested items.
     pub items: Vec<Item>,
-}
-
-/// `const NAME: [Elem; N] = [ ... ];` — the shape of `Enum::ALL` tables.
-pub struct ConstArrayDef {
-    /// The constant's name (`ALL`).
-    pub name: String,
-    /// Element type (last path segment inside the `[Ty; N]`).
-    pub elem_type: String,
-    /// Declared length `N`, when it is an integer literal.
-    pub len: Option<u64>,
-    /// Identifiers appearing in the initializer (variant names).
-    pub init_idents: Vec<String>,
-    /// 1-based line of the `const` keyword.
-    pub line: u32,
-    /// 1-based column of the `const` keyword.
-    pub col: u32,
 }
 
 /// A `{ ... }` body as a statement sequence.
@@ -333,14 +315,7 @@ impl<'a> Parser<'a> {
                     }
                     i = next;
                 }
-                "const" | "static" => {
-                    let (item, next) = self.const_item(i, hi);
-                    if let Some(it) = item {
-                        out.push(it);
-                    }
-                    i = next;
-                }
-                "struct" | "union" | "use" | "type" | "extern" => {
+                "const" | "static" | "struct" | "union" | "use" | "type" | "extern" => {
                     i = self.skip_to_item_end(i + 1, hi);
                 }
                 "macro_rules" => {
@@ -560,57 +535,6 @@ impl<'a> Parser<'a> {
         let close = self.matching(j, hi);
         let items = self.items(j + 1, close);
         (Some(Item::Mod(ModDef { name, items })), (close + 1).min(hi))
-    }
-
-    /// Parse `const NAME: [Ty; N] = [ ... ];` (the `Enum::ALL` shape);
-    /// anything else is skipped.
-    fn const_item(&mut self, i: usize, hi: usize) -> (Option<Item>, usize) {
-        let (line, col) = (self.tokens[i].line, self.tokens[i].col);
-        let mut j = i + 1;
-        if !self.is_any_ident(j) {
-            return (None, self.skip_to_item_end(j, hi));
-        }
-        let name = self.text(j).to_string();
-        j += 1;
-        if !self.is_punct(j, ':') || !self.is_punct(j + 1, '[') {
-            return (None, self.skip_to_item_end(j, hi));
-        }
-        let ty_close = self.matching(j + 1, hi);
-        // Element type: idents before the `;` inside the brackets; the
-        // declared length is the integer after it.
-        let mut elem_type = String::new();
-        let mut len = None;
-        let mut semi_seen = false;
-        for k in j + 2..ty_close {
-            match self.tokens[k].kind {
-                TokenKind::Punct if self.text(k) == ";" => semi_seen = true,
-                TokenKind::Ident if !semi_seen => elem_type = self.text(k).to_string(),
-                TokenKind::Int if semi_seen => {
-                    len = self.text(k).replace('_', "").parse::<u64>().ok();
-                }
-                _ => {}
-            }
-        }
-        j = ty_close + 1;
-        if !self.is_punct(j, '=') || !self.is_punct(j + 1, '[') {
-            return (None, self.skip_to_item_end(j, hi));
-        }
-        let init_close = self.matching(j + 1, hi);
-        let init_idents = (j + 2..init_close)
-            .filter(|&k| self.is_any_ident(k))
-            .map(|k| self.text(k).to_string())
-            .collect();
-        (
-            Some(Item::ConstArray(ConstArrayDef {
-                name,
-                elem_type,
-                len,
-                init_idents,
-                line,
-                col,
-            })),
-            self.skip_to_item_end(init_close, hi),
-        )
     }
 
     // ----- statement / body parsing -----
@@ -1086,29 +1010,6 @@ pub fn visit_enums<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a EnumDef)) {
     }
 }
 
-/// Walk helper: visit every `const NAME: [Ty; N] = [..]` item with its
-/// enclosing impl type name.
-pub fn visit_const_arrays<'a>(
-    items: &'a [Item],
-    f: &mut dyn FnMut(&'a ConstArrayDef, Option<&'a str>),
-) {
-    fn go<'a>(
-        items: &'a [Item],
-        owner: Option<&'a str>,
-        f: &mut dyn FnMut(&'a ConstArrayDef, Option<&'a str>),
-    ) {
-        for item in items {
-            match item {
-                Item::ConstArray(c) => f(c, owner),
-                Item::Impl(imp) => go(&imp.items, Some(&imp.type_name), f),
-                Item::Mod(m) => go(&m.items, owner, f),
-                Item::Fn(_) | Item::Enum(_) => {}
-            }
-        }
-    }
-    go(items, None, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1154,29 +1055,6 @@ mod tests {
             Item::Impl(i) => assert_eq!(i.type_name, "Metric"),
             _ => panic!("expected impl"),
         }
-    }
-
-    #[test]
-    fn const_array_shape() {
-        let src = "impl E { pub const ALL: [E; 3] = [E::A, E::B, E::C]; }";
-        let (ast, _) = parse_src(src);
-        let mut found = Vec::new();
-        visit_const_arrays(&ast.items, &mut |c, owner| {
-            found.push((
-                c.name.clone(),
-                c.elem_type.clone(),
-                c.len,
-                c.init_idents.clone(),
-                owner.map(str::to_string),
-            ))
-        });
-        assert_eq!(found.len(), 1);
-        let (name, ty, len, inits, owner) = &found[0];
-        assert_eq!(name, "ALL");
-        assert_eq!(ty, "E");
-        assert_eq!(*len, Some(3));
-        assert!(inits.contains(&"A".to_string()) && inits.contains(&"C".to_string()));
-        assert_eq!(owner.as_deref(), Some("E"));
     }
 
     #[test]

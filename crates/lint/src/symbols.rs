@@ -4,7 +4,7 @@
 //! layers in a second pass. It resolves exactly three things the flow
 //! and exhaustiveness rules need:
 //!
-//! * every enum definition and its variant list (E-rules);
+//! * every enum definition and its variant list (E001);
 //! * which enums are marked `lint:exhaustive` (E001);
 //! * a conservative may-release closure over the call graph: a function
 //!   *may release* a lock if it directly calls one of the release-family
@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::allow::{Marker, MarkerKind};
+use crate::allow::Marker;
 use crate::parse::{visit_enums, visit_fns, Ast, Block, EventKind, Stmt};
 
 /// Method names that take a lock.
@@ -45,9 +45,7 @@ impl SymbolTable {
             self.enums.insert(e.name.clone(), e.variants.clone());
         });
         for m in markers {
-            if m.kind == MarkerKind::Exhaustive {
-                self.exhaustive.insert(m.name.clone());
-            }
+            self.exhaustive.insert(m.name.clone());
         }
         visit_fns(&ast.items, &mut |f, _| {
             if let Some(body) = &f.body {

@@ -2,15 +2,33 @@
 //! `scripts/verify.sh` runs via `cargo run -p lockgran-lint`, kept as a
 //! test so `cargo test` alone also catches policy regressions.
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
-#[test]
-fn workspace_is_lint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+use lockgran_lint::Rule;
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("lint crate sits two levels below the workspace root")
-        .to_path_buf();
+        .to_path_buf()
+}
+
+/// Rule codes in the first column of the markdown table rows of `text`
+/// (after stripping `prefix` from each line).
+fn table_codes(text: &str, prefix: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix(prefix)?.strip_prefix("| "))
+        .filter_map(|row| row.split(" |").next())
+        .filter(|c| c.len() == 4 && c.as_bytes()[1..].iter().all(u8::is_ascii_digit))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn workspace_is_lint_clean() {
+    let root = workspace_root();
     assert!(
         root.join("Cargo.toml").exists(),
         "workspace root not found at {}",
@@ -30,11 +48,7 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn workspace_scan_covers_all_crates() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
+    let root = workspace_root();
     let files = lockgran_lint::walk::discover(&root).expect("walk workspace");
     for krate in [
         "sim",
@@ -60,4 +74,23 @@ fn workspace_scan_covers_all_crates() {
         !files.iter().any(|f| f.rel.contains("fixtures/")),
         "fixtures must not be scanned"
     );
+}
+
+/// The three catalogs of rule codes — DESIGN.md §7's table, the crate
+/// docs' table and `Rule::ALL` — name the same rules.
+#[test]
+fn rule_catalogs_agree() {
+    let root = workspace_root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let start = design
+        .find("### Rule catalog")
+        .expect("DESIGN.md §7 catalog");
+    let section = &design[start..];
+    let end = section[3..].find("\n#").map_or(section.len(), |i| i + 3);
+    let design_codes = table_codes(&section[..end], "");
+    let lib = std::fs::read_to_string(root.join("crates/lint/src/lib.rs")).expect("read lib.rs");
+    let lib_codes = table_codes(&lib, "//! ");
+    let all: BTreeSet<String> = Rule::ALL.iter().map(|r| r.code().to_string()).collect();
+    assert_eq!(design_codes, all, "DESIGN.md §7 catalog vs Rule::ALL");
+    assert_eq!(lib_codes, all, "lib.rs doc catalog vs Rule::ALL");
 }

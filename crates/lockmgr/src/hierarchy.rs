@@ -19,27 +19,12 @@
 //!   set: the adaptive counterpart of the paper's static granule-size
 //!   sweep.
 
-use lockgran_sim::{FromJson, Json, ToJson};
-
 use crate::mode::LockMode;
 use crate::table::GranuleId;
 
 /// A level in the granule hierarchy, 0 = root (whole database).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HierarchyLevel(pub usize);
-
-impl ToJson for HierarchyLevel {
-    /// Bare integer, like the previous serde newtype derive: `2`.
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-impl FromJson for HierarchyLevel {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(HierarchyLevel(usize::from_json(v)?))
-    }
-}
 
 /// A node in the granule tree: `(level, index within level)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,32 +46,6 @@ pub struct GranuleTree {
     level_sizes: Vec<u64>,
     /// `level_offsets[k]` = flat id of the first node at level `k`.
     level_offsets: Vec<u64>,
-}
-
-impl ToJson for GranuleTree {
-    /// All three fields, like the previous serde struct derive.
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("fanouts", self.fanouts.to_json()),
-            ("level_sizes", self.level_sizes.to_json()),
-            ("level_offsets", self.level_offsets.to_json()),
-        ])
-    }
-}
-
-// lint:allow(J001): `level_sizes`/`level_offsets` are derived — emitted
-// for readability, deliberately recomputed from `fanouts` on read so a
-// hand-edited file cannot smuggle in an inconsistent tree
-impl FromJson for GranuleTree {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let fanouts: Vec<u64> = v.field("fanouts")?;
-        if fanouts.contains(&0) {
-            return Err("fan-outs must be positive".into());
-        }
-        // Derived fields are recomputed rather than trusted, so a
-        // hand-edited file cannot produce an inconsistent tree.
-        Ok(GranuleTree::new(&fanouts))
-    }
 }
 
 impl GranuleTree {

@@ -7,33 +7,27 @@
 //! substrate implements the full matrix so the hierarchy extension and
 //! read/write workloads are expressible.
 
-use lockgran_sim::{FromJson, Json, ToJson};
+use lockgran_sim::named_enum;
 
-/// A lock mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LockMode {
-    /// Intention shared: finer-grained S locks will be taken below.
-    IS,
-    /// Intention exclusive: finer-grained X locks will be taken below.
-    IX,
-    /// Shared: read the whole granule.
-    S,
-    /// Shared + intention exclusive: read the whole granule, write parts.
-    SIX,
-    /// Exclusive: read/write the whole granule.
-    X,
+named_enum! {
+    /// A lock mode. Declared in escalation order, which the derived `Ord`
+    /// follows.
+    #[derive(PartialOrd, Ord)]
+    pub enum LockMode {
+        /// Intention shared: finer-grained S locks will be taken below.
+        IS => "IS",
+        /// Intention exclusive: finer-grained X locks will be taken below.
+        IX => "IX",
+        /// Shared: read the whole granule.
+        S => "S",
+        /// Shared + intention exclusive: read the whole granule, write parts.
+        SIX => "SIX",
+        /// Exclusive: read/write the whole granule.
+        X => "X",
+    }
 }
 
 impl LockMode {
-    /// All modes, in escalation order.
-    pub const ALL: [LockMode; 5] = [
-        LockMode::IS,
-        LockMode::IX,
-        LockMode::S,
-        LockMode::SIX,
-        LockMode::X,
-    ];
-
     /// Gray's compatibility matrix: can `self` be granted while `held` is
     /// held by a *different* transaction?
     pub fn compatible(self, held: LockMode) -> bool {
@@ -80,40 +74,6 @@ impl LockMode {
         } else {
             LockMode::IS
         }
-    }
-}
-
-impl ToJson for LockMode {
-    /// Variant-name string, like the previous serde derive: `"SIX"`.
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-// lint:covers(LockMode): the string match below mirrors the enum
-impl FromJson for LockMode {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("IS") => Ok(LockMode::IS),
-            Some("IX") => Ok(LockMode::IX),
-            Some("S") => Ok(LockMode::S),
-            Some("SIX") => Ok(LockMode::SIX),
-            Some("X") => Ok(LockMode::X),
-            _ => Err(format!("expected lock mode (IS|IX|S|SIX|X), got {v}")),
-        }
-    }
-}
-
-impl std::fmt::Display for LockMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            LockMode::IS => "IS",
-            LockMode::IX => "IX",
-            LockMode::S => "S",
-            LockMode::SIX => "SIX",
-            LockMode::X => "X",
-        };
-        f.write_str(s)
     }
 }
 

@@ -15,12 +15,15 @@
 //! * integers print without a decimal point.
 //!
 //! Conversion to and from domain types goes through the [`ToJson`] and
-//! [`FromJson`] traits, implemented by hand next to each type. The
-//! conventions mirror the previous serde derive output so existing files
-//! (e.g. `configs/sample_batch.json`) keep parsing: unit enum variants are
-//! plain strings (`"Best"`), data-carrying variants are externally tagged
-//! single-key objects (`{"Uniform": {"max": 500}}`), `Option` is `null`
-//! or the value, and unknown object keys are ignored.
+//! [`FromJson`] traits. Config types are declared once through
+//! [`named_enum!`](crate::named_enum) (fieldless enums) and
+//! [`json_struct!`](crate::json_struct) (structs), which generate both
+//! impls from the declaration; only custom encodings are written by hand.
+//! The conventions mirror the previous serde derive output so existing
+//! files (e.g. `configs/sample_batch.json`) keep parsing: unit enum
+//! variants are plain strings (`"Best"`), data-carrying variants are
+//! externally tagged single-key objects (`{"Uniform": {"max": 500}}`),
+//! `Option` is `null` or the value, and unknown object keys are ignored.
 
 use std::fmt;
 
@@ -451,6 +454,170 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
             _ => Err(format!("expected 2-element array, got {v}")),
         }
     }
+}
+
+// ----- declaration macros -----
+
+/// Declare a fieldless enum once, with each variant's report/CLI name and
+/// optional aliases; everything that mirrors the variant list is
+/// generated from that one declaration:
+///
+/// * the enum itself, deriving `Clone, Copy, Debug, PartialEq, Eq, Hash`
+///   (attributes on the enum and its variants pass through, so
+///   `#[derive(Default)]` with a `#[default]` variant works);
+/// * `ALL`, every variant in declaration order;
+/// * `name()` and a `Display` that prints it;
+/// * a `FromStr` accepting the name or any alias, ignoring ASCII case;
+/// * [`ToJson`]/[`FromJson`] with the variant identifier as the wire
+///   name (`"Best"`), matched case-sensitively.
+///
+/// ```
+/// lockgran_sim::named_enum! {
+///     /// How much to say.
+///     pub enum Verbosity {
+///         /// Nothing.
+///         Quiet => "quiet" | "q",
+///         /// Everything.
+///         Loud => "loud",
+///     }
+/// }
+/// use lockgran_sim::{FromJson, Json, ToJson};
+/// assert_eq!(Verbosity::ALL, [Verbosity::Quiet, Verbosity::Loud]);
+/// assert_eq!("Q".parse::<Verbosity>(), Ok(Verbosity::Quiet));
+/// assert_eq!(Verbosity::Loud.to_string(), "loud");
+/// assert_eq!(Verbosity::Loud.to_json(), Json::Str("Loud".into()));
+/// assert!(Verbosity::from_json(&Json::Str("loud".into())).is_err());
+/// ```
+#[macro_export]
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $label:literal $(| $alias:literal)*,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($label),+].len()] = [$($name::$variant),+];
+
+            /// Short name used in reports and CLI arguments.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+        }
+
+        impl ::std::fmt::Display for $name {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        impl ::std::str::FromStr for $name {
+            type Err = String;
+            fn from_str(s: &str) -> Result<Self, String> {
+                $(if [$label $(, $alias)*].iter().any(|n| n.eq_ignore_ascii_case(s)) {
+                    return Ok($name::$variant);
+                })+
+                Err(format!(
+                    "unknown {} '{s}' ({})",
+                    stringify!($name),
+                    [$($label),+].join("|")
+                ))
+            }
+        }
+
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Json {
+                let wire = match self {
+                    $($name::$variant => stringify!($variant),)+
+                };
+                $crate::Json::Str(wire.to_string())
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn from_json(v: &$crate::Json) -> Result<Self, String> {
+                match v.as_str() {
+                    $(Some(stringify!($variant)) => Ok($name::$variant),)+
+                    _ => Err(format!(
+                        "expected {} ({}), got {v}",
+                        stringify!($name),
+                        [$(stringify!($variant)),+].join("|")
+                    )),
+                }
+            }
+        }
+    };
+}
+
+/// Declare a struct once and generate its JSON object encoding from the
+/// declaration: [`ToJson`] writes every field under its own name, in
+/// declaration order; [`FromJson`] reads them back, ignoring unknown
+/// keys. A field written `name: Type = default` is optional — absent or
+/// `null` in JSON, it takes `default` ([`Json::field_or`]); every other
+/// field is required ([`Json::field`]). Attributes on the struct and its
+/// fields pass through.
+///
+/// ```
+/// lockgran_sim::json_struct! {
+///     /// A retry policy.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Retry {
+///         /// Attempts before giving up.
+///         pub attempts: u32,
+///         /// Pause between attempts.
+///         pub backoff: f64 = 0.5,
+///     }
+/// }
+/// use lockgran_sim::{json, FromJson, ToJson};
+/// let r = Retry::from_json(&json::parse(r#"{"attempts": 3}"#).unwrap()).unwrap();
+/// assert_eq!(r, Retry { attempts: 3, backoff: 0.5 });
+/// assert_eq!(r.to_json().to_string_compact(), r#"{"attempts":3,"backoff":0.5}"#);
+/// assert!(Retry::from_json(&json::parse("{}").unwrap()).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    (@read $v:ident, $field:ident) => {
+        $v.field(stringify!($field))?
+    };
+    (@read $v:ident, $field:ident, $default:expr) => {
+        $v.field_or(stringify!($field), $default)?
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty $(= $default:expr)?,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)+
+        }
+
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::object(vec![
+                    $((stringify!($field), $crate::ToJson::to_json(&self.$field)),)+
+                ])
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn from_json(v: &$crate::Json) -> Result<Self, String> {
+                Ok($name {
+                    $($field: $crate::json_struct!(@read v, $field $(, $default)?),)+
+                })
+            }
+        }
+    };
 }
 
 // ----- parsing -----
@@ -897,5 +1064,105 @@ mod tests {
             parse("99999999999999999999").unwrap(),
             Json::Float(_)
         ));
+    }
+
+    crate::named_enum! {
+        /// A test enum declared out of alphabetical order.
+        #[derive(Default)]
+        enum Tier {
+            Gold => "gold" | "au",
+            #[default]
+            Bronze => "bronze",
+            Silver => "silver" | "ag" | "argent",
+        }
+    }
+
+    /// The listing mirrors of a `named_enum!` — `ALL`, `name()` and
+    /// `Display` — hold every variant in declaration order, so none can
+    /// skip a variant.
+    #[test]
+    fn named_enum_all_follows_the_declaration() {
+        assert_eq!(Tier::ALL, [Tier::Gold, Tier::Bronze, Tier::Silver]);
+        assert_eq!(Tier::default(), Tier::Bronze);
+        let names: Vec<String> = Tier::ALL.iter().map(Tier::to_string).collect();
+        assert_eq!(names, ["gold", "bronze", "silver"]);
+        let names: Vec<&str> = Tier::ALL.iter().map(|t| t.name()).collect();
+        assert_eq!(names, ["gold", "bronze", "silver"]);
+    }
+
+    /// The parsing mirrors of a `named_enum!` — `FromStr` and both JSON
+    /// directions — accept every variant and every alias, so no string
+    /// match can miss one.
+    #[test]
+    fn named_enum_parsers_cover_every_variant() {
+        for (t, spellings) in [
+            (Tier::Gold, &["gold", "GOLD", "au", "Au"][..]),
+            (Tier::Bronze, &["bronze", "Bronze"][..]),
+            (Tier::Silver, &["silver", "ag", "ARGENT"][..]),
+        ] {
+            for s in spellings {
+                assert_eq!(s.parse::<Tier>(), Ok(t), "{s}");
+            }
+            let wire = t.to_json();
+            assert_eq!(wire, Json::Str(format!("{t:?}")));
+            assert_eq!(Tier::from_json(&wire), Ok(t));
+        }
+        assert_eq!(
+            "tin".parse::<Tier>(),
+            Err("unknown Tier 'tin' (gold|bronze|silver)".into())
+        );
+        assert_eq!(
+            Tier::from_json(&Json::Str("gold".into())),
+            Err("expected Tier (Gold|Bronze|Silver), got \"gold\"".into())
+        );
+    }
+
+    crate::json_struct! {
+        #[derive(Debug, PartialEq)]
+        struct Retry {
+            attempts: u32,
+            label: String,
+            backoff: f64 = 0.5,
+            cap: Option<u64> = None,
+        }
+    }
+
+    /// `json_struct!` writes each field under its declared name, in
+    /// declaration order, and reads the same names back: required
+    /// fields must be present, defaulted ones take their default when
+    /// absent or `null`.
+    #[test]
+    fn json_struct_round_trips_by_field_name() {
+        let r = Retry {
+            attempts: 3,
+            label: "x".into(),
+            backoff: 2.0,
+            cap: Some(9),
+        };
+        let j = r.to_json();
+        assert_eq!(
+            j.to_string_compact(),
+            r#"{"attempts":3,"label":"x","backoff":2.0,"cap":9}"#
+        );
+        assert_eq!(Retry::from_json(&j), Ok(r));
+        let sparse = parse(r#"{"label": "y", "attempts": 1, "cap": null, "extra": 0}"#).unwrap();
+        assert_eq!(
+            Retry::from_json(&sparse),
+            Ok(Retry {
+                attempts: 1,
+                label: "y".into(),
+                backoff: 0.5,
+                cap: None,
+            })
+        );
+        let missing = parse(r#"{"attempts": 1}"#).unwrap();
+        assert_eq!(
+            Retry::from_json(&missing),
+            Err("missing field 'label'".into())
+        );
+        let wrong = parse(r#"{"attempts": 1, "label": "y", "backoff": "slow"}"#).unwrap();
+        assert!(Retry::from_json(&wrong)
+            .unwrap_err()
+            .starts_with("field 'backoff': "));
     }
 }

@@ -21,8 +21,10 @@
 //!   conflicts, placement) can be varied independently and the byte
 //!   sequence of every stream is owned by this repository.
 //! * [`json`] — a minimal JSON document model ([`Json`]) with a writer and
-//!   parser, plus the [`ToJson`]/[`FromJson`] traits the rest of the
-//!   workspace implements by hand (zero-dependency serialization).
+//!   parser, the [`ToJson`]/[`FromJson`] traits, and the [`named_enum!`]
+//!   and [`json_struct!`] macros that declare config types once and
+//!   generate their JSON, name and parse code (zero-dependency
+//!   serialization).
 //! * [`stats`] — busy-time accounting, Welford tallies, time-weighted
 //!   levels, histograms and batch-means confidence intervals.
 //! * [`pool`] — a fixed-size worker pool ([`WorkerPool`]) with

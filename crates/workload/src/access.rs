@@ -15,26 +15,28 @@
 //!   count of a uniform entity sample, rather than Yao's mean).
 //! * Worst placement is `Scattered` with `k = min(NU, ltot)`.
 
-use lockgran_sim::{FromJson, Json, SimRng, ToJson};
+use lockgran_sim::{json_struct, SimRng};
 
 use crate::placement::Placement;
 
-/// Hot-spot access skew (the classic "b–c rule": fraction `c` of the
-/// database receives fraction `b` of the accesses, e.g. 80% of accesses
-/// to 20% of the granules).
-///
-/// The paper assumes uniform access; real reference strings are skewed
-/// (Rodriguez-Rosell 1976, which the paper itself cites for sequential
-/// behaviour). Skew only affects the *explicit* conflict model — the
-/// probabilistic partition draw has no notion of which granules are hot,
-/// which is precisely why this extension is interesting.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HotSpot {
-    /// Fraction of the granule space that is hot (0 < fraction < 1).
-    pub fraction: f64,
-    /// Fraction of accesses that go to the hot region
-    /// (`fraction < weight < 1` for actual skew).
-    pub weight: f64,
+json_struct! {
+    /// Hot-spot access skew (the classic "b–c rule": fraction `c` of the
+    /// database receives fraction `b` of the accesses, e.g. 80% of accesses
+    /// to 20% of the granules).
+    ///
+    /// The paper assumes uniform access; real reference strings are skewed
+    /// (Rodriguez-Rosell 1976, which the paper itself cites for sequential
+    /// behaviour). Skew only affects the *explicit* conflict model — the
+    /// probabilistic partition draw has no notion of which granules are hot,
+    /// which is precisely why this extension is interesting.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct HotSpot {
+        /// Fraction of the granule space that is hot (0 < fraction < 1).
+        pub fraction: f64,
+        /// Fraction of accesses that go to the hot region
+        /// (`fraction < weight < 1` for actual skew).
+        pub weight: f64,
+    }
 }
 
 impl HotSpot {
@@ -55,24 +57,6 @@ impl HotSpot {
             return Err("hot-spot weight must be in (0, 1)".into());
         }
         Ok(())
-    }
-}
-
-impl ToJson for HotSpot {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("fraction", self.fraction.to_json()),
-            ("weight", self.weight.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HotSpot {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(HotSpot {
-            fraction: v.field("fraction")?,
-            weight: v.field("weight")?,
-        })
     }
 }
 

@@ -12,17 +12,19 @@
 //! `lockgran-core::system` against the run's seeded `SimRng`, so a config
 //! with no failure spec is bit-identical to the pre-extension model.
 
-use lockgran_sim::{FromJson, Json, ToJson};
+use lockgran_sim::json_struct;
 
-/// Per-processor exponential failure/repair process parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FailureSpec {
-    /// Mean time between failures (exponential mean of each up period),
-    /// in model time units.
-    pub mtbf: f64,
-    /// Mean time to repair (exponential mean of each down period), in
-    /// model time units.
-    pub mttr: f64,
+json_struct! {
+    /// Per-processor exponential failure/repair process parameters.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct FailureSpec {
+        /// Mean time between failures (exponential mean of each up period),
+        /// in model time units.
+        pub mtbf: f64,
+        /// Mean time to repair (exponential mean of each down period), in
+        /// model time units.
+        pub mttr: f64,
+    }
 }
 
 impl FailureSpec {
@@ -55,27 +57,10 @@ impl FailureSpec {
     }
 }
 
-impl ToJson for FailureSpec {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("mtbf", self.mtbf.to_json()),
-            ("mttr", self.mttr.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FailureSpec {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(FailureSpec {
-            mtbf: v.field("mtbf")?,
-            mttr: v.field("mttr")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockgran_sim::{FromJson, ToJson};
 
     #[test]
     fn validation() {

@@ -11,21 +11,19 @@
 //!   subset of disks; the paper models this as `PU_i ~ U(1, npros)` with
 //!   the sub-transactions landing on distinct random processors.
 
-use lockgran_sim::{FromJson, Json, SimRng, ToJson};
+use lockgran_sim::{named_enum, SimRng};
 
-/// Declustering strategy (determines `PU_i` and processor assignment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Partitioning {
-    /// Round-robin over all disks: full fan-out.
-    Horizontal,
-    /// Random subset of disks: fan-out uniform on `[1, npros]`.
-    Random,
+named_enum! {
+    /// Declustering strategy (determines `PU_i` and processor assignment).
+    pub enum Partitioning {
+        /// Round-robin over all disks: full fan-out.
+        Horizontal => "horizontal",
+        /// Random subset of disks: fan-out uniform on `[1, npros]`.
+        Random => "random",
+    }
 }
 
 impl Partitioning {
-    /// Both strategies.
-    pub const ALL: [Partitioning; 2] = [Partitioning::Horizontal, Partitioning::Random];
-
     /// Draw the processors a transaction's sub-transactions run on. The
     /// result has between 1 and `npros` *distinct* processor indices in
     /// `0..npros` ("no two sub-transactions are assigned to the same
@@ -75,58 +73,6 @@ impl Partitioning {
             Partitioning::Horizontal => f64::from(npros),
             Partitioning::Random => (1.0 + f64::from(npros)) / 2.0,
         }
-    }
-
-    /// Short lowercase name used in reports and CLI arguments.
-    pub fn name(self) -> &'static str {
-        match self {
-            Partitioning::Horizontal => "horizontal",
-            Partitioning::Random => "random",
-        }
-    }
-}
-
-impl ToJson for Partitioning {
-    /// Variant-name string, like the previous serde derive: `"Horizontal"`.
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Partitioning::Horizontal => "Horizontal",
-                Partitioning::Random => "Random",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for Partitioning {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Horizontal") => Ok(Partitioning::Horizontal),
-            Some("Random") => Ok(Partitioning::Random),
-            _ => Err(format!(
-                "expected partitioning (Horizontal|Random), got {v}"
-            )),
-        }
-    }
-}
-
-impl std::str::FromStr for Partitioning {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "horizontal" => Ok(Partitioning::Horizontal),
-            "random" => Ok(Partitioning::Random),
-            other => Err(format!(
-                "unknown partitioning '{other}' (horizontal|random)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Partitioning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 

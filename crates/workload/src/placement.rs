@@ -16,25 +16,25 @@
 //! All three return at least 1 lock for a non-empty transaction and never
 //! more than `ltot`.
 
-use lockgran_sim::{FromJson, Json, ToJson};
+use lockgran_sim::named_enum;
 
 use crate::yao::yao_expected_granules;
 
-/// Granule placement strategy (determines `LU_i`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Placement {
-    /// Sequential packing: fewest possible granules.
-    Best,
-    /// Adversarial scatter: one granule per entity (capped at `ltot`).
-    Worst,
-    /// Uniform random scatter: Yao's mean-value estimate.
-    Random,
+named_enum! {
+    /// Granule placement strategy (determines `LU_i`). Declared in the
+    /// order the paper presents the strategies, which is the order of
+    /// `ALL`.
+    pub enum Placement {
+        /// Sequential packing: fewest possible granules.
+        Best => "best",
+        /// Uniform random scatter: Yao's mean-value estimate.
+        Random => "random",
+        /// Adversarial scatter: one granule per entity (capped at `ltot`).
+        Worst => "worst",
+    }
 }
 
 impl Placement {
-    /// All placement strategies, in the order the paper presents them.
-    pub const ALL: [Placement; 3] = [Placement::Best, Placement::Random, Placement::Worst];
-
     /// Number of locks (`LU_i`) required by a transaction accessing `nu`
     /// entities of a `dbsize`-entity database guarded by `ltot` granule
     /// locks.
@@ -54,8 +54,13 @@ impl Placement {
         }
         let nu = nu.min(dbsize);
         match self {
-            // ceil(nu * ltot / dbsize), in integer arithmetic.
-            Placement::Best => (nu * ltot).div_ceil(dbsize).max(1),
+            // ceil(nu * ltot / dbsize), in integer arithmetic. The product
+            // is widened because it can exceed u64 for valid configs; the
+            // quotient is at most `ltot`, so it narrows back exactly.
+            Placement::Best => {
+                let lu = (u128::from(nu) * u128::from(ltot)).div_ceil(u128::from(dbsize));
+                (lu as u64).max(1)
+            }
             Placement::Worst => nu.min(ltot),
             Placement::Random => {
                 let e = yao_expected_granules(dbsize, ltot, nu);
@@ -63,58 +68,6 @@ impl Placement {
                 (e.round() as u64).clamp(1, ltot)
             }
         }
-    }
-
-    /// Short lowercase name used in reports and CLI arguments.
-    pub fn name(self) -> &'static str {
-        match self {
-            Placement::Best => "best",
-            Placement::Worst => "worst",
-            Placement::Random => "random",
-        }
-    }
-}
-
-impl ToJson for Placement {
-    /// Variant-name string, like the previous serde derive: `"Best"`.
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Placement::Best => "Best",
-                Placement::Worst => "Worst",
-                Placement::Random => "Random",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for Placement {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Best") => Ok(Placement::Best),
-            Some("Worst") => Ok(Placement::Worst),
-            Some("Random") => Ok(Placement::Random),
-            _ => Err(format!("expected placement (Best|Worst|Random), got {v}")),
-        }
-    }
-}
-
-impl std::str::FromStr for Placement {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "best" => Ok(Placement::Best),
-            "worst" => Ok(Placement::Worst),
-            "random" => Ok(Placement::Random),
-            other => Err(format!("unknown placement '{other}' (best|random|worst)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Placement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -202,6 +155,20 @@ mod tests {
         assert_eq!(Placement::Best.locks_required(DB, DB, DB), DB);
         // Rounds *up*: 251 entities at ltot = 100 -> ceil(5.02) = 6.
         assert_eq!(Placement::Best.locks_required(251, 100, DB), 6);
+    }
+
+    #[test]
+    fn best_placement_survives_u64_product_overflow() {
+        // nu · ltot crosses 2⁶⁴ exactly at nu = ltot = dbsize = 2³²; one
+        // entity fewer stays just inside u64.
+        let n = 1u64 << 32;
+        assert_eq!(Placement::Best.locks_required(n - 1, n, n), n - 1);
+        assert_eq!(Placement::Best.locks_required(n, n, n), n);
+        // Entity-level locking over a 10¹⁸-entity database.
+        let big = 1_000_000_000_000_000_000u64;
+        assert_eq!(Placement::Best.locks_required(500, big, big), 500);
+        assert_eq!(Placement::Best.locks_required(big, big, big), big);
+        assert_eq!(Placement::Best.locks_required(1, 2, big), 1);
     }
 
     #[test]

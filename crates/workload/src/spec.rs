@@ -5,7 +5,7 @@
 //! `NU_i`, `LU_i` and `PU_i` — drawn by a [`WorkloadGenerator`] from a
 //! [`WorkloadParams`] description.
 
-use lockgran_sim::{FromJson, Json, SimRng, ToJson};
+use lockgran_sim::SimRng;
 
 use crate::partitioning::Partitioning;
 use crate::placement::{LocksMemo, Placement};
@@ -56,32 +56,6 @@ impl WorkloadParams {
             ));
         }
         Ok(())
-    }
-}
-
-impl ToJson for WorkloadParams {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("dbsize", self.dbsize.to_json()),
-            ("ltot", self.ltot.to_json()),
-            ("size", self.size.to_json()),
-            ("placement", self.placement.to_json()),
-            ("partitioning", self.partitioning.to_json()),
-            ("npros", self.npros.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WorkloadParams {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(WorkloadParams {
-            dbsize: v.field("dbsize")?,
-            ltot: v.field("ltot")?,
-            size: v.field("size")?,
-            placement: v.field("placement")?,
-            partitioning: v.field("partitioning")?,
-            npros: v.field("npros")?,
-        })
     }
 }
 

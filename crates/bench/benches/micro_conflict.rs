@@ -41,7 +41,7 @@ fn bench(c: &mut Criterion) {
                     // grants and blocks both exercise the prefix scan.
                     for txn in 0..128u64 {
                         let d = m.try_acquire(1_000_000 + txn, LOCKS_PER_TXN, &[], &mut rng);
-                        black_box(d);
+                        black_box(&d);
                     }
                     m
                 },

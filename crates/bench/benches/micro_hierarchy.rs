@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
                     let txn = serial;
                     serial += 1;
                     let set = granule_run(txn, locks);
-                    black_box(m.try_acquire(txn, locks, &set, &mut rng));
+                    black_box(&m.try_acquire(txn, locks, &set, &mut rng));
                     woken.clear();
                     m.release(txn, &mut woken);
                     black_box(woken.len());
@@ -71,7 +71,7 @@ fn bench(c: &mut Criterion) {
             let txn = serial;
             serial += 1;
             let set = granule_run(txn, 32);
-            black_box(m.try_acquire(txn, 32, &set, &mut rng));
+            black_box(&m.try_acquire(txn, 32, &set, &mut rng));
             woken.clear();
             m.release(txn, &mut woken);
             black_box(woken.len());
@@ -89,11 +89,11 @@ fn bench(c: &mut Criterion) {
             let waiter = serial + 1;
             serial += 2;
             let set: Vec<u64> = (0..8).collect();
-            black_box(m.try_acquire(holder, 8, &set, &mut rng));
-            black_box(m.try_acquire(waiter, 8, &set, &mut rng));
+            black_box(&m.try_acquire(holder, 8, &set, &mut rng));
+            black_box(&m.try_acquire(waiter, 8, &set, &mut rng));
             let mut woken = Vec::new();
             m.release(holder, &mut woken);
-            black_box(m.try_acquire(waiter, 8, &[], &mut rng));
+            black_box(&m.try_acquire(waiter, 8, &[], &mut rng));
             woken.clear();
             m.release(waiter, &mut woken);
             black_box(woken.len());

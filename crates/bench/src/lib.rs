@@ -25,6 +25,11 @@
 //! 2. **Time** a representative simulation point so regressions in the
 //!    simulator's hot path show up in the recorded history.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark harness measures host wall-clock time by design"
+)]
+
 use std::time::{Duration, Instant};
 
 use lockgran_core::ModelConfig;

@@ -38,7 +38,6 @@ impl QueueDiscipline {
     }
 }
 
-// lint:exhaustive(ConflictMode): matches must name variants, not hide them
 named_enum! {
     /// Which lock-conflict computation drives blocking decisions.
     pub enum ConflictMode {
@@ -411,8 +410,8 @@ impl ModelConfig {
                 return Err(format!("{name} must be a finite non-negative number"));
             }
         }
-        // lint:allow(D003): exact-zero test on user-supplied parameters —
-        // both operands were validated finite and non-negative above
+        // Exact-zero test on user-supplied parameters — both operands were
+        // validated finite and non-negative above.
         if self.cputime + self.iotime == 0.0 {
             return Err(
                 "cputime and iotime cannot both be zero: transactions would be instantaneous"

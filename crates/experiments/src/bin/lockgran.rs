@@ -51,6 +51,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
+  lockgran help | -h | --help
   lockgran list
   lockgran <table1|fig2..fig12|all|extA|extB|extC|extD|extE|extF|extG|extH|extI|ext> [--quick] [--chart] [--seed N] [--reps N] [--tmax T] [--jobs N] [--out DIR]
   lockgran batch <configs.json> [--seed N] [--out FILE.csv]
@@ -67,6 +68,10 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         return Err("missing command".into());
     };
     match cmd.as_str() {
+        "help" | "-h" | "--help" => {
+            println!("{USAGE}");
+            Ok(())
+        }
         "list" => {
             println!("paper artifacts:");
             for id in ALL_IDS {
@@ -488,7 +493,9 @@ mod tests {
     /// everything else must be spelled out.
     #[test]
     fn usage_covers_every_dispatch_command() {
-        for cmd in ["list", "run", "batch", "timeline", "warmup", "all", "ext"] {
+        for cmd in [
+            "help", "list", "run", "batch", "timeline", "warmup", "all", "ext",
+        ] {
             assert!(USAGE.contains(cmd), "USAGE is missing command '{cmd}'");
         }
         assert!(

@@ -45,7 +45,7 @@ pub fn render_table(fig: &Figure) -> String {
 }
 
 fn format_x(x: f64) -> String {
-    if x == x.trunc() {
+    if x.fract() == 0.0 {
         format!("{}", x as i64)
     } else {
         format!("{x}")

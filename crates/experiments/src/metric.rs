@@ -7,7 +7,6 @@
 use lockgran_core::RunMetrics;
 use lockgran_sim::named_enum;
 
-// lint:exhaustive(Metric): matches must name variants, not hide them
 named_enum! {
     /// A scalar output of one simulation run; its name is the identifier
     /// used in CSV/JSON columns.

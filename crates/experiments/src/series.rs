@@ -56,6 +56,11 @@ impl Series {
     }
 
     /// Mean at a given x, if present.
+    #[expect(
+        clippy::float_cmp,
+        reason = "a lookup by grid point: callers pass an x the sweep was built \
+                  from, never a computed one"
+    )]
     pub fn at(&self, x: f64) -> Option<f64> {
         self.points.iter().find(|p| p.x == x).map(|p| p.mean)
     }

@@ -163,6 +163,18 @@ fn warmup_gives_a_verdict() {
 }
 
 #[test]
+fn help_prints_usage_and_succeeds() {
+    for arg in ["help", "-h", "--help"] {
+        let (stdout, stderr) = run_ok(&[arg]);
+        assert!(stdout.starts_with("usage:"), "lockgran {arg}:\n{stdout}");
+        assert!(
+            stderr.is_empty(),
+            "lockgran {arg} wrote to stderr:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let out = lockgran().arg("nonsense").output().unwrap();
     assert!(!out.status.success());

@@ -3,8 +3,8 @@
 //! A diagnostic can be silenced in place with a comment:
 //!
 //! ```text
-//! // lint:allow(P001): poisoning is unrecoverable for a lock table
-//! self.shards[idx].lock().expect("shard poisoned")
+//! // lint:allow(P002): the oracle favours the most literal FIFO
+//! let next = queue.remove(0);
 //! ```
 //!
 //! The directive names one or more rule codes (comma-separated) and an
@@ -14,23 +14,15 @@
 //! flagged expression, and when the justification wraps across several
 //! comment lines before the code resumes.
 //!
-//! `lint:allow-file(<rule>)` suppresses a rule for the whole file; it is
-//! intended for files whose purpose conflicts with a rule wholesale
-//! (none are needed in-tree today, but fixtures exercise it).
-//!
 //! Each directive tracks whether it ever suppressed a diagnostic; a
 //! directive that suppressed nothing is itself reported as stale (rule
 //! W001), so allows cannot silently outlive the code they vouched for.
-//!
-//! One *marker* directive feeds the exhaustiveness rule rather than
-//! suppressing anything: `lint:exhaustive(Enum)` marks an enum whose
-//! matches must not hide variants behind `_` (rule E001).
 
 use std::cell::Cell;
 
 use crate::lexer::Token;
 
-/// One parsed `lint:allow` / `lint:allow-file` directive.
+/// One parsed `lint:allow` directive.
 #[derive(Clone, Debug)]
 pub struct AllowDirective {
     /// Rule codes named in the directive (uppercased).
@@ -42,41 +34,9 @@ pub struct AllowDirective {
     /// line holding a token, so a justification wrapped over several
     /// comment lines still reaches the code below it.
     pub until: u32,
-    /// True for `lint:allow-file`.
-    pub file_wide: bool,
     /// Set when the directive suppresses at least one diagnostic; a
     /// directive still unset after all rules ran is stale (W001).
     pub used: Cell<bool>,
-}
-
-/// One parsed `lint:exhaustive(Enum)` marker: matches on `Enum` must not
-/// hide variants behind a `_` arm (rule E001).
-#[derive(Clone, Debug)]
-pub struct Marker {
-    /// The enum the marker names.
-    pub name: String,
-    /// 1-based line the marker's comment starts on.
-    pub line: u32,
-}
-
-impl Marker {
-    /// Scan one comment's text for markers and append them to `out`.
-    pub fn scan(comment: &str, line: u32, out: &mut Vec<Marker>) {
-        const KW: &str = "lint:exhaustive";
-        let mut rest = comment;
-        while let Some(at) = rest.find(KW) {
-            let after = &rest[at + KW.len()..];
-            if let Some(args) = after.strip_prefix('(') {
-                if let Some(close) = args.find(')') {
-                    let name = args[..close].trim().to_string();
-                    if !name.is_empty() {
-                        out.push(Marker { name, line });
-                    }
-                }
-            }
-            rest = after;
-        }
-    }
 }
 
 /// The lines holding *code* tokens — tokens that are part of attribute
@@ -123,10 +83,6 @@ impl AllowDirective {
         let mut rest = comment;
         while let Some(at) = rest.find("lint:allow") {
             let after = &rest[at + "lint:allow".len()..];
-            let (file_wide, after) = match after.strip_prefix("-file") {
-                Some(a) => (true, a),
-                None => (false, after),
-            };
             let Some(args) = after.strip_prefix('(') else {
                 rest = &rest[at + 1..];
                 continue;
@@ -145,7 +101,6 @@ impl AllowDirective {
                     rules,
                     line,
                     until: line + 1,
-                    file_wide,
                     used: Cell::new(false),
                 });
             }
@@ -180,16 +135,13 @@ impl AllowSet {
 
     /// Is `rule` suppressed at `line`?
     ///
-    /// A line-scoped directive covers its own line through `until`
-    /// (the next code line); a file-wide directive covers everything.
-    /// Every directive that matches is marked used, which is what keeps
-    /// it off the stale-allow (W001) report.
+    /// A directive covers its own line through `until` (the next code
+    /// line). Every directive that matches is marked used, which is what
+    /// keeps it off the stale-allow (W001) report.
     pub fn suppresses(&self, rule: &str, line: u32) -> bool {
         let mut hit = false;
         for d in &self.directives {
-            if d.rules.iter().any(|r| r == rule)
-                && (d.file_wide || (d.line <= line && line <= d.until))
-            {
+            if d.rules.iter().any(|r| r == rule) && d.line <= line && line <= d.until {
                 d.used.set(true);
                 hit = true;
             }
@@ -215,23 +167,15 @@ mod tests {
 
     #[test]
     fn parses_single_rule_with_reason() {
-        let ds = scan_one("// lint:allow(P001): justified");
+        let ds = scan_one("// lint:allow(P002): justified");
         assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].rules, vec!["P001"]);
-        assert!(!ds[0].file_wide);
+        assert_eq!(ds[0].rules, vec!["P002"]);
     }
 
     #[test]
     fn parses_multiple_rules() {
-        let ds = scan_one("// lint:allow(d001, D003)");
-        assert_eq!(ds[0].rules, vec!["D001", "D003"]);
-    }
-
-    #[test]
-    fn parses_file_wide() {
-        let ds = scan_one("// lint:allow-file(Z001): fixture");
-        assert!(ds[0].file_wide);
-        assert_eq!(ds[0].rules, vec!["Z001"]);
+        let ds = scan_one("// lint:allow(d005, L001)");
+        assert_eq!(ds[0].rules, vec!["D005", "L001"]);
     }
 
     #[test]
@@ -242,55 +186,34 @@ mod tests {
 
     #[test]
     fn suppression_covers_directive_line_and_next() {
-        let set = AllowSet::new(scan_one("// lint:allow(P001)"));
-        assert!(set.suppresses("P001", 7));
-        assert!(set.suppresses("P001", 8));
-        assert!(!set.suppresses("P001", 9));
-        assert!(!set.suppresses("P001", 6));
-        assert!(!set.suppresses("D001", 7));
+        let set = AllowSet::new(scan_one("// lint:allow(P002)"));
+        assert!(set.suppresses("P002", 7));
+        assert!(set.suppresses("P002", 8));
+        assert!(!set.suppresses("P002", 9));
+        assert!(!set.suppresses("P002", 6));
+        assert!(!set.suppresses("D005", 7));
     }
 
     #[test]
     fn extend_to_code_skips_comment_only_lines() {
         // Directive on line 7, wrapped comment on 8, code resumes on 9.
-        let mut set = AllowSet::new(scan_one("// lint:allow(P001): a long\n"));
+        let mut set = AllowSet::new(scan_one("// lint:allow(P002): a long\n"));
         set.extend_to_code(&[1, 3, 9, 12]);
-        assert!(set.suppresses("P001", 9));
-        assert!(!set.suppresses("P001", 10));
-        assert!(!set.suppresses("P001", 12));
-    }
-
-    #[test]
-    fn file_wide_covers_everything() {
-        let set = AllowSet::new(scan_one("// lint:allow-file(D001)"));
-        assert!(set.suppresses("D001", 1));
-        assert!(set.suppresses("D001", 10_000));
-        assert!(!set.suppresses("D002", 1));
+        assert!(set.suppresses("P002", 9));
+        assert!(!set.suppresses("P002", 10));
+        assert!(!set.suppresses("P002", 12));
     }
 
     #[test]
     fn suppression_marks_directive_used() {
-        let set = AllowSet::new(scan_one("// lint:allow(P001)"));
+        let set = AllowSet::new(scan_one("// lint:allow(P002)"));
         assert!(!set.directives()[0].used.get());
-        assert!(!set.suppresses("D001", 7)); // wrong rule: not a use
+        assert!(!set.suppresses("D005", 7)); // wrong rule: not a use
         assert!(!set.directives()[0].used.get());
-        assert!(!set.suppresses("P001", 99)); // out of range: not a use
+        assert!(!set.suppresses("P002", 99)); // out of range: not a use
         assert!(!set.directives()[0].used.get());
-        assert!(set.suppresses("P001", 8));
+        assert!(set.suppresses("P002", 8));
         assert!(set.directives()[0].used.get());
-    }
-
-    #[test]
-    fn markers_are_scanned() {
-        let mut out = Vec::new();
-        Marker::scan("// lint:exhaustive(Metric)", 3, &mut out);
-        Marker::scan("/// lint:exhaustive( ConflictMode ): matches", 9, &mut out);
-        Marker::scan("// no marker here, nor lint:exhaustive()", 12, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].name, "Metric");
-        assert_eq!(out[0].line, 3);
-        assert_eq!(out[1].name, "ConflictMode");
-        assert_eq!(out[1].line, 9);
     }
 
     #[test]
@@ -307,11 +230,10 @@ mod tests {
     fn extend_to_code_crosses_attribute_lines() {
         // Directive on line 1, attribute on line 2, code on line 3: the
         // allow must reach the decorated item, not stop at the attribute.
-        let src =
-            "// lint:allow(P001): wrapped fn is infallible\n#[inline]\nfn f() { o.unwrap(); }";
+        let src = "// lint:allow(P002): two elements at most\n#[inline]\nfn f() { v.remove(0); }";
         let lexed = crate::lexer::lex(src);
         let mut set = AllowSet::new(lexed.allows);
         set.extend_to_code(&code_token_lines(&lexed.tokens, src));
-        assert!(set.suppresses("P001", 3), "allow must cover the fn line");
+        assert!(set.suppresses("P002", 3), "allow must cover the fn line");
     }
 }

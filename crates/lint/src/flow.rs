@@ -61,7 +61,7 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::TokenKind;
-use crate::parse::{visit_fns, Block, EventKind, FnItem, Run, Stmt, TokRange};
+use crate::parse::{visit_fns, visit_runs, Block, EventKind, FnItem, Run, Stmt, TokRange};
 use crate::symbols::SymbolTable;
 use crate::{emit, Diagnostic, FileAnalysis, Rule};
 
@@ -109,33 +109,6 @@ const CC: u8 = 1;
 /// Taint kind bit: pool/job-configuration dependence.
 const POOL: u8 = 2;
 
-/// Is this function's body inside a test region?
-fn fn_in_test(fa: &FileAnalysis, f: &FnItem) -> bool {
-    fa.tokens.get(f.span.0).is_some_and(|t| t.in_test)
-}
-
-/// Apply `f` to every opaque run in the block tree.
-fn for_each_run<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Run)) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Run(r) => f(r),
-            Stmt::If { then_b, else_b, .. } => {
-                for_each_run(then_b, f);
-                if let Some(e) = else_b {
-                    for_each_run(e, f);
-                }
-            }
-            Stmt::Match { arms, .. } => {
-                for a in arms {
-                    for_each_run(&a.body, f);
-                }
-            }
-            Stmt::Loop { body, .. } => for_each_run(body, f),
-            Stmt::Block(b) => for_each_run(b, f),
-        }
-    }
-}
-
 // ----- L-rules -----
 
 /// Run L001/L002 over every non-test function in a core/lockmgr file.
@@ -143,11 +116,10 @@ pub fn check_lock_protocol(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec
     if !(fa.rel.starts_with("crates/core/") || fa.rel.starts_with("crates/lockmgr/")) {
         return;
     }
-    visit_fns(&fa.ast.items, &mut |f, _| {
-        let Some(body) = &f.body else { return };
-        if fn_in_test(fa, f) {
+    visit_fns(&fa.items, &mut |f| {
+        let Some(body) = f.body.as_ref().filter(|_| !f.in_test) else {
             return;
-        }
+        };
         check_discarded_acquires(fa, body, out);
         check_pairing(fa, table, f, body, out);
     });
@@ -155,7 +127,7 @@ pub fn check_lock_protocol(fa: &FileAnalysis, table: &SymbolTable, out: &mut Vec
 
 /// L002: an acquire whose result is dropped on the floor.
 fn check_discarded_acquires(fa: &FileAnalysis, body: &Block, out: &mut Vec<Diagnostic>) {
-    for_each_run(body, &mut |r| {
+    visit_runs(body, &mut |r| {
         if !r.discards_result {
             return;
         }
@@ -192,7 +164,7 @@ fn check_pairing(
 ) {
     let mut has_acquire = false;
     let mut release_lines: Vec<u32> = Vec::new();
-    for_each_run(body, &mut |r| {
+    visit_runs(body, &mut |r| {
         for e in &r.events {
             if let EventKind::Call { name, .. } = &e.kind {
                 if SymbolTable::is_acquire_call(name) {
@@ -287,10 +259,8 @@ impl LockSim<'_> {
                     if arms.is_empty() {
                         continue;
                     }
-                    let outs: Vec<BlockOut> = arms
-                        .iter()
-                        .map(|a| self.walk_block(&a.body, held))
-                        .collect();
+                    let outs: Vec<BlockOut> =
+                        arms.iter().map(|a| self.walk_block(a, held)).collect();
                     if outs.iter().all(|o| o.diverged) {
                         return BlockOut {
                             held: false,
@@ -357,7 +327,6 @@ impl LockSim<'_> {
                     }
                 }
                 EventKind::Panic => return None, // exempt exit
-                EventKind::Break | EventKind::Continue => {}
             }
         }
         Some(held)
@@ -371,11 +340,10 @@ pub fn check_determinism_flow(fa: &FileAnalysis, out: &mut Vec<Diagnostic>) {
     if !(fa.rel.starts_with("crates/core/") || fa.rel.starts_with("crates/workload/")) {
         return;
     }
-    visit_fns(&fa.ast.items, &mut |f, _| {
-        let Some(body) = &f.body else { return };
-        if fn_in_test(fa, f) {
+    visit_fns(&fa.items, &mut |f| {
+        let Some(body) = f.body.as_ref().filter(|_| !f.in_test) else {
             return;
-        }
+        };
         let bindings = tainted_bindings(fa, body);
         walk_taint(fa, body, &bindings, 0, out);
     });
@@ -387,23 +355,19 @@ fn scan_taint(fa: &FileAnalysis, range: TokRange, bindings: &BTreeMap<String, u8
     let mut mask = 0u8;
     let hi = range.1.min(fa.tokens.len());
     for t in &fa.tokens[range.0.min(hi)..hi] {
-        match t.kind {
-            TokenKind::Ident => {
-                let s = t.text(&fa.src);
-                if CC_SEEDS.contains(&s) {
-                    mask |= CC;
-                }
-                if POOL_SEEDS.contains(&s) {
-                    mask |= POOL;
-                }
-                if let Some(&b) = bindings.get(s) {
-                    mask |= b;
-                }
+        let s = t.text(&fa.src);
+        if t.kind == TokenKind::Ident {
+            if CC_SEEDS.contains(&s) {
+                mask |= CC;
             }
-            TokenKind::Str if t.text(&fa.src).contains("LOCKGRAN_JOBS") => {
+            if POOL_SEEDS.contains(&s) {
                 mask |= POOL;
             }
-            _ => {}
+            if let Some(&b) = bindings.get(s) {
+                mask |= b;
+            }
+        } else if t.kind == TokenKind::Str && s.contains("LOCKGRAN_JOBS") {
+            mask |= POOL;
         }
     }
     mask
@@ -411,10 +375,10 @@ fn scan_taint(fa: &FileAnalysis, range: TokRange, bindings: &BTreeMap<String, u8
 
 /// Propagate taint through `let` bindings to a fixpoint.
 fn tainted_bindings(fa: &FileAnalysis, body: &Block) -> BTreeMap<String, u8> {
-    let mut runs: Vec<&Run> = Vec::new();
-    for_each_run(body, &mut |r| {
-        if !r.let_binds.is_empty() && r.let_init.is_some() {
-            runs.push(r);
+    let mut runs: Vec<(&Run, TokRange)> = Vec::new();
+    visit_runs(body, &mut |r| {
+        if let Some(init) = r.let_init.filter(|_| !r.let_binds.is_empty()) {
+            runs.push((r, init));
         }
     });
     let mut bindings: BTreeMap<String, u8> = BTreeMap::new();
@@ -422,8 +386,7 @@ fn tainted_bindings(fa: &FileAnalysis, body: &Block) -> BTreeMap<String, u8> {
     // or two rounds; the cap guards pathological cycles.
     for _ in 0..8 {
         let mut changed = false;
-        for r in &runs {
-            let init = r.let_init.unwrap_or(r.span);
+        for &(r, init) in &runs {
             let mask = scan_taint(fa, init, &bindings);
             if mask == 0 {
                 continue;
@@ -475,12 +438,10 @@ fn walk_taint(
                     walk_taint(fa, e, bindings, mask, out);
                 }
             }
-            Stmt::Match {
-                scrutinee, arms, ..
-            } => {
+            Stmt::Match { scrutinee, arms } => {
                 let mask = inherited | scan_taint(fa, *scrutinee, bindings);
                 for a in arms {
-                    walk_taint(fa, &a.body, bindings, mask, out);
+                    walk_taint(fa, a, bindings, mask, out);
                 }
             }
             Stmt::Loop { cond, body } => {
@@ -541,10 +502,10 @@ fn walk_taint(
 
 #[cfg(test)]
 mod tests {
-    use crate::{lint_rust_source_as, Scope};
+    use crate::lint_rust_source;
 
     fn codes_at(path: &str, src: &str) -> Vec<(u32, &'static str)> {
-        lint_rust_source_as(path, src, Scope::Library)
+        lint_rust_source(path, src)
             .iter()
             .map(|d| (d.line, d.rule.code()))
             .collect()

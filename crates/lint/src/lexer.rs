@@ -1,11 +1,8 @@
 //! A small hand-written Rust lexer.
 //!
-//! The linter does not need a full parser: every rule in the catalog can
-//! be phrased over a token stream with accurate line/column spans, plus a
-//! little bracket matching done by the consumers. The lexer therefore
-//! only distinguishes the token classes the rules care about and treats
-//! every punctuation character as its own token — multi-character
-//! operators (`==`, `::`, `->`, …) are recognized by the rule layer from
+//! It only distinguishes the token classes the rules and the parser care
+//! about and treats every punctuation character as its own token —
+//! multi-character operators (`==`, `::`, `->`, …) are recognized from
 //! *adjacent* punctuation tokens, which keeps the lexer trivial and the
 //! adjacency information exact.
 //!
@@ -20,7 +17,7 @@
 //! * float literals are distinguished from integer literals, including
 //!   the exponent and suffix forms (`1e3`, `2f64`) but not hex.
 
-use crate::allow::{AllowDirective, Marker};
+use crate::allow::AllowDirective;
 
 /// The coarse token classes the rule layer matches on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,14 +75,12 @@ impl Token {
 }
 
 /// Result of lexing one file: the token stream plus every suppression
-/// directive and exhaustiveness marker found in comments.
+/// directive found in comments.
 pub struct LexOutput {
     /// The token stream, in source order.
     pub tokens: Vec<Token>,
     /// Suppression directives found in comments, in source order.
     pub allows: Vec<AllowDirective>,
-    /// `lint:exhaustive` markers, in source order.
-    pub markers: Vec<Marker>,
 }
 
 struct Cursor<'s> {
@@ -150,7 +145,6 @@ pub fn lex(src: &str) -> LexOutput {
     };
     let mut tokens = Vec::new();
     let mut allows = Vec::new();
-    let mut markers = Vec::new();
 
     while let Some(b) = cur.peek() {
         // Whitespace.
@@ -174,7 +168,6 @@ pub fn lex(src: &str) -> LexOutput {
                 (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
             if !doc {
                 AllowDirective::scan(text, line, &mut allows);
-                Marker::scan(text, line, &mut markers);
             }
             continue;
         }
@@ -205,7 +198,6 @@ pub fn lex(src: &str) -> LexOutput {
             let doc = text.starts_with("/**") || text.starts_with("/*!");
             if !doc {
                 AllowDirective::scan(text, line, &mut allows);
-                Marker::scan(text, line, &mut markers);
             }
             continue;
         }
@@ -291,11 +283,7 @@ pub fn lex(src: &str) -> LexOutput {
         });
     }
 
-    LexOutput {
-        tokens,
-        allows,
-        markers,
-    }
+    LexOutput { tokens, allows }
 }
 
 /// Try to lex a literal that starts with an identifier-like prefix:
@@ -555,26 +543,23 @@ mod tests {
 
     #[test]
     fn allow_directives_are_collected() {
-        let out = lex("// lint:allow(D001): reasons\nlet x = 1;");
+        let out = lex("// lint:allow(P002): reasons\nlet x = 1;");
         assert_eq!(out.allows.len(), 1);
-        assert_eq!(out.allows[0].rules, vec!["D001".to_string()]);
+        assert_eq!(out.allows[0].rules, vec!["P002".to_string()]);
         assert_eq!(out.allows[0].line, 1);
     }
 
     #[test]
-    fn doc_comments_do_not_register_directives_or_markers() {
+    fn doc_comments_do_not_register_directives() {
         let src = "\
-//! // lint:allow(P001): example in module docs
-/// // lint:allow(D001): example in item docs
-/** lint:exhaustive(Mode) */
-//// lint:allow(Z001): a ruler comment is not a doc comment
-// lint:exhaustive(Metric)
+//! // lint:allow(P002): example in module docs
+/// // lint:allow(D005): example in item docs
+/** lint:allow(L001): example in block docs */
+//// lint:allow(L002): a ruler comment is not a doc comment
 fn f() {}
 ";
         let out = lex(src);
         assert_eq!(out.allows.len(), 1, "only the //// line counts");
-        assert_eq!(out.allows[0].rules, vec!["Z001".to_string()]);
-        assert_eq!(out.markers.len(), 1, "only the plain // marker counts");
-        assert_eq!(out.markers[0].name, "Metric");
+        assert_eq!(out.allows[0].rules, vec!["L002".to_string()]);
     }
 }

@@ -1,41 +1,28 @@
-//! CLI entry point: `cargo run -p lockgran-lint [-- --root DIR] [--fix-allow]`.
+//! CLI entry point: `cargo run -p lockgran-lint [-- --root DIR] [--github]`.
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lockgran_lint::{count_scanned, lint_workspace, Diagnostic, Rule};
+use lockgran_lint::{lint_workspace, walk, Diagnostic};
 
 const USAGE: &str = "\
-lockgran-lint — determinism & policy static analysis
+lockgran-lint — lock-protocol, determinism-flow and policy static analysis
 
 USAGE:
     cargo run -p lockgran-lint [-- OPTIONS]
 
 OPTIONS:
     --root <DIR>   Workspace root to scan (default: this workspace)
-    --fix-allow    Print ready-to-paste `// lint:allow(...)` comments
-                   for each finding instead of bare diagnostics
-    --json         Emit diagnostics as a JSON array of
-                   {path, line, col, rule, message} objects
     --github       Emit diagnostics as GitHub Actions annotations
                    (`::error file=…`) so CI surfaces them inline
-    --list-rules   Print the rule catalog and exit
     -h, --help     Show this help
 ";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Output {
-    Text,
-    Json,
-    Github,
-}
-
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut fix_allow = false;
-    let mut output = Output::Text;
+    let mut github = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -46,15 +33,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--fix-allow" => fix_allow = true,
-            "--json" => output = Output::Json,
-            "--github" => output = Output::Github,
-            "--list-rules" => {
-                for rule in Rule::ALL {
-                    println!("{}", rule.code());
-                }
-                return ExitCode::SUCCESS;
-            }
+            "--github" => github = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -66,56 +45,28 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = match root {
-        Some(r) => r,
-        None => default_root(),
-    };
-
-    let scanned = match count_scanned(&root) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("lockgran-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let diags = match lint_workspace(&root) {
-        Ok(d) => d,
+    let root = root.unwrap_or_else(default_root);
+    let scan = walk::discover(&root).and_then(|files| Ok((files.len(), lint_workspace(&root)?)));
+    let (scanned, diags) = match scan {
+        Ok(scan) => scan,
         Err(e) => {
             eprintln!("lockgran-lint: {e}");
             return ExitCode::from(2);
         }
     };
 
-    if output == Output::Json {
-        print!("{}", render_json(&diags));
-    } else if output == Output::Github {
-        for d in &diags {
+    for d in &diags {
+        if github {
             println!("{}", render_annotation(d));
+        } else {
+            println!("{d}");
         }
     }
-
     if diags.is_empty() {
-        if output == Output::Text {
+        if !github {
             println!("lockgran-lint: clean ({scanned} files scanned)");
         }
         return ExitCode::SUCCESS;
-    }
-
-    if output == Output::Text {
-        if fix_allow {
-            println!("# Paste the matching comment on the line above each finding");
-            println!("# (or fix the code — an allow needs a real justification).");
-            for d in &diags {
-                println!(
-                    "{d}\n    // lint:allow({}): <justify: why is this safe here?>",
-                    d.rule.code()
-                );
-            }
-        } else {
-            for d in &diags {
-                println!("{d}");
-            }
-        }
     }
     let files: std::collections::BTreeSet<&str> = diags.iter().map(|d| d.path.as_str()).collect();
     eprintln!(
@@ -124,46 +75,6 @@ fn main() -> ExitCode {
         files.len()
     );
     ExitCode::FAILURE
-}
-
-/// Render diagnostics as a machine-readable JSON array (hand-rolled, in
-/// keeping with the zero-dependency policy).
-fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"path\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.path),
-            d.line,
-            d.col,
-            d.rule.code(),
-            json_escape(&d.message)
-        ));
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One GitHub Actions workflow-command annotation.

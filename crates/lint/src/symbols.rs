@@ -1,23 +1,18 @@
 //! The workspace symbol table.
 //!
-//! Built in a first pass over every parsed file, consumed by the rule
-//! layers in a second pass. It resolves exactly three things the flow
-//! and exhaustiveness rules need:
-//!
-//! * every enum definition and its variant list (E001);
-//! * which enums are marked `lint:exhaustive` (E001);
-//! * a conservative may-release closure over the call graph: a function
-//!   *may release* a lock if it directly calls one of the release-family
-//!   methods (`release` / `release_all` / `cancel`) or calls — by name,
-//!   anywhere in the workspace — a function that may. Name-keyed rather
-//!   than type-resolved: that over-approximates (two unrelated `close`
-//!   methods alias), which for the L-rules errs in the safe direction of
-//!   crediting a release rather than inventing a leak.
+//! Built in a first pass over every parsed file, consumed by the L-rules
+//! in a second pass. It resolves one thing: a conservative may-release
+//! closure over the call graph. A function *may release* a lock if it
+//! directly calls one of the release-family methods (`release` /
+//! `release_all` / `cancel`) or calls — by name, anywhere in the
+//! workspace — a function that may. Name-keyed rather than
+//! type-resolved: that over-approximates (two unrelated `close` methods
+//! alias), which for the L-rules errs in the safe direction of crediting
+//! a release rather than inventing a leak.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::allow::Marker;
-use crate::parse::{visit_enums, visit_fns, Ast, Block, EventKind, Stmt};
+use crate::parse::{visit_fns, visit_runs, EventKind, Item};
 
 /// Method names that take a lock.
 pub const ACQUIRE_FAMILY: [&str; 2] = ["acquire", "try_acquire"];
@@ -28,10 +23,6 @@ pub const RELEASE_FAMILY: [&str; 3] = ["release", "release_all", "cancel"];
 /// Cross-file facts shared by every rule in the second pass.
 #[derive(Default)]
 pub struct SymbolTable {
-    /// Enum name → variant names, in declaration order.
-    pub enums: BTreeMap<String, Vec<String>>,
-    /// Enums marked `lint:exhaustive`.
-    pub exhaustive: BTreeSet<String>,
     /// Function name → names it calls (union over same-named fns).
     calls: BTreeMap<String, BTreeSet<String>>,
     /// Functions that transitively reach a release-family call.
@@ -40,22 +31,17 @@ pub struct SymbolTable {
 
 impl SymbolTable {
     /// Fold one parsed file into the table.
-    pub fn add_file(&mut self, ast: &Ast, markers: &[Marker]) {
-        visit_enums(&ast.items, &mut |e| {
-            self.enums.insert(e.name.clone(), e.variants.clone());
-        });
-        for m in markers {
-            self.exhaustive.insert(m.name.clone());
-        }
-        visit_fns(&ast.items, &mut |f, _| {
-            if let Some(body) = &f.body {
-                let mut callees = BTreeSet::new();
-                collect_calls(body, &mut callees);
-                self.calls
-                    .entry(f.name.clone())
-                    .or_default()
-                    .extend(callees);
-            }
+    pub fn add_file(&mut self, items: &[Item]) {
+        visit_fns(items, &mut |f| {
+            let Some(body) = &f.body else { return };
+            let callees = self.calls.entry(f.name.clone()).or_default();
+            visit_runs(body, &mut |r| {
+                for e in &r.events {
+                    if let EventKind::Call { name, .. } = &e.kind {
+                        callees.insert(name.clone());
+                    }
+                }
+            });
         });
     }
 
@@ -91,34 +77,6 @@ impl SymbolTable {
     }
 }
 
-/// Collect the names called anywhere in a block (all branches).
-pub fn collect_calls(block: &Block, out: &mut BTreeSet<String>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Run(r) => {
-                for e in &r.events {
-                    if let EventKind::Call { name, .. } = &e.kind {
-                        out.insert(name.clone());
-                    }
-                }
-            }
-            Stmt::If { then_b, else_b, .. } => {
-                collect_calls(then_b, out);
-                if let Some(e) = else_b {
-                    collect_calls(e, out);
-                }
-            }
-            Stmt::Match { arms, .. } => {
-                for a in arms {
-                    collect_calls(&a.body, out);
-                }
-            }
-            Stmt::Loop { body, .. } => collect_calls(body, out),
-            Stmt::Block(b) => collect_calls(b, out),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,26 +84,10 @@ mod tests {
     use crate::parse::parse;
 
     fn table_for(src: &str) -> SymbolTable {
-        let lexed = lex(src);
-        let ast = parse(&lexed.tokens, src);
         let mut t = SymbolTable::default();
-        t.add_file(&ast, &lexed.markers);
+        t.add_file(&parse(&lex(src).tokens, src));
         t.finalize();
         t
-    }
-
-    #[test]
-    fn enums_and_markers_resolve() {
-        let src = "
-            // lint:exhaustive(Mode)
-            enum Mode { A, B }
-            enum Other { X }
-        ";
-        let t = table_for(src);
-        assert_eq!(t.enums["Mode"], vec!["A", "B"]);
-        assert_eq!(t.enums["Other"], vec!["X"]);
-        assert!(t.exhaustive.contains("Mode"));
-        assert!(!t.exhaustive.contains("Other"));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Workspace file discovery.
 //!
-//! Walks the workspace root for `.rs` sources and `Cargo.toml` manifests,
-//! skipping build output (`target/`), VCS metadata, and the linter's own
-//! rule fixtures (which are violations *on purpose*). Files are returned
-//! sorted by path so diagnostics come out in a stable order regardless of
-//! the host filesystem's directory iteration order — the linter holds
-//! itself to the determinism bar it enforces.
+//! Walks the workspace root for library `.rs` sources, skipping build
+//! output (`target/`), VCS metadata, test code (`tests/`, `benches/` and
+//! `examples/` directories, which also hold the linter's own rule
+//! fixtures) and `simbench/`, a separate workspace that clippy checks in
+//! its own passes. Files are returned sorted by path so diagnostics come
+//! out in a stable order regardless of the host filesystem's directory
+//! iteration order — the linter holds itself to the determinism bar it
+//! enforces.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -18,7 +20,10 @@ pub struct SourceFile {
     pub rel: String,
 }
 
-/// Recursively collect `.rs` and `Cargo.toml` files under `root`.
+/// Directories that hold no library code.
+const SKIPPED_DIRS: [&str; 5] = ["target", "tests", "benches", "examples", "simbench"];
+
+/// Recursively collect the library `.rs` files under `root`.
 pub fn discover(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
     walk_dir(root, root, &mut out)?;
@@ -34,11 +39,11 @@ fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), St
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') || name == "fixtures" {
+            if name.starts_with('.') || SKIPPED_DIRS.contains(&name.as_ref()) {
                 continue;
             }
             walk_dir(root, &path, out)?;
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
+        } else if name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)
                 .map_err(|e| format!("strip_prefix {}: {e}", path.display()))?
@@ -62,13 +67,12 @@ mod tests {
         let files = discover(root).expect("walk own crate");
         let rels: Vec<&str> = files.iter().map(|f| f.rel.as_str()).collect();
         assert!(rels.contains(&"src/walk.rs"));
-        assert!(rels.contains(&"Cargo.toml"));
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted, "discovery order must be path-sorted");
         assert!(
-            !rels.iter().any(|r| r.contains("fixtures/")),
-            "fixtures must be excluded"
+            !rels.iter().any(|r| r.starts_with("tests/")),
+            "test files and fixtures must be excluded"
         );
     }
 }

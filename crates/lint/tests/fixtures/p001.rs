@@ -1,4 +1,6 @@
-//! P001 fixture: panicking calls in library code.
+//! P001 fixture: panicking calls, flagged by `clippy::unwrap_used` and
+//! `clippy::expect_used` in the library pass. Clippy must flag exactly
+//! the lines marked VIOLATION.
 
 pub fn take(o: Option<u64>, r: Result<u64, String>) -> u64 {
     let a = o.unwrap(); // VIOLATION
@@ -7,35 +9,30 @@ pub fn take(o: Option<u64>, r: Result<u64, String>) -> u64 {
     a + b + ok_default
 }
 
-pub struct Parser;
-
-impl Parser {
-    /// Domain method named `expect` — not `Option::expect`.
-    pub fn expect(&mut self, _b: u8) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-pub fn parse(p: &mut Parser) -> Result<(), String> {
-    p.expect(b'{') // ok: argument is not a string literal
-}
-
+#[expect(
+    clippy::unwrap_used,
+    reason = "caller checked is_some() on the hot path"
+)]
 pub fn vouched(o: Option<u64>) -> u64 {
-    // lint:allow(P001): caller checked is_some() on the hot path
-    o.unwrap() // suppressed
+    o.unwrap()
 }
 
 pub fn wrapped(o: Option<u64>) -> u64 {
-    o.map(|v| v + 1)
-        // lint:allow(P001): a multi-line justification that wraps across
-        // several comment lines still covers the call below it
-        .unwrap() // suppressed
+    #[expect(
+        clippy::expect_used,
+        reason = "a justification on a `let` covers its whole initializer, \
+                  however many lines the chain spans"
+    )]
+    let v = o
+        .map(|v| v + 1)
+        .expect("caller passes Some");
+    v
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn unwrap_is_fine_in_tests() {
-        assert_eq!(Some(1).unwrap(), 1); // ok: test region
+        assert_eq!("1".parse::<u64>().unwrap(), 1); // ok: test code
     }
 }

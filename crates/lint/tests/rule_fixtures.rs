@@ -1,11 +1,13 @@
 //! Integration tests: every rule against its fixture file, asserting
 //! span-accurate positive diagnostics, silent negatives, and working
 //! `lint:allow` suppressions. The fixtures live under `tests/fixtures/`,
-//! which the workspace walker excludes — they are violations on purpose.
+//! which the workspace walker skips — they are violations on purpose.
+//! The fixtures of the rules clippy enforces are checked by the root
+//! package's `tests/rule_fixtures.rs`.
 
 use std::path::Path;
 
-use lockgran_lint::{lint_manifest, lint_rust_source_as, Diagnostic, Scope};
+use lockgran_lint::{lint_rust_source, lint_workspace};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -15,78 +17,19 @@ fn fixture(name: &str) -> String {
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()))
 }
 
-/// Lint a Rust fixture as library code and return `(line, col, code)`
-/// triples, in output order.
-fn lint_fixture(name: &str) -> Vec<(u32, u32, &'static str)> {
-    let src = fixture(name);
-    let diags = lint_rust_source_as(name, &src, Scope::Library);
-    triples(&diags)
-}
-
-/// Lint a fixture under a synthetic workspace-relative path. The L- and
-/// R-rules only fire inside specific crates (`crates/core/`, …), so their
+/// Lint a fixture under a synthetic workspace-relative path and return
+/// `(line, col, code)` triples, in output order. The crate-gated rules
+/// only fire inside specific crates (`crates/core/`, …), so their
 /// fixtures must be presented as if they lived there.
 fn lint_fixture_at(name: &str, rel: &str) -> Vec<(u32, u32, &'static str)> {
-    let src = fixture(name);
-    let diags = lint_rust_source_as(rel, &src, Scope::Library);
-    triples(&diags)
-}
-
-fn triples(diags: &[Diagnostic]) -> Vec<(u32, u32, &'static str)> {
-    diags
+    lint_rust_source(rel, &fixture(name))
         .iter()
         .map(|d| (d.line, d.col, d.rule.code()))
         .collect()
 }
 
-#[test]
-fn d001_hash_containers() {
-    assert_eq!(
-        lint_fixture("d001.rs"),
-        vec![
-            (4, 23, "D001"),
-            (5, 23, "D001"),
-            (9, 16, "D001"),
-            (9, 36, "D001"),
-            // Flagged even inside #[cfg(test)]: hash iteration order can
-            // flake assertions.
-            (23, 27, "D001"),
-        ]
-    );
-}
-
-#[test]
-fn d002_wall_clock() {
-    assert_eq!(
-        lint_fixture("d002.rs"),
-        vec![(3, 16, "D002"), (6, 19, "D002"), (7, 29, "D002")]
-    );
-}
-
-#[test]
-fn d003_float_comparisons() {
-    assert_eq!(
-        lint_fixture("d003.rs"),
-        vec![
-            (4, 15, "D003"),
-            (5, 15, "D003"),
-            (6, 17, "D003"),
-            (7, 15, "D003"),
-        ]
-    );
-}
-
-#[test]
-fn d004_raw_threading() {
-    assert_eq!(
-        lint_fixture("d004.rs"),
-        vec![
-            (3, 16, "D004"),  // use std::sync::mpsc
-            (6, 31, "D004"),  // std::thread::spawn
-            (7, 18, "D004"),  // std::thread::scope
-            (10, 26, "D004"), // std::thread::Builder
-        ]
-    );
+fn lint_fixture(name: &str) -> Vec<(u32, u32, &'static str)> {
+    lint_fixture_at(name, &format!("crates/x/src/{name}"))
 }
 
 #[test]
@@ -122,14 +65,6 @@ fn d005_gated_to_hot_lock_modules() {
 }
 
 #[test]
-fn p001_panicking_calls() {
-    assert_eq!(
-        lint_fixture("p001.rs"),
-        vec![(4, 15, "P001"), (5, 15, "P001")]
-    );
-}
-
-#[test]
 fn p002_front_removal() {
     assert_eq!(
         lint_fixture("p002.rs"),
@@ -139,55 +74,28 @@ fn p002_front_removal() {
 
 #[test]
 fn p002_exempt_outside_library_scope() {
+    // Only library code is read: the same file under tests/, benches/,
+    // examples/ or simbench/ is never linted.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("library-scope");
     let src = fixture("p002.rs");
-    assert!(lint_rust_source_as("p002.rs", &src, Scope::TestCode).is_empty());
-    assert!(lint_rust_source_as("p002.rs", &src, Scope::Bench).is_empty());
+    for dir in ["src", "tests", "benches", "examples", "simbench/src"] {
+        let dir = root.join("crates/x").join(dir);
+        std::fs::create_dir_all(&dir).expect("create scratch crate");
+        std::fs::write(dir.join("p002.rs"), &src).expect("write scratch file");
+    }
+    let diags = lint_workspace(&root).expect("lint scratch workspace");
+    let paths: Vec<&str> = diags.iter().map(|d| d.path.as_str()).collect();
+    assert_eq!(paths, ["crates/x/src/p002.rs"; 2], "{diags:?}");
 }
 
-#[test]
-fn z001_external_dependencies() {
-    let src = fixture("z001_external_dep.toml");
-    let diags = lint_manifest("z001_external_dep.toml", &src);
-    let lines: Vec<(u32, &str)> = diags.iter().map(|d| (d.line, d.rule.code())).collect();
-    assert_eq!(
-        lines,
-        vec![
-            (12, "Z001"), // serde = "1.0"
-            (13, "Z001"), // rand = { git = … }
-            (18, "Z001"), // criterion = { version = … }
-            (20, "Z001"), // [dependencies.libc] without path/workspace
-        ],
-        "{diags:?}"
-    );
-    assert!(diags.iter().any(|d| d.message.contains("serde")));
-    assert!(diags.iter().any(|d| d.message.contains("libc")));
-}
-
-#[test]
-fn allow_file_suppresses_one_rule_everywhere() {
-    assert_eq!(lint_fixture("allow_file.rs"), vec![(14, 7, "P001")]);
-}
-
-#[test]
-fn bench_scope_exempts_determinism_rules() {
-    let src = fixture("d001.rs");
-    let diags = lint_rust_source_as("d001.rs", &src, Scope::Bench);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn test_scope_exempts_panics_but_not_containers() {
-    let p = fixture("p001.rs");
-    assert!(lint_rust_source_as("p001.rs", &p, Scope::TestCode).is_empty());
-    let d = fixture("d001.rs");
-    assert!(!lint_rust_source_as("d001.rs", &d, Scope::TestCode).is_empty());
-}
+/// L001's findings in `l001.rs`.
+const L001_FINDINGS: [(u32, u32, &str); 3] = [(5, 23, "L001"), (7, 9, "L001"), (28, 13, "L001")];
 
 #[test]
 fn l001_lock_released_after_early_exit() {
     assert_eq!(
         lint_fixture_at("l001.rs", "crates/core/src/l001.rs"),
-        vec![(5, 23, "L001"), (7, 9, "L001"), (28, 13, "L001")]
+        L001_FINDINGS
     );
 }
 
@@ -205,7 +113,7 @@ fn l001_applies_to_core_locking_engine() {
     // acquire/release pairing rules must keep gating it.
     assert_eq!(
         lint_fixture_at("l001.rs", "crates/core/src/locking.rs"),
-        vec![(5, 23, "L001"), (7, 9, "L001"), (28, 13, "L001")]
+        L001_FINDINGS
     );
 }
 
@@ -239,16 +147,6 @@ fn r002_shared_stream_draw_under_cc_branch() {
         lint_fixture_at("r002.rs", "crates/core/src/r002.rs"),
         vec![(8, 43, "R002")]
     );
-}
-
-#[test]
-fn e001_wildcard_hiding_marked_enum_variants() {
-    assert_eq!(lint_fixture("e001.rs"), vec![(22, 9, "E001")]);
-}
-
-#[test]
-fn e001_sees_enums_declared_in_named_enum_blocks() {
-    assert_eq!(lint_fixture("e001_named_enum.rs"), vec![(23, 9, "E001")]);
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! The workspace must be lint-clean: this is the same check
-//! `scripts/verify.sh` runs via `cargo run -p lockgran-lint`, kept as a
-//! test so `cargo test` alone also catches policy regressions.
+//! The workspace must be lint-clean and free of external dependencies.
+//! The lint check is the one `scripts/verify.sh` runs via
+//! `cargo run -p lockgran-lint`, kept as a test so `cargo test` alone also
+//! catches policy regressions.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -67,12 +68,53 @@ fn workspace_scan_covers_all_crates() {
         );
     }
     assert!(
-        files.iter().any(|f| f.rel == "Cargo.toml"),
-        "scan missed the workspace manifest"
+        files.iter().any(|f| f.rel == "src/lib.rs"),
+        "scan missed the root package"
     );
-    assert!(
-        !files.iter().any(|f| f.rel.contains("fixtures/")),
-        "fixtures must not be scanned"
+    for skipped in ["tests/", "benches/", "simbench/"] {
+        assert!(
+            !files.iter().any(|f| f.rel.contains(skipped)),
+            "{skipped} must not be scanned"
+        );
+    }
+}
+
+/// Every package of a `Cargo.lock` that comes from outside the tree, as
+/// `name (source)`. Path and workspace packages have no `source` line;
+/// registry (`registry+…`) and git (`git+…`) packages do.
+fn external_packages(lock: &str) -> Vec<String> {
+    let mut name = "";
+    let mut out = Vec::new();
+    for line in lock.lines() {
+        if let Some(n) = line.strip_prefix("name = ") {
+            name = n.trim_matches('"');
+        } else if let Some(source) = line.strip_prefix("source = ") {
+            out.push(format!("{name} ({})", source.trim_matches('"')));
+        }
+    }
+    out
+}
+
+/// Z001: the zero-dependency policy, checked on what cargo resolved.
+#[test]
+fn lock_files_name_no_external_package() {
+    let root = workspace_root();
+    for lock in ["Cargo.lock", "simbench/Cargo.lock"] {
+        let text = std::fs::read_to_string(root.join(lock)).expect("read lock file");
+        assert_eq!(external_packages(&text), Vec::<String>::new(), "{lock}");
+    }
+}
+
+#[test]
+fn z001_external_dependencies() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/z001_external_dep.lock");
+    let lock = std::fs::read_to_string(path).expect("read fixture");
+    assert_eq!(
+        external_packages(&lock),
+        [
+            "serde (registry+https://github.com/rust-lang/crates.io-index)",
+            "rand (git+https://example.invalid/rand.git#0123456789abcdef0123456789abcdef01234567)",
+        ]
     );
 }
 

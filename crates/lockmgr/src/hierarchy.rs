@@ -202,10 +202,8 @@ pub fn escalate_predeclared_into(
         promoted.clear();
         let mut i = 0;
         while i < current.len() {
-            let parent = tree
-                .parent(current[i])
-                // lint:allow(P001): non-root nodes always have a parent
-                .expect("non-root node has a parent");
+            #[expect(clippy::expect_used, reason = "non-root nodes always have a parent")]
+            let parent = tree.parent(current[i]).expect("non-root node has a parent");
             let mut j = i;
             while j < current.len() && tree.parent(current[j]) == Some(parent) {
                 j += 1;

@@ -171,10 +171,12 @@ impl TwoPhaseScheduler {
         // abort removes a node from the graph, and once `txn` stops
         // waiting (it was granted or aborted) it has no outgoing edges
         // left.
-        while let Some(victim) = self.graph.find_cycle_from(txn).map(|cycle| {
-            // lint:allow(P001): find_cycle_from never returns an empty cycle
-            *cycle.iter().max().expect("cycle is non-empty")
-        }) {
+        while let Some(cycle) = self.graph.find_cycle_from(txn) {
+            #[expect(
+                clippy::expect_used,
+                reason = "find_cycle_from never returns an empty cycle"
+            )]
+            let victim = *cycle.iter().max().expect("cycle is non-empty");
             self.abort_collect(victim, &mut effects.granted);
             effects.victims.push(victim);
         }

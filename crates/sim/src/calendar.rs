@@ -261,6 +261,11 @@ impl<E> CalendarQueue<E> {
 
     /// Unlink the head of group `g` (pending at `at`), return its node to
     /// the free list, and retire the group if it drained.
+    #[expect(
+        clippy::expect_used,
+        reason = "only vacant nodes hold no event, and those sit on the free \
+                  list, never in a group"
+    )]
     fn pop_group(&mut self, at: Time, g: u32) -> E {
         let group = &mut self.groups[g as usize];
         let slot = group.head;
@@ -278,11 +283,7 @@ impl<E> CalendarQueue<E> {
             group.head = self.free_group;
             self.free_group = g;
         }
-        node.event
-            .take()
-            // lint:allow(P001): only vacant nodes hold no event, and those
-            // sit on the free list, never in a group
-            .expect("a grouped node holds its event")
+        node.event.take().expect("a grouped node holds its event")
     }
 
     /// Number of pending events, the sorted lane included.

@@ -69,14 +69,6 @@ impl Json {
         )
     }
 
-    /// Member lookup; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// Required object field, decoded via [`FromJson`].
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
         match self.get(key) {
@@ -98,67 +90,6 @@ impl Json {
     /// Optional object field with a default for missing/`null`.
     pub fn field_or<T: FromJson>(&self, key: &str, default: T) -> Result<T, String> {
         Ok(self.opt_field(key)?.unwrap_or(default))
-    }
-
-    /// The value as a float; integers widen.
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::Int(i) => Some(i as f64),
-            Json::Float(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The value as an unsigned integer (rejects negatives and fractions).
-    pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::Int(i) if i >= 0 => Some(i as u64),
-            // lint:allow(D003): integrality test — fract() is exactly 0.0
-            // for whole floats, by IEEE 754 definition
-            Json::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
-                Some(f as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a signed integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(i) => Some(i),
-            Json::Float(f)
-                // lint:allow(D003): integrality test — fract() is exactly
-                // 0.0 for whole floats, by IEEE 754 definition
-                if f.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&f) =>
-            {
-                Some(f as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
     }
 
     /// Whether this is `null`.
@@ -232,6 +163,83 @@ impl Json {
     }
 }
 
+/// Typed views of a value. Each view answers for the variants it reads
+/// and is `None` for every other one.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "a view is None for every variant it does not read, a future one included"
+)]
+impl Json {
+    /// Member lookup; `None` for missing keys or non-objects.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a float; integers widen.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::Int(i) => Some(i as f64),
+            Json::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer (rejects negatives and fractions).
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Json::Int(i) if i >= 0 => Some(i as u64),
+            // Integrality test — fract() is exactly 0.0 for whole floats, by
+            // IEEE 754 definition.
+            Json::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
+                Some(f as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The value as a signed integer.
+    pub fn as_i64(&self) -> Option<i64> {
+        match *self {
+            Json::Int(i) => Some(i),
+            Json::Float(f)
+                // Integrality test — fract() is exactly 0.0 for whole floats,
+                // by IEEE 754 definition.
+                if f.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&f) =>
+            {
+                Some(f as i64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            Json::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_string_compact())
@@ -253,10 +261,9 @@ impl std::ops::Index<usize> for Json {
     /// Element access; yields `Json::Null` out of bounds or on non-arrays.
     fn index(&self, idx: usize) -> &Json {
         static NULL: Json = Json::Null;
-        match self {
-            Json::Array(items) => items.get(idx).unwrap_or(&NULL),
-            _ => &NULL,
-        }
+        self.as_array()
+            .and_then(|items| items.get(idx))
+            .unwrap_or(&NULL)
     }
 }
 
@@ -282,7 +289,7 @@ fn format_float(f: f64) -> String {
     if !f.is_finite() {
         return "null".to_string();
     }
-    if f == f.trunc() && f.abs() < 1e16 {
+    if f.fract() == 0.0 && f.abs() < 1e16 {
         format!("{f:.1}")
     } else {
         format!("{f}")
@@ -415,9 +422,10 @@ impl<T: ToJson> ToJson for Option<T> {
 
 impl<T: FromJson> FromJson for Option<T> {
     fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::from_json(v).map(Some)
         }
     }
 }

@@ -18,8 +18,8 @@
 //! the reproducibility baseline and under debuggers.
 //!
 //! This module is the **only** place in the workspace allowed to touch
-//! raw threading primitives; lint rule D004 enforces that everything else
-//! goes through the pool (see `crates/lint`).
+//! raw threading primitives; the root `clippy.toml` bans them everywhere
+//! else (rule D004), so everything goes through the pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,6 +138,11 @@ impl WorkerPool {
         // slots, so the output order is the submission order.
         let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the worker pool is the one sanctioned home for raw threads: \
+                      results gather into indexed slots, in submission order"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..self.jobs.min(n) {
                 scope.spawn(|| {
@@ -147,22 +152,25 @@ impl WorkerPool {
                         if i >= n {
                             break;
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "a poisoned cell means a sibling task panicked, so \
+                                      propagating is correct; the cursor hands out each \
+                                      index exactly once"
+                        )]
                         let task = cells[i]
                             .lock()
-                            // lint:allow(P001): a poisoned cell means a
-                            // sibling task panicked; propagating is correct
                             .expect("task cell poisoned")
                             .take()
-                            // lint:allow(P001): the cursor hands out each
-                            // index exactly once
                             .expect("task claimed twice");
                         local.push((i, task()));
                     }
-                    let mut merged = slots
-                        .lock()
-                        // lint:allow(P001): a poisoned gather means a
-                        // sibling task panicked; propagating is correct
-                        .expect("result slots poisoned");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a poisoned gather means a sibling task panicked; \
+                                  propagating is correct"
+                    )]
+                    let mut merged = slots.lock().expect("result slots poisoned");
                     for (i, v) in local {
                         merged[i] = Some(v);
                     }
@@ -170,14 +178,18 @@ impl WorkerPool {
             }
         });
 
-        slots
+        #[expect(
+            clippy::expect_used,
+            reason = "all workers joined without panicking above, and every index \
+                      was claimed and merged exactly once"
+        )]
+        let results = slots
             .into_inner()
-            // lint:allow(P001): all workers joined without panicking above
             .expect("result slots poisoned")
             .into_iter()
-            // lint:allow(P001): every index was claimed and merged exactly once
             .map(|slot| slot.expect("task produced no result"))
-            .collect()
+            .collect();
+        results
     }
 
     /// Execute every task with per-task panic isolation, returning one
@@ -253,6 +265,11 @@ impl WorkerPool {
         let slots: Mutex<Vec<Option<Result<T, TaskPanic>>>> =
             Mutex::new((0..n).map(|_| None).collect());
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the worker pool is the one sanctioned home for raw threads: \
+                      results gather into indexed slots, in submission order"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..self.jobs.min(n) {
                 scope.spawn(|| {
@@ -263,14 +280,16 @@ impl WorkerPool {
                         if i >= n {
                             break;
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "a poisoned cell means a sibling task panicked, so \
+                                      propagating is correct; the cursor hands out each \
+                                      index exactly once"
+                        )]
                         let task = cells[i]
                             .lock()
-                            // lint:allow(P001): a poisoned cell means a
-                            // sibling task panicked; propagating is correct
                             .expect("task cell poisoned")
                             .take()
-                            // lint:allow(P001): the cursor hands out each
-                            // index exactly once
                             .expect("task claimed twice");
                         match catch_unwind(AssertUnwindSafe(|| task(&mut state))) {
                             Ok(v) => local.push((i, Ok(v))),
@@ -286,12 +305,12 @@ impl WorkerPool {
                             }
                         }
                     }
-                    let mut merged = slots
-                        .lock()
-                        // lint:allow(P001): a poisoned gather means a
-                        // sibling worker panicked outside catch_unwind;
-                        // propagating is correct
-                        .expect("result slots poisoned");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a poisoned gather means a sibling worker panicked \
+                                  outside catch_unwind; propagating is correct"
+                    )]
+                    let mut merged = slots.lock().expect("result slots poisoned");
                     for (i, v) in local {
                         merged[i] = Some(v);
                     }
@@ -299,14 +318,18 @@ impl WorkerPool {
             }
         });
 
-        slots
+        #[expect(
+            clippy::expect_used,
+            reason = "all workers joined without panicking above, and every index \
+                      was claimed and merged exactly once"
+        )]
+        let results = slots
             .into_inner()
-            // lint:allow(P001): all workers joined without panicking above
             .expect("result slots poisoned")
             .into_iter()
-            // lint:allow(P001): every index was claimed and merged exactly once
             .map(|slot| slot.expect("task produced no result"))
-            .collect()
+            .collect();
+        results
     }
 }
 

@@ -239,12 +239,12 @@ impl Server {
     /// time, and return the job with its demand reduced to the unserved
     /// remainder.
     fn close_segment(&mut self, now: Time) -> Job {
-        let cur = self
-            .current
-            .take()
-            // lint:allow(P001): private helper; every caller checks the
-            // server is busy before closing the segment
-            .expect("close_segment with idle server");
+        #[expect(
+            clippy::expect_used,
+            reason = "private helper; every caller checks the server is busy \
+                      before closing the segment"
+        )]
+        let cur = self.current.take().expect("close_segment with idle server");
         let served = now.since(cur.segment_start);
         self.busy[cur.job.class.index()] += served;
         let mut job = cur.job;

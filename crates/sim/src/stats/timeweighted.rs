@@ -59,9 +59,8 @@ impl TimeWeighted {
     /// level to `now`. Returns the current level for an empty interval.
     pub fn mean_at(&self, now: Time) -> f64 {
         let span = now.saturating_since(self.start).units();
-        // lint:allow(D003): empty-interval guard — saturating_since
-        // returns exactly 0.0 when now <= start, and any non-zero span
-        // must divide the area below
+        // Empty-interval guard — saturating_since returns exactly 0.0 when
+        // now <= start, and any non-zero span must divide the area below.
         if span == 0.0 {
             return self.level;
         }

@@ -49,8 +49,8 @@ pub fn suggest_truncation(smoothed: &[f64], tolerance: f64) -> Option<usize> {
     }
     let tail = &smoothed[smoothed.len() - smoothed.len() / 4..];
     let level = tail.iter().sum::<f64>() / tail.len() as f64;
-    // lint:allow(D003): division-by-zero guard for the relative-tolerance
-    // test below; any non-zero level, however small, is usable
+    // Division-by-zero guard for the relative-tolerance test below; any
+    // non-zero level, however small, is usable.
     if level == 0.0 {
         return None;
     }
@@ -86,10 +86,10 @@ pub fn welch_t(mean_a: f64, var_a: f64, n_a: u64, mean_b: f64, var_b: f64, n_b: 
     let sa = var_a / n_a as f64;
     let sb = var_b / n_b as f64;
     let se2 = sa + sb;
-    // lint:allow(D003): exact-zero variance is the degenerate branch
+    // Exact-zero variance is the degenerate branch.
     if se2 == 0.0 {
         let diff = mean_a - mean_b;
-        // lint:allow(D003): identical means with no spread — t is 0
+        // Identical means with no spread — t is 0.
         let t = if diff == 0.0 {
             0.0
         } else {

@@ -81,8 +81,8 @@ pub fn yao_expected_granules(d: u64, g: u64, k: u64) -> f64 {
     let mut ratio = 1.0f64;
     for i in 0..k {
         ratio *= (m - i) as f64 / (d - i) as f64;
-        // lint:allow(D003): early exit once the product underflows to
-        // exactly 0.0 — it can never recover, every factor is < 1
+        // Early exit once the product underflows to exactly 0.0 — it can never
+        // recover, every factor is < 1.
         if ratio == 0.0 {
             break;
         }
@@ -181,8 +181,8 @@ fn complementary_ratio(d: u64, k: u64, s: u64) -> f64 {
     let mut ratio = 1.0f64;
     for j in 0..s {
         ratio *= (d - k - j) as f64 / (d - j) as f64;
-        // lint:allow(D003): early exit once the product underflows to
-        // exactly 0.0 — it can never recover, every factor is < 1
+        // Early exit once the product underflows to exactly 0.0 — it can never
+        // recover, every factor is < 1.
         if ratio == 0.0 {
             break;
         }

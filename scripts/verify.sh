@@ -1,15 +1,11 @@
 #!/usr/bin/env bash
-# Offline verification gate: formatting, lints, policy lint, build, tests.
+# Offline verification gate: formatting, clippy, policy lint, build, tests.
 #
 # Everything runs with --offline — the workspace has no external
 # dependencies by policy (see DESIGN.md §5), so a bare toolchain with no
 # registry access must be able to pass this script end to end.
 #
-# Usage:
-#   scripts/verify.sh               full gate
-#   scripts/verify.sh --fix-allow   run only the policy lint, printing
-#                                   ready-to-paste lint:allow comments
-#                                   for each finding (triage mode)
+# Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,17 +14,44 @@ cd "$(dirname "$0")/.."
 # shows on a 1-core machine too instead of only on wider CI hosts.
 export RUST_TEST_THREADS=4
 
-if [[ "${1:-}" == "--fix-allow" ]]; then
-    exec cargo run --offline -q -p lockgran-lint -- --fix-allow
-fi
+# Lints for library code only (DESIGN.md §7): no panics, exact float
+# compares or wildcard arms over enums. `--lib --bins` compiles no
+# `#[cfg(test)]` module, `tests/`, `benches/` or `examples/`, so test code
+# stays free to unwrap and assert exactly. This array is the one place
+# the list is kept: the root tests/rule_fixtures.rs reads it to check the
+# rule fixtures with the same flags.
+library_lints=(
+    -D clippy::unwrap_used
+    -D clippy::expect_used
+    -D clippy::float_cmp
+    -D clippy::wildcard_enum_match_arm
+    -D clippy::match_wildcard_for_single_variants
+)
 
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (warnings denied)"
+echo "== cargo clippy, all targets (warnings denied; clippy.toml bans hash containers, wall clocks, raw threads)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== lockgran-lint (static analysis: lock protocol, determinism flow, policy)"
+echo "== cargo clippy, library code (no panics, exact float compares or enum wildcards)"
+cargo clippy --offline --workspace --lib --bins -- -D warnings "${library_lints[@]}"
+
+echo "== clippy rule fixtures (clippy flags exactly each fixture's VIOLATION lines)"
+cargo test --offline -q -p lockgran --test rule_fixtures
+
+echo "== simbench clippy, all targets"
+# simbench/ is its own workspace and measures host time with raw threads
+# by design, so the clippy.toml bans it inherits from the root are off.
+simbench_allow=(-A clippy::disallowed_types -A clippy::disallowed_methods)
+cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- \
+    -D warnings "${simbench_allow[@]}"
+
+echo "== simbench clippy, binaries (library-code lints)"
+cargo clippy --offline --manifest-path simbench/Cargo.toml --bins -- \
+    -D warnings "${simbench_allow[@]}" "${library_lints[@]}"
+
+echo "== lockgran-lint (lock protocol, determinism flow, hot-path maps, front removals)"
 if [[ -n "${GITHUB_ACTIONS:-}" ]]; then
     # Under Actions, emit workflow commands so findings show up as
     # inline annotations on the PR diff (same exit status either way).

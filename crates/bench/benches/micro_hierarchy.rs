@@ -99,13 +99,7 @@ fn bench(c: &mut Criterion) {
             black_box(woken.len());
         });
     });
-
-    group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench
-}
+criterion_group!(benches, bench);
 criterion_main!(benches);

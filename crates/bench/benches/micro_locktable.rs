@@ -1,15 +1,17 @@
-//! Micro-bench: lock-table request cost vs resident granule count.
+//! Micro-bench: the lock table and the conservative protocol on it.
 //!
 //! The paper's granularity sweeps keep up to `ltot` granule entries live
 //! in the table at once. This bench pins per-request cost at ltot ∈
 //! {10^2, 10^4, 10^6} so the container's scaling — the hash-indexed slab
 //! is O(1) per probe where an ordered map pays O(log n) pointer-chasing —
-//! is visible in isolation from the rest of the simulator.
+//! is visible in isolation from the rest of the simulator. Beside it: the
+//! X-mode grant/release cycle on an empty table at paper-scale lock
+//! counts, and the conservative all-at-once request.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lockgran_lockmgr::{GranuleId, LockMode, LockTable, TxnId};
+use lockgran_lockmgr::{ConservativeScheduler, GranuleId, LockMode, LockTable, TxnId};
 
 /// Resident holder transactions the populated table is spread across.
 const HOLDERS: u64 = 16;
@@ -79,12 +81,42 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    group.finish();
+    for &locks_per_txn in &[5usize, 50, 250] {
+        group.bench_with_input(
+            BenchmarkId::new("uncontended_x_cycle", locks_per_txn),
+            &locks_per_txn,
+            |b, &k| {
+                let mut lt = LockTable::new();
+                let (mut blockers, mut woken) = (Vec::new(), Vec::new());
+                let mut serial = 0u64;
+                b.iter(|| {
+                    let txn = TxnId(serial);
+                    serial += 1;
+                    for g in 0..k as u64 {
+                        black_box(lt.lock_into(txn, GranuleId(g), LockMode::X, &mut blockers));
+                    }
+                    lt.release_all_into(txn, &mut woken);
+                    black_box(woken.len());
+                });
+            },
+        );
+    }
+
+    group.bench_function("conservative_request_all_50", |b| {
+        let mut s = ConservativeScheduler::new();
+        let locks: Vec<(GranuleId, LockMode)> =
+            (0..50).map(|g| (GranuleId(g), LockMode::X)).collect();
+        let mut woken = Vec::new();
+        let mut serial = 0u64;
+        b.iter(|| {
+            let txn = TxnId(serial);
+            serial += 1;
+            black_box(s.request_all(txn, &locks));
+            s.release_into(txn, &mut woken);
+            black_box(woken.len());
+        });
+    });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench
-}
+criterion_group!(benches, bench);
 criterion_main!(benches);

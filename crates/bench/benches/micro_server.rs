@@ -1,10 +1,8 @@
-//! Micro-bench: the preemptive-resume server and a whole-simulation
-//! events-per-second figure.
+//! Micro-bench: the preemptive-resume server.
 
-use lockgran_bench::{criterion_group, criterion_main, Criterion, Throughput};
+use lockgran_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use lockgran_core::{sim, ModelConfig};
 use lockgran_sim::{Class, CompletionOutcome, Dur, Job, JobId, Server, Time};
 
 fn bench(c: &mut Criterion) {
@@ -68,22 +66,7 @@ fn bench(c: &mut Criterion) {
             }
         });
     });
-
-    group.finish();
-
-    // End-to-end simulator speed, reported as simulated-time-units/sec.
-    let mut e2e = c.benchmark_group("simulator");
-    let cfg = ModelConfig::table1().with_tmax(300.0);
-    e2e.throughput(Throughput::Elements(300));
-    e2e.bench_function("table1_units_per_sec", |b| {
-        b.iter(|| sim::run(black_box(&cfg), 42))
-    });
-    e2e.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench
-}
+criterion_group!(benches, bench);
 criterion_main!(benches);

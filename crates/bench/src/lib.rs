@@ -1,29 +1,21 @@
-//! Dependency-free benchmark harness plus shared helpers for the suite.
+//! Dependency-free micro-benchmark harness.
 //!
-//! The harness reproduces the slice of the Criterion API the benches use
+//! The suite times single operations of the simulator's layers (the
+//! future-event list, the servers, Yao's formula, the conflict models
+//! and the lock tables), one bench target per layer; end-to-end timing
+//! of whole runs is simbench's job (`simbench/`). The harness keeps the
+//! slice of the Criterion API those benches use
 //! (`criterion_group!`/`criterion_main!`, benchmark groups, per-input
-//! benches, element throughput), so a bench file reads exactly like its
-//! Criterion counterpart — but everything below is in-tree:
+//! benches), so a bench file reads like its Criterion counterpart, but
+//! everything below is in-tree:
 //!
-//! * each benchmark is warmed up, then timed over `sample_size` samples
-//!   of a calibrated iteration count;
+//! * each benchmark is warmed up for 500 ms, then timed over 30 samples
+//!   of a calibrated iteration count, 3 s in all;
 //! * per-sample nanoseconds-per-iteration feed min / mean / median / p95
 //!   statistics, printed to stdout;
 //! * every bench binary writes its results as JSON (parseable by
-//!   [`lockgran_sim::json`]) into `results/bench/<bench_name>.json`.
-//!
-//! Environment knobs:
-//!
-//! * `LOCKGRAN_BENCH_QUICK=1` — shrink warm-up/measurement budgets to a
-//!   smoke-test scale (used by CI and `scripts/verify.sh`);
-//! * `LOCKGRAN_BENCH_OUT=<dir>` — redirect the JSON report directory.
-//!
-//! Every per-figure bench does two things:
-//!
-//! 1. **Regenerate** the paper artifact in quick mode and print the rows
-//!    the paper's plot would be drawn from (once, at bench start-up).
-//! 2. **Time** a representative simulation point so regressions in the
-//!    simulator's hot path show up in the recorded history.
+//!   [`lockgran_sim::json`]) into `results/bench/<bench_name>.json`;
+//! * `cargo bench -- --test` runs each routine once and writes nothing.
 
 #![expect(
     clippy::disallowed_types,
@@ -32,30 +24,14 @@
 
 use std::time::{Duration, Instant};
 
-use lockgran_core::ModelConfig;
-use lockgran_experiments::figures::run_by_id;
-use lockgran_experiments::{render_table, RunOptions};
 use lockgran_sim::{Json, ToJson};
-
-/// Regenerate a figure in quick mode and print its rows.
-pub fn regenerate(id: &str) {
-    let opts = RunOptions::quick();
-    let fig = run_by_id(id, &opts).unwrap_or_else(|| panic!("unknown figure {id}"));
-    println!("\n{}", render_table(&fig));
-}
-
-/// A short, representative configuration for timing (not measuring model
-/// outputs): Table 1 at a reduced horizon.
-pub fn timing_config() -> ModelConfig {
-    ModelConfig::table1().with_tmax(300.0)
-}
 
 // ---------------------------------------------------------------------------
 // Timing statistics
 // ---------------------------------------------------------------------------
 
 /// The recorded outcome of one benchmark: per-sample ns/iteration
-/// statistics plus optional element throughput.
+/// statistics.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
     /// Full benchmark id, e.g. `event_queue/push_pop_cycle/64`.
@@ -72,22 +48,11 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// 95th-percentile sample, ns per iteration.
     pub p95_ns: f64,
-    /// Elements processed per iteration (set via [`Throughput::Elements`]).
-    pub elements: Option<u64>,
-}
-
-impl BenchResult {
-    /// Median elements/second, if an element throughput was declared.
-    pub fn elements_per_sec(&self) -> Option<f64> {
-        self.elements
-            .filter(|_| self.median_ns > 0.0)
-            .map(|e| e as f64 * 1e9 / self.median_ns)
-    }
 }
 
 impl ToJson for BenchResult {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::object(vec![
             ("id", self.id.to_json()),
             ("iterations", self.iterations.to_json()),
             ("samples", self.samples.to_json()),
@@ -95,11 +60,7 @@ impl ToJson for BenchResult {
             ("mean_ns", self.mean_ns.to_json()),
             ("median_ns", self.median_ns.to_json()),
             ("p95_ns", self.p95_ns.to_json()),
-        ];
-        if let Some(eps) = self.elements_per_sec() {
-            fields.push(("elements_per_sec", eps.to_json()));
-        }
-        Json::object(fields)
+        ])
     }
 }
 
@@ -166,13 +127,6 @@ impl Bencher {
 // Criterion-shaped driver
 // ---------------------------------------------------------------------------
 
-/// Element-count declaration for throughput reporting.
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// The routine processes this many logical elements per iteration.
-    Elements(u64),
-}
-
 /// A parameterized benchmark id, rendered as `function/parameter`.
 pub struct BenchmarkId {
     id: String,
@@ -187,81 +141,37 @@ impl BenchmarkId {
     }
 }
 
-/// The benchmark driver: configuration plus accumulated results.
+/// The benchmark driver: time budgets plus accumulated results.
 pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
-    /// `cargo test --benches` passes `--test`: run every routine once to
-    /// prove it works, skip timing and reporting.
+    /// `cargo bench -- --test` (and `cargo test --benches`) pass
+    /// `--test`: run every routine once to prove it works, skip timing
+    /// and reporting.
     test_mode: bool,
     results: Vec<BenchResult>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let quick = std::env::var_os("LOCKGRAN_BENCH_QUICK").is_some();
-        let test_mode = std::env::args().any(|a| a == "--test");
         Criterion {
-            sample_size: if quick { 5 } else { 20 },
-            measurement_time: if quick {
-                Duration::from_millis(200)
-            } else {
-                Duration::from_secs(3)
-            },
-            warm_up_time: if quick {
-                Duration::from_millis(50)
-            } else {
-                Duration::from_millis(500)
-            },
-            test_mode,
+            sample_size: 30,
+            measurement_time: Duration::from_secs(3),
+            warm_up_time: Duration::from_millis(500),
+            test_mode: std::env::args().any(|a| a == "--test"),
             results: Vec::new(),
         }
     }
 }
 
 impl Criterion {
-    /// Number of timed samples per benchmark.
-    #[must_use]
-    pub fn sample_size(mut self, n: usize) -> Self {
-        assert!(n >= 2, "need at least two samples");
-        if std::env::var_os("LOCKGRAN_BENCH_QUICK").is_none() {
-            self.sample_size = n;
-        }
-        self
-    }
-
-    /// Total measurement budget per benchmark (split over the samples).
-    #[must_use]
-    pub fn measurement_time(mut self, t: Duration) -> Self {
-        if std::env::var_os("LOCKGRAN_BENCH_QUICK").is_none() {
-            self.measurement_time = t;
-        }
-        self
-    }
-
-    /// Warm-up budget per benchmark (also used for calibration).
-    #[must_use]
-    pub fn warm_up_time(mut self, t: Duration) -> Self {
-        if std::env::var_os("LOCKGRAN_BENCH_QUICK").is_none() {
-            self.warm_up_time = t;
-        }
-        self
-    }
-
-    /// Run one benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        self.run_one(id.to_string(), None, f);
-        self
-    }
-
     /// Open a named group; contained benchmark ids are prefixed with
     /// `name/`.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             criterion: self,
             prefix: name.to_string(),
-            throughput: None,
         }
     }
 
@@ -270,7 +180,7 @@ impl Criterion {
         self.results
     }
 
-    fn run_one<F: FnMut(&mut Bencher)>(&mut self, id: String, elements: Option<u64>, mut f: F) {
+    fn run_one<F: FnMut(&mut Bencher)>(&mut self, id: String, mut f: F) {
         let mut b = Bencher {
             iters: 1,
             elapsed: Duration::ZERO,
@@ -314,9 +224,8 @@ impl Criterion {
             mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
             median_ns: percentile(&samples_ns, 0.5),
             p95_ns: percentile(&samples_ns, 0.95),
-            elements,
         };
-        let mut line = format!(
+        println!(
             "{:<44} median {:>12}  (min {}, p95 {}, {} iters x {} samples)",
             result.id,
             format_ns(result.median_ns),
@@ -325,34 +234,21 @@ impl Criterion {
             result.iterations,
             result.samples,
         );
-        if let Some(eps) = result.elements_per_sec() {
-            line.push_str(&format!("  [{eps:.0} elem/s]"));
-        }
-        println!("{line}");
         self.results.push(result);
     }
 }
 
-/// A group of related benchmarks sharing an id prefix and, optionally, an
-/// element-throughput declaration.
+/// A group of related benchmarks sharing an id prefix.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     prefix: String,
-    throughput: Option<u64>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Declare element throughput for subsequent benches in this group.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        let Throughput::Elements(n) = t;
-        self.throughput = Some(n);
-        self
-    }
-
     /// Run one benchmark within the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
         let full = format!("{}/{id}", self.prefix);
-        self.criterion.run_one(full, self.throughput, f);
+        self.criterion.run_one(full, f);
         self
     }
 
@@ -364,27 +260,19 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.prefix, id.id);
-        self.criterion
-            .run_one(full, self.throughput, |b| f(b, input));
+        self.criterion.run_one(full, |b| f(b, input));
         self
     }
-
-    /// End the group (kept for Criterion API parity; recording is eager).
-    pub fn finish(&mut self) {}
 }
 
-/// Write the per-binary JSON report to `results/bench/<name>.json` (or
-/// `$LOCKGRAN_BENCH_OUT/<name>.json`). Called by `criterion_main!`; does
-/// nothing in `--test` mode or when there are no results.
+/// Write the per-binary JSON report to `results/bench/<name>.json`.
+/// Called by `criterion_main!`; does nothing in `--test` mode or when
+/// there are no results.
 pub fn write_report(name: &str, results: &[BenchResult]) {
     if results.is_empty() {
         return;
     }
-    let dir = std::env::var_os("LOCKGRAN_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench")
-        });
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
@@ -404,19 +292,12 @@ pub fn write_report(name: &str, results: &[BenchResult]) {
 /// same name.
 #[macro_export]
 macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
+    ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() -> Vec<$crate::BenchResult> {
-            let mut criterion = $config;
+            let mut criterion = $crate::Criterion::default();
             $( $target(&mut criterion); )+
             criterion.into_results()
         }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
     };
 }
 
@@ -450,11 +331,12 @@ mod tests {
     #[test]
     fn records_sane_statistics() {
         let mut c = quick_criterion();
-        c.bench_function("sum_1000", |b| b.iter(|| (0..1000u64).sum::<u64>()));
+        c.benchmark_group("grp")
+            .bench_function("sum_1000", |b| b.iter(|| (0..1000u64).sum::<u64>()));
         let results = c.into_results();
         assert_eq!(results.len(), 1);
         let r = &results[0];
-        assert_eq!(r.id, "sum_1000");
+        assert_eq!(r.id, "grp/sum_1000");
         assert!(r.iterations >= 1);
         assert_eq!(r.samples, 3);
         assert!(r.min_ns > 0.0);
@@ -462,26 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn groups_prefix_and_report_throughput() {
+    fn groups_prefix_parameterized_ids() {
         let mut c = quick_criterion();
-        {
-            let mut g = c.benchmark_group("grp");
-            g.throughput(Throughput::Elements(100));
-            g.bench_with_input(BenchmarkId::new("param", 7), &7u64, |b, &n| {
+        c.benchmark_group("grp")
+            .bench_with_input(BenchmarkId::new("param", 7), &7u64, |b, &n| {
                 b.iter(|| n * 2)
             });
-            g.finish();
-        }
         let results = c.into_results();
+        assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, "grp/param/7");
-        assert_eq!(results[0].elements, Some(100));
-        assert!(results[0].elements_per_sec().unwrap() > 0.0);
     }
 
     #[test]
     fn iter_with_setup_excludes_setup_time() {
         let mut c = quick_criterion();
-        c.bench_function("setup", |b| {
+        c.benchmark_group("grp").bench_function("setup", |b| {
             b.iter_with_setup(|| vec![1u64; 512], |v| v.iter().sum::<u64>())
         });
         let r = c.into_results();
@@ -499,12 +376,10 @@ mod tests {
             mean_ns: 2.0,
             median_ns: 2.0,
             p95_ns: 3.0,
-            elements: Some(4),
         };
         let j = r.to_json();
         assert_eq!(j["id"], "x/y");
         assert_eq!(j["iterations"].as_u64(), Some(10));
-        assert!(j["elements_per_sec"].as_f64().unwrap() > 0.0);
         // The report round-trips through the in-tree parser.
         let parsed = lockgran_sim::json::parse(&j.pretty()).unwrap();
         assert_eq!(parsed["median_ns"].as_f64(), Some(2.0));

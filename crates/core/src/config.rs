@@ -468,7 +468,7 @@ impl ModelConfig {
         ];
         match spans.iter().find(|(_, units)| *units > MAX_SPAN_UNITS) {
             Some((what, units)) => Err(format!(
-                "{what} ({units} time units) exceeds the simulation clock's range \
+                "{what} ({units:e} time units) exceeds the simulation clock's range \
                  ({MAX_SPAN_UNITS:e} units)"
             )),
             None => Ok(()),

@@ -2,8 +2,8 @@
 //!
 //! [`RunMetrics`] carries the paper's §2 output parameters under their
 //! original names plus extended diagnostics (blocking rates, queue
-//! levels, response-time distribution) that the experiment harness and
-//! the ablation benches report.
+//! levels, response-time distribution) that the experiment harness
+//! reports and simbench digests.
 
 use lockgran_sim::{Json, ToJson};
 

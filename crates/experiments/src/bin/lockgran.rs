@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Figure ids are `table1`, `fig2` … `fig12` and the extension
-//! experiments `extA` … `extI` (`all` runs the paper set, `ext` the
+//! experiments `extA` … `extJ` (`all` runs the paper set, `ext` the
 //! extensions). `--conflict hierarchical` selects the multigranularity
 //! lock-table model; `--areas` sets its database → area → granule
 //! fan-out and `--escalation` its per-transaction lock-escalation
@@ -34,7 +34,7 @@ use std::process::ExitCode;
 use lockgran_core::{sim, ConflictMode, HierarchySpec, ModelConfig};
 use lockgran_experiments::figures::{run_by_id, ALL_IDS, EXT_IDS};
 use lockgran_experiments::{chart, emit, Figure, RunOptions};
-use lockgran_sim::WorkerPool;
+use lockgran_sim::{Dur, WorkerPool};
 use lockgran_workload::{Partitioning, Placement};
 
 fn main() -> ExitCode {
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   lockgran help | -h | --help
   lockgran list
-  lockgran <table1|fig2..fig12|all|extA|extB|extC|extD|extE|extF|extG|extH|extI|ext> [--quick] [--chart] [--seed N] [--reps N] [--tmax T] [--jobs N] [--out DIR]
+  lockgran <table1|fig2..fig12|all|extA|extB|extC|extD|extE|extF|extG|extH|extI|extJ|ext> [--quick] [--chart] [--seed N] [--reps N] [--tmax T] [--jobs N] [--out DIR]
   lockgran batch <configs.json> [--seed N] [--out FILE.csv]
   lockgran timeline [run flags] [--interval X]
   lockgran warmup [run flags] [--interval X] [--reps R]
@@ -221,6 +221,11 @@ fn parse_fig_flags(args: &[String]) -> Result<(RunOptions, Option<PathBuf>, bool
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    // Every sweep applies this horizon; check it once here rather than
+    // let each sweep task panic in `System::new`.
+    opts.apply(ModelConfig::table1())
+        .validate()
+        .map_err(|e| format!("--tmax: {e}"))?;
     Ok((opts, out, show_chart))
 }
 
@@ -228,14 +233,15 @@ fn parse_fig_flags(args: &[String]) -> Result<(RunOptions, Option<PathBuf>, bool
 /// of one run, as a table plus an ASCII chart of throughput over time.
 fn run_timeline_cmd(args: &[String]) -> Result<(), String> {
     let (cfg, seed, rest) = parse_run_flags(args)?;
-    let mut interval = cfg.tmax / 40.0;
+    let mut interval = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--interval" => interval = next_val(&mut it, "--interval")?,
+            "--interval" => interval = Some(next_val(&mut it, "--interval")?),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    let interval = checked_interval(interval, &cfg)?;
     let (m, points) = sim::run_timeline(&cfg, seed, interval);
     println!(
         "{:>10} {:>8} {:>12} {:>8} {:>8} {:>9} {:>9}",
@@ -285,15 +291,19 @@ fn run_timeline_cmd(args: &[String]) -> Result<(), String> {
 /// warm-up suggestion for a configuration.
 fn run_warmup_cmd(args: &[String]) -> Result<(), String> {
     let (cfg, seed, rest) = parse_run_flags(args)?;
-    let mut interval = cfg.tmax / 40.0;
+    let mut interval = None;
     let mut reps = 5u32;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--interval" => interval = next_val(&mut it, "--interval")?,
+            "--interval" => interval = Some(next_val(&mut it, "--interval")?),
             "--reps" => reps = next_val(&mut it, "--reps")?,
             other => return Err(format!("unknown flag '{other}'")),
         }
+    }
+    let interval = checked_interval(interval, &cfg)?;
+    if reps == 0 {
+        return Err("--reps must be at least 1".into());
     }
     match sim::suggest_warmup(&cfg, seed, reps, interval) {
         Some(w) => println!(
@@ -307,6 +317,23 @@ fn run_warmup_cmd(args: &[String]) -> Result<(), String> {
         ),
     }
     Ok(())
+}
+
+/// The timeline sampling interval: `--interval` if given, else a
+/// fortieth of the horizon. It must be at least one clock tick, which
+/// `run_timeline` asserts, and at most the horizon, or no window closes.
+fn checked_interval(interval: Option<f64>, cfg: &ModelConfig) -> Result<f64, String> {
+    let interval = interval.unwrap_or(cfg.tmax / 40.0);
+    if interval > 0.0 && interval <= cfg.tmax && !Dur::from_units(interval).is_zero() {
+        Ok(interval)
+    } else {
+        Err(format!(
+            "--interval must span at least one clock tick ({} time units) \
+             and at most tmax ({}), got {interval}",
+            Dur::from_ticks(1).units(),
+            cfg.tmax
+        ))
+    }
 }
 
 /// Parse the shared `run`-style configuration flags, returning unparsed

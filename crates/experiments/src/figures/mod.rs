@@ -6,6 +6,7 @@
 //! the same runs into one panel per metric.
 
 pub mod ext_admission;
+pub mod ext_assumptions;
 pub mod ext_conflict;
 pub mod ext_discipline;
 pub mod ext_escalation;
@@ -117,6 +118,7 @@ pub fn run_by_id(id: &str, opts: &RunOptions) -> Option<Figure> {
         "extG" => ext_escalation::run(opts),
         "extH" => ext_hierarchy::run(opts),
         "extI" => ext_twophase::run(opts),
+        "extJ" => ext_assumptions::run(opts),
         _ => return None,
     })
 }
@@ -128,6 +130,6 @@ pub const ALL_IDS: [&str; 12] = [
 ];
 
 /// Extension experiments beyond the paper.
-pub const EXT_IDS: [&str; 9] = [
-    "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI",
+pub const EXT_IDS: [&str; 10] = [
+    "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ",
 ];

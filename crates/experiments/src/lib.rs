@@ -17,6 +17,12 @@
 //! | [`figures::fig11`]  | Fig 11 — placement strategies, 80/20 mix |
 //! | [`figures::fig12`]  | Fig 12 — placement strategies, ntrans = 200 |
 //!
+//! Ten extension experiments go beyond the paper, `extA` … `extJ`
+//! ([`figures::EXT_IDS`]); for example [`figures::ext_conflict`] (extB)
+//! checks the probabilistic conflict draw against a real lock table and
+//! [`figures::ext_assumptions`] (extJ) varies the model's lock-work
+//! distribution, lock preemption and service variability one at a time.
+//!
 //! Each module's `run(&RunOptions)` performs the paper's parameter sweep
 //! and returns a [`Figure`] — labelled series of `(ltot, mean, ci95)`
 //! points — which [`emit`] renders as an aligned text table, CSV, or

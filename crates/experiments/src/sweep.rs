@@ -16,14 +16,14 @@ use crate::series::{Point, Series};
 /// The paper's log-spaced lock-count sweep, 1 … dbsize = 5000.
 pub const LTOT_SWEEP: [u64; 12] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000];
 
-/// Reduced sweep for tests / benches.
+/// Reduced sweep for quick mode.
 pub const LTOT_SWEEP_QUICK: [u64; 5] = [1, 10, 100, 1000, 5000];
 
 /// How to run a figure.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Quick mode: reduced sweep, shorter horizon, fewer series — used by
-    /// unit tests and Criterion benches.
+    /// unit tests and smoke runs (`--quick`).
     pub quick: bool,
     /// Base RNG seed; replication seeds are derived from it.
     pub seed: u64,
@@ -50,7 +50,7 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Quick-mode options (for tests and benches).
+    /// Quick-mode options (for tests and smoke runs).
     pub fn quick() -> Self {
         RunOptions {
             quick: true,

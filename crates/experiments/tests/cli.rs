@@ -24,7 +24,7 @@ fn list_names_every_artifact() {
     let (stdout, _) = run_ok(&["list"]);
     for id in [
         "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-        "fig12", "extA", "extB",
+        "fig12", "extA", "extB", "extJ",
     ] {
         assert!(stdout.contains(id), "{id} missing from list output");
     }
@@ -195,4 +195,40 @@ fn invalid_parameters_are_rejected() {
         stderr.contains("dbsize"),
         "unexpected error text:\n{stderr}"
     );
+
+    // A horizon or sampling interval the clock cannot hold, an interval
+    // longer than the run, and a warm-up search over no replications fail
+    // at flag parsing: exit 1 with an `error:` line, never a panic or an
+    // empty result.
+    let cases: &[&[&str]] = &[
+        &["table1", "--quick", "--tmax", "-5"],
+        &["table1", "--quick", "--tmax", "nan"],
+        &["fig2", "--quick", "--tmax", "1e300"],
+        &["timeline", "--interval", "0"],
+        &["timeline", "--interval", "-1"],
+        &["timeline", "--interval", "nan"],
+        &["timeline", "--interval", "1e-9"],
+        // The default interval, tmax / 40, is under one tick here.
+        &["timeline", "--tmax", "0.01"],
+        &["timeline", "--tmax", "100", "--interval", "5000"],
+        &["warmup", "--interval", "0"],
+        &["warmup", "--interval", "-1"],
+        &["warmup", "--interval", "nan"],
+        &["warmup", "--interval", "1e-9"],
+        &["warmup", "--tmax", "200", "--interval", "1e300"],
+        &["warmup", "--reps", "0"],
+    ];
+    for args in cases {
+        let out = lockgran().args(*args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "lockgran {args:?}:\n{stderr}");
+        assert!(
+            stderr.starts_with("error: "),
+            "lockgran {args:?}: no error line:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "lockgran {args:?} panicked:\n{stderr}"
+        );
+    }
 }

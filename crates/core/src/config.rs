@@ -7,7 +7,7 @@
 //! 0.2`, `lcputime = 0.01`, `liotime = 0.2`; `tmax = 10 000` time units,
 //! long enough for the closed system to reach steady state).
 
-use lockgran_sim::{json_struct, named_enum};
+use lockgran_sim::{json_struct, named_enum, Time, TICKS_PER_UNIT};
 use lockgran_workload::{
     FailureSpec, HotSpot, Partitioning, Placement, SizeDistribution, WorkloadParams,
 };
@@ -397,6 +397,13 @@ impl ModelConfig {
     /// Validate the whole configuration.
     pub fn validate(&self) -> Result<(), String> {
         self.workload_params().validate()?;
+        if self.npros > crate::system::MAX_NPROS {
+            return Err(format!(
+                "npros ({}) exceeds the {} processors the simulator can address",
+                self.npros,
+                crate::system::MAX_NPROS
+            ));
+        }
         if self.ntrans == 0 {
             return Err("ntrans must be positive (closed model)".into());
         }
@@ -466,13 +473,30 @@ impl ModelConfig {
             ("mtbf", mtbf),
             ("mttr", mttr),
         ];
-        match spans.iter().find(|(_, units)| *units > MAX_SPAN_UNITS) {
-            Some((what, units)) => Err(format!(
+        if let Some((what, units)) = spans.iter().find(|(_, units)| *units > MAX_SPAN_UNITS) {
+            return Err(format!(
                 "{what} ({units:e} time units) exceeds the simulation clock's range \
                  ({MAX_SPAN_UNITS:e} units)"
-            )),
-            None => Ok(()),
+            ));
         }
+        // The clock counts whole ticks: a horizon that rounds to tick 0
+        // runs nothing, and a warm-up that rounds to the horizon's tick
+        // leaves no measured window.
+        let tmax = Time::from_units(self.tmax);
+        if tmax == Time::ZERO {
+            return Err(format!(
+                "tmax ({}) is under one clock tick ({} time units)",
+                self.tmax,
+                1.0 / TICKS_PER_UNIT as f64
+            ));
+        }
+        if Time::from_units(self.warmup) >= tmax {
+            return Err(format!(
+                "warmup ({}) must end at least one clock tick before tmax ({})",
+                self.warmup, self.tmax
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -613,6 +637,57 @@ mod tests {
         let mut c = ModelConfig::table1().with_tmax(1e12);
         c.dbsize = big;
         assert_eq!(c.with_ltot(big).validate(), Ok(()));
+    }
+
+    /// The horizon and the warm-up are checked in clock ticks, not just as
+    /// numbers: under one tick of run, or of measured window, is an error.
+    #[test]
+    fn validation_rejects_runs_shorter_than_a_tick() {
+        let tick = 1.0 / TICKS_PER_UNIT as f64;
+        let err = ModelConfig::table1()
+            .with_tmax(1e-9)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("under one clock tick"), "{err}");
+        assert!(ModelConfig::table1()
+            .with_tmax(0.4 * tick)
+            .validate()
+            .is_err());
+        assert_eq!(ModelConfig::table1().with_tmax(tick).validate(), Ok(()));
+        // Warm-up below tmax as a number but on the same tick.
+        let err = ModelConfig::table1()
+            .with_tmax(1.0)
+            .with_warmup(1.0 - 0.2 * tick)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("clock tick before tmax"), "{err}");
+        assert_eq!(
+            ModelConfig::table1()
+                .with_tmax(1.0)
+                .with_warmup(1.0 - tick)
+                .validate(),
+            Ok(())
+        );
+    }
+
+    /// The job-id encoding addresses at most `MAX_NPROS` processors;
+    /// validation rejects more instead of letting stage ids wrap.
+    #[test]
+    fn validation_bounds_npros_by_the_job_id_encoding() {
+        let max = crate::system::MAX_NPROS;
+        let err = ModelConfig::table1()
+            .with_npros(max + 1)
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.contains("processors the simulator can address"),
+            "{err}"
+        );
+        assert!(ModelConfig::table1()
+            .with_npros(u32::MAX)
+            .validate()
+            .is_err());
+        assert_eq!(ModelConfig::table1().with_npros(max).validate(), Ok(()));
     }
 
     #[test]

@@ -78,22 +78,38 @@ fn mk_server(preemptive: bool, discipline: crate::config::QueueDiscipline) -> Se
     s.with_discipline(discipline.to_sim())
 }
 
-/// Job-id encoding: `slot * 4 + kind`, where `slot` is the transaction's
-/// slab index. A completion decodes straight back to the slab slot — no
-/// search, no map lookup. Slots are recycled only at completion, and a
-/// completing transaction has no jobs left anywhere (every share and
-/// sub-transaction joined, aborts withdraw theirs), so a recycled slot can
-/// never be aliased by a stale in-flight job.
+/// Job-id encoding: `slot << 32 | stage << 2 | kind`. `slot` is the
+/// transaction's slab index and `stage` a sub-transaction's index into
+/// `spec.processors` (0 for lock shares), so a completion decodes straight
+/// back to the slab slot and the stage's CPU demand — no search, no map
+/// lookup — and each sub-transaction stage has an id of its own. Slots are
+/// recycled only at completion, and a completing transaction has no jobs
+/// left anywhere (every share and sub-transaction joined, aborts withdraw
+/// theirs), so a recycled slot can never be aliased by a stale in-flight
+/// job.
 const KIND_LOCK_CPU: u64 = 0;
 const KIND_LOCK_IO: u64 = 1;
 const KIND_SUB_IO: u64 = 2;
 const KIND_SUB_CPU: u64 = 3;
+const KIND_BITS: u32 = 2;
+const STAGE_BITS: u32 = 32 - KIND_BITS;
 
-fn job_id(slot: u32, kind: u64) -> JobId {
-    JobId(u64::from(slot) * 4 + kind)
+/// The most processors a configuration may have: a stage index is below
+/// `npros` and has [`STAGE_BITS`] bits of the job id.
+/// [`ModelConfig::validate`] rejects a larger `npros`.
+pub(crate) const MAX_NPROS: u32 = 1 << STAGE_BITS;
+
+fn job_id(slot: u32, stage: u32, kind: u64) -> JobId {
+    debug_assert!(stage < MAX_NPROS && kind >> KIND_BITS == 0);
+    JobId(u64::from(slot) << 32 | u64::from(stage) << KIND_BITS | kind)
 }
-fn decode(id: JobId) -> (u32, u64) {
-    ((id.0 / 4) as u32, id.0 % 4)
+fn decode(id: JobId) -> (u32, u32, u64) {
+    let stage = id.0 >> KIND_BITS & u64::from(MAX_NPROS - 1);
+    (
+        (id.0 >> 32) as u32,
+        stage as u32,
+        id.0 & ((1 << KIND_BITS) - 1),
+    )
 }
 
 /// Counter snapshot used to subtract warm-up activity from final totals.
@@ -607,7 +623,7 @@ impl System {
                 continue;
             }
             let job = Job {
-                id: job_id(slot, KIND_LOCK_CPU),
+                id: job_id(slot, 0, KIND_LOCK_CPU),
                 demand: d,
                 class: Class::Lock,
             };
@@ -618,7 +634,7 @@ impl System {
                 continue;
             }
             let job = Job {
-                id: job_id(slot, KIND_LOCK_IO),
+                id: job_id(slot, 0, KIND_LOCK_IO),
                 demand: d,
                 class: Class::Lock,
             };
@@ -812,10 +828,10 @@ impl System {
             std::mem::swap(&mut txn.cpu_shares, &mut cpu_shares);
         }
         self.cpu_share_buf = cpu_shares;
-        for (i, &demand) in io_shares.iter().enumerate().take(fanout as usize) {
-            let p = self.txn(slot).spec.processors[i];
+        for (stage, &demand) in (0..).zip(&io_shares) {
+            let p = self.txn(slot).spec.processors[stage as usize];
             let job = Job {
-                id: job_id(slot, KIND_SUB_IO),
+                id: job_id(slot, stage, KIND_SUB_IO),
                 demand,
                 class: Class::Transaction,
             };
@@ -824,27 +840,24 @@ impl System {
         self.io_share_buf = io_shares;
     }
 
-    /// A sub-transaction finished its I/O stage on `proc`: submit its CPU
-    /// stage there.
-    fn subtxn_io_done(&mut self, now: Time, slot: u32, proc: u32, ex: &mut Executor<Event>) {
+    /// Sub-transaction `stage` finished its I/O stage on `proc`: submit its
+    /// CPU stage there.
+    fn subtxn_io_done(
+        &mut self,
+        now: Time,
+        slot: u32,
+        stage: u32,
+        proc: u32,
+        ex: &mut Executor<Event>,
+    ) {
         let (serial, demand) = {
             let txn = self.txn(slot);
-            #[expect(
-                clippy::expect_used,
-                reason = "SubIoDone events are only scheduled on the processors \
-                          the spec assigned at dispatch"
-            )]
-            let idx = txn
-                .spec
-                .processors
-                .iter()
-                .position(|&p| p == proc)
-                .expect("sub-transaction ran on an assigned processor");
-            (txn.serial, txn.cpu_shares[idx])
+            debug_assert_eq!(txn.spec.processors[stage as usize], proc);
+            (txn.serial, txn.cpu_shares[stage as usize])
         };
         self.trace(now, TraceEvent::SubIoDone { serial, proc });
         let job = Job {
-            id: job_id(slot, KIND_SUB_CPU),
+            id: job_id(slot, stage, KIND_SUB_CPU),
             demand,
             class: Class::Transaction,
         };
@@ -993,11 +1006,10 @@ impl System {
         if self.measuring(now) {
             self.aborts += 1;
         }
-        let io_id = job_id(slot, KIND_SUB_IO);
-        let cpu_id = job_id(slot, KIND_SUB_CPU);
-        let fanout = self.txn(slot).fanout() as usize;
-        for i in 0..fanout {
-            let p = self.txn(slot).spec.processors[i];
+        for stage in 0..self.txn(slot).fanout() {
+            let p = self.txn(slot).spec.processors[stage as usize];
+            let io_id = job_id(slot, stage, KIND_SUB_IO);
+            let cpu_id = job_id(slot, stage, KIND_SUB_CPU);
             if let lockgran_sim::CancelOutcome::InService { next: Some(c), .. } =
                 self.io[p as usize].cancel(now, io_id)
             {
@@ -1008,15 +1020,11 @@ impl System {
             {
                 Self::schedule_cpu(ex, p, c);
             }
-        }
-        // Sub-transaction work parked behind *another* down processor must
-        // not resurface at its repair.
-        if let Some(f) = &mut self.failure {
-            for buf in &mut f.stalled_io {
-                buf.retain(|j| j.id != io_id);
-            }
-            for buf in &mut f.stalled_cpu {
-                buf.retain(|j| j.id != cpu_id);
+            // A stage parked behind its (down) processor must not
+            // resurface at the repair.
+            if let Some(f) = &mut self.failure {
+                f.stalled_io[p as usize].retain(|j| j.id != io_id);
+                f.stalled_cpu[p as usize].retain(|j| j.id != cpu_id);
             }
         }
         {
@@ -1167,7 +1175,7 @@ impl Model for System {
                         if let Some(c) = next {
                             Self::schedule_cpu(ex, proc, c);
                         }
-                        let (slot, kind) = decode(job.id);
+                        let (slot, _, kind) = decode(job.id);
                         match kind {
                             KIND_LOCK_CPU => self.lock_share_done(now, slot, ex),
                             KIND_SUB_CPU => self.subtxn_cpu_done(now, slot, proc, ex),
@@ -1183,10 +1191,10 @@ impl Model for System {
                         if let Some(c) = next {
                             Self::schedule_io(ex, proc, c);
                         }
-                        let (slot, kind) = decode(job.id);
+                        let (slot, stage, kind) = decode(job.id);
                         match kind {
                             KIND_LOCK_IO => self.lock_share_done(now, slot, ex),
-                            KIND_SUB_IO => self.subtxn_io_done(now, slot, proc, ex),
+                            KIND_SUB_IO => self.subtxn_io_done(now, slot, stage, proc, ex),
                             other => unreachable!("I/O server finished job kind {other}"),
                         }
                     }
@@ -1246,21 +1254,26 @@ impl System {
             LockDistribution::PerOperation => {
                 // LU indivisible lock operations land round-robin on the
                 // processors holding the granules, starting at a rotating
-                // offset; processor p gets ops_p operations, hence
-                // ops_p * lcputime CPU and ops_p * liotime I/O.
+                // offset: every processor gets `base` of them and the
+                // `extra` processors of the cyclic range
+                // [start, start + extra) one more, hence ops_p * lcputime
+                // CPU and ops_p * liotime I/O.
                 let lu = self.txn(slot).spec.locks;
                 let start = self.lock_rr % npros;
                 self.lock_rr += lu.max(1);
                 let base = lu.checked_div(npros).unwrap_or(0);
                 let extra = lu % npros;
-                let lcpu = self.lcputime;
-                let lio = self.liotime;
-                let ops = |p: u64| -> u64 {
-                    let rel = (p + npros - start) % npros;
-                    base + u64::from(rel < extra)
-                };
-                cpu.extend((0..npros).map(|p| lcpu.times(ops(p))));
-                io.extend((0..npros).map(|p| lio.times(ops(p))));
+                // The range as one or two slices: [start, first) and, when
+                // it wraps past the last processor, [0, wrapped).
+                let end = start + extra;
+                let first = end.min(npros) as usize;
+                let wrapped = end.saturating_sub(npros) as usize;
+                for (shares, per_op) in [(cpu, self.lcputime), (io, self.liotime)] {
+                    shares.resize(npros as usize, per_op.times(base));
+                    let more = per_op.times(base + 1);
+                    shares[start as usize..first].fill(more);
+                    shares[..wrapped].fill(more);
+                }
             }
         }
     }
@@ -1274,5 +1287,32 @@ impl System {
         if done {
             self.decide(now, slot, ex);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(slot, stage, kind)` survives the job id at the extremes a valid
+    /// configuration reaches: slot `u32::MAX - 1` (the slab holds at most
+    /// `ntrans` ≤ `u32::MAX` transactions) and stage `MAX_NPROS - 1` (a
+    /// stage indexes one of at most `npros` processors).
+    #[test]
+    fn job_ids_round_trip_at_the_largest_slot_and_stage() {
+        let kinds = [KIND_LOCK_CPU, KIND_LOCK_IO, KIND_SUB_IO, KIND_SUB_CPU];
+        for slot in [0, 1, u32::MAX - 1] {
+            for stage in [0, 1, MAX_NPROS - 1] {
+                for kind in kinds {
+                    assert_eq!(decode(job_id(slot, stage, kind)), (slot, stage, kind));
+                }
+            }
+        }
+        // Each stage of a transaction has an id of its own.
+        assert_ne!(job_id(7, 0, KIND_SUB_IO), job_id(7, 1, KIND_SUB_IO));
+        assert_ne!(
+            job_id(7, MAX_NPROS - 1, KIND_SUB_CPU),
+            job_id(8, 0, KIND_SUB_CPU)
+        );
     }
 }

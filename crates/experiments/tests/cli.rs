@@ -196,14 +196,17 @@ fn invalid_parameters_are_rejected() {
         "unexpected error text:\n{stderr}"
     );
 
-    // A horizon or sampling interval the clock cannot hold, an interval
-    // longer than the run, and a warm-up search over no replications fail
-    // at flag parsing: exit 1 with an `error:` line, never a panic or an
-    // empty result.
+    // A horizon or sampling interval the clock cannot hold (too long or
+    // under one tick), an interval longer than the run, and a warm-up
+    // search over no replications fail at flag parsing: exit 1 with an
+    // `error:` line, never a panic or an empty result.
     let cases: &[&[&str]] = &[
         &["table1", "--quick", "--tmax", "-5"],
         &["table1", "--quick", "--tmax", "nan"],
         &["fig2", "--quick", "--tmax", "1e300"],
+        // Under one clock tick: the run would be empty.
+        &["run", "--tmax", "1e-9"],
+        &["table1", "--quick", "--tmax", "1e-9"],
         &["timeline", "--interval", "0"],
         &["timeline", "--interval", "-1"],
         &["timeline", "--interval", "nan"],

@@ -21,6 +21,13 @@
 //! order, which is `seq` order, so each group is sorted by `seq` and the
 //! pop sequence is the heap FEL's by construction.
 //!
+//! Most pushes land on the tick of the push before them (a lock request's
+//! shares fan out onto one tick), so the queue remembers the tick and
+//! group of its last grouped push and appends there without probing the
+//! index. The memo is forgotten when that group drains (its slot may then
+//! serve another tick) and on [`CalendarQueue::clear`]; it only picks the
+//! group a push appends to, never the order of the groups.
+//!
 //! Beside the groups sits a **sorted lane**: a FIFO for events the caller
 //! appends in non-decreasing time order ([`CalendarQueue::push_sorted`]),
 //! such as a closed model's staggered initial arrivals. Lane entries draw
@@ -91,6 +98,9 @@ pub struct CalendarQueue<E> {
     index: Option<DetMap<u32>>,
     /// Min-heap of the distinct pending ticks, each with its group.
     ticks: BinaryHeap<Reverse<(Time, u32)>>,
+    /// Tick and group of the last grouped push, while that group is
+    /// pending: a push onto the same tick appends there unprobed.
+    last_push: Option<(Time, u32)>,
     /// Entries in the groups (the lane is counted by `lane.len()`).
     grouped: usize,
     /// Sorted FIFO of in-order appends (see [`CalendarQueue::push_sorted`]).
@@ -116,6 +126,7 @@ impl<E> CalendarQueue<E> {
             free_group: NIL,
             index: None,
             ticks: BinaryHeap::new(),
+            last_push: None,
             grouped: 0,
             lane: VecDeque::new(),
             next_seq: 0,
@@ -123,6 +134,7 @@ impl<E> CalendarQueue<E> {
         }
     }
 
+    #[inline(always)]
     fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -131,18 +143,42 @@ impl<E> CalendarQueue<E> {
 
     /// Schedule `event` at absolute time `at`.
     ///
+    /// Always inlined, like the whole push chain from
+    /// `Executor::schedule` down: the caller then builds the event
+    /// straight into its slab node, instead of storing it on the stack for
+    /// an out-of-line copy to reload.
+    ///
     /// # Panics
     /// In debug builds, panics if `at` precedes the last popped time —
     /// the queue, like any future-event list, is monotone.
+    #[inline(always)]
     pub fn push(&mut self, at: Time, event: E) {
         debug_assert!(at >= self.last_popped, "scheduling into the past");
         let seq = self.take_seq();
         let node = self.alloc_node(seq, event);
         self.grouped += 1;
+        match self.last_push {
+            Some((tick, g)) if tick == at => self.append(g, node),
+            _ => self.push_new_tick(at, node),
+        }
+    }
+
+    /// Append `node` to the tail of group `g`.
+    #[inline(always)]
+    fn append(&mut self, g: u32, node: u32) {
+        let tail = std::mem::replace(&mut self.groups[g as usize].tail, node);
+        self.nodes[tail as usize].next = node;
+    }
+
+    /// Group `node`, pushed at `at`, when `at` is not the tick of the last
+    /// grouped push: append to `at`'s pending group if the index has one,
+    /// otherwise open a group for `at`. Either way `at` becomes the
+    /// remembered tick.
+    fn push_new_tick(&mut self, at: Time, node: u32) {
         let index = self.index.get_or_insert_with(DetMap::new);
         if let Some(&g) = index.get(at.ticks()) {
-            let tail = std::mem::replace(&mut self.groups[g as usize].tail, node);
-            self.nodes[tail as usize].next = node;
+            self.append(g, node);
+            self.last_push = Some((at, g));
             return;
         }
         let group = Group {
@@ -160,6 +196,7 @@ impl<E> CalendarQueue<E> {
         };
         index.insert(at.ticks(), g);
         self.ticks.push(Reverse((at, g)));
+        self.last_push = Some((at, g));
     }
 
     /// Schedule `event` at `at`, which the caller promises is no earlier
@@ -179,18 +216,28 @@ impl<E> CalendarQueue<E> {
         self.lane.push_back(Entry { at, seq, event });
     }
 
+    /// Store a new node in a vacant slot, or at the end of the slab, and
+    /// return its index. The common case, a recycled slot, writes the
+    /// node in place.
+    #[inline(always)]
     fn alloc_node(&mut self, seq: u64, event: E) -> u32 {
         let node = Node {
             seq,
             next: NIL,
             event: Some(event),
         };
-        if self.free_node != NIL {
-            let slot = self.free_node;
-            self.free_node = self.nodes[slot as usize].next;
-            self.nodes[slot as usize] = node;
-            return slot;
+        if self.free_node == NIL {
+            return self.push_node(node);
         }
+        let slot = self.free_node;
+        let vacant = &mut self.nodes[slot as usize];
+        self.free_node = vacant.next;
+        *vacant = node;
+        slot
+    }
+
+    /// Append `node` to the slab, growing it first if it is full.
+    fn push_node(&mut self, node: Node<E>) -> u32 {
         if self.nodes.len() == self.nodes.capacity() {
             self.grow();
         }
@@ -280,6 +327,9 @@ impl<E> CalendarQueue<E> {
             if let Some(index) = &mut self.index {
                 index.remove(at.ticks());
             }
+            if self.last_push.is_some_and(|(_, last)| last == g) {
+                self.last_push = None;
+            }
             group.head = self.free_group;
             self.free_group = g;
         }
@@ -311,6 +361,7 @@ impl<E> CalendarQueue<E> {
             index.clear();
         }
         self.ticks.clear();
+        self.last_push = None;
         self.grouped = 0;
         self.lane.clear();
         self.next_seq = 0;
@@ -474,6 +525,71 @@ mod tests {
         assert_eq!(order, vec![(7, 2), (7, 3), (7, 4), (9, 5)]);
     }
 
+    /// Every pending tick sits in the tick heap and in the index with the
+    /// same group, and the push memo, when set, names one of them.
+    fn assert_index_matches_heap(q: &CalendarQueue<u64>) {
+        let index = q.index.as_ref();
+        assert_eq!(index.map_or(0, DetMap::len), q.ticks.len());
+        for &Reverse((at, g)) in q.ticks.iter() {
+            assert_eq!(index.and_then(|i| i.get(at.ticks())), Some(&g));
+        }
+        if let Some((at, g)) = q.last_push {
+            assert_eq!(index.and_then(|i| i.get(at.ticks())), Some(&g));
+        }
+    }
+
+    /// The push memo forgets a group when it drains. Two pushes at t, a
+    /// drain of t, then a push at t again: the last push opens a fresh
+    /// group in the index and the tick heap instead of appending to the
+    /// retired one, and the FIFO order matches the heap FEL's. `clear`
+    /// forgets the memo too.
+    #[test]
+    fn push_memo_is_forgotten_on_drain_and_clear() {
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        let t = Time::from_ticks(7);
+        for id in 0..2 {
+            cal.push(t, id);
+            heap.push(t, id);
+        }
+        assert_eq!(cal.last_push, Some((t, 0)));
+        pop_both(&mut cal, &mut heap, "first of t");
+        assert_eq!(cal.last_push, Some((t, 0)), "t still has a pending event");
+        pop_both(&mut cal, &mut heap, "t drains");
+        assert_eq!(cal.last_push, None);
+        assert!(cal.ticks.is_empty());
+        assert_index_matches_heap(&cal);
+
+        cal.push(t, 2);
+        heap.push(t, 2);
+        assert_eq!(cal.ticks.len(), 1, "the push at t opened a group");
+        assert_eq!(cal.last_push, Some((t, 0)), "on the recycled group slot");
+        assert_index_matches_heap(&cal);
+        for id in 3..5 {
+            cal.push(Time::from_ticks(9), id);
+            heap.push(Time::from_ticks(9), id);
+            cal.push(t, id + 10);
+            heap.push(t, id + 10);
+        }
+        assert_index_matches_heap(&cal);
+        let order: Vec<u64> = std::iter::from_fn(|| pop_both(&mut cal, &mut heap, "refill"))
+            .map(|(_, id)| id)
+            .collect();
+        assert_eq!(order, vec![2, 13, 14, 3, 4]);
+        assert_index_matches_heap(&cal);
+
+        cal.clear();
+        cal.push(t, 5);
+        cal.push(t, 6);
+        assert_eq!(cal.last_push, Some((t, 0)));
+        cal.clear();
+        assert_eq!(cal.last_push, None);
+        cal.push(t, 7);
+        assert_index_matches_heap(&cal);
+        assert_eq!(cal.pop(), Some((t, 7)));
+        assert!(cal.is_empty());
+    }
+
     /// Growth through many slab doublings and a drain back to empty, twice
     /// (the second round on recycled nodes and groups), keeps the time
     /// order and loses no event.
@@ -533,7 +649,13 @@ mod tests {
     ///   pushed both before and after them, and now and then an append
     ///   that breaks the order (the heap takes all of them as plain
     ///   pushes);
+    /// * runs that alternate between two ticks, so each push misses the
+    ///   push memo;
+    /// * a push at the memo's tick right after its group drains;
     /// * scattered pushes with plateaus, as before.
+    ///
+    /// The index and the tick heap are checked against each other once per
+    /// round.
     #[test]
     fn prop_agrees_with_heap_on_tick_groups() {
         for case in 0..40u64 {
@@ -584,6 +706,19 @@ mod tests {
                         push(&mut cal, &mut heap, lane_at, false);
                     }
                 }
+                if rng.bernoulli(0.1) {
+                    // Alternate between two ticks ahead.
+                    let near = clock + rng.uniform_inclusive(0, 3) * 10;
+                    let far = clock + rng.uniform_inclusive(4, 6) * 10;
+                    for k in 0..rng.uniform_inclusive(4, 20) {
+                        push(
+                            &mut cal,
+                            &mut heap,
+                            if k % 2 == 0 { near } else { far },
+                            false,
+                        );
+                    }
+                }
                 if drained == Some(clock) && rng.bernoulli(0.3) {
                     push(&mut cal, &mut heap, clock, false);
                 }
@@ -602,15 +737,21 @@ mod tests {
                         Some(at) if at <= until => heap.pop(),
                         _ => None,
                     };
+                    let memo = cal.last_push.map(|(at, _)| at);
                     let a = cal.pop_due(until);
                     assert_eq!(a, expected, "{what}");
                     if let Some((t, _)) = a {
                         if cal.peek_time() != Some(t) {
                             drained = Some(t.ticks());
+                            if memo == Some(t) && rng.bernoulli(0.5) {
+                                // The memo's group just drained.
+                                push(&mut cal, &mut heap, t.ticks(), false);
+                            }
                         }
                         clock = t.ticks();
                     }
                 }
+                assert_index_matches_heap(&cal);
             }
             drain_both(&mut cal, &mut heap, &what);
         }

@@ -49,6 +49,7 @@ enum Fel<E> {
 }
 
 impl<E> Fel<E> {
+    #[inline(always)]
     fn push(&mut self, at: Time, event: E) {
         match self {
             Fel::Heap(q) => q.push(at, event),
@@ -150,9 +151,13 @@ impl<E> Executor<E> {
 
     /// Schedule `event` at absolute time `at`.
     ///
+    /// Inlined down to the calendar's slab store, so the caller builds the
+    /// event in its node (see [`CalendarQueue::push`]).
+    ///
     /// # Panics
     /// In debug builds, panics if `at` is in the past — scheduling into the
     /// past is always a model bug.
+    #[inline(always)]
     pub fn schedule(&mut self, at: Time, event: E) {
         debug_assert!(
             at >= self.now,
@@ -182,6 +187,7 @@ impl<E> Executor<E> {
     }
 
     /// Schedule `event` after a delay of `d` from the current time.
+    #[inline(always)]
     pub fn schedule_in(&mut self, d: Dur, event: E) {
         self.queue.push(self.now + d, event);
     }

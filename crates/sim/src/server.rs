@@ -46,7 +46,11 @@ pub enum Discipline {
 pub struct JobId(pub u64);
 
 /// Service priority class.
+///
+/// Word-sized, so a [`Job`] is three whole words with no padding, and the
+/// servers' queues and the model move it as three plain word copies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u64)]
 pub enum Class {
     /// Lock management work; preempts `Transaction` work.
     Lock,
@@ -55,6 +59,7 @@ pub enum Class {
 }
 
 impl Class {
+    #[inline]
     fn index(self) -> usize {
         match self {
             Class::Lock => 0,
@@ -202,6 +207,7 @@ impl Server {
     }
 
     /// Dequeue the next transaction job per the discipline.
+    #[inline]
     fn pop_txn(&mut self) -> Option<Job> {
         match self.discipline {
             Discipline::Fcfs => self.txn_queue.pop_front(),
@@ -217,12 +223,14 @@ impl Server {
         }
     }
 
+    #[inline]
     fn fresh_token(&mut self) -> Token {
         let t = Token(self.next_token);
         self.next_token += 1;
         t
     }
 
+    #[inline]
     fn start(&mut self, now: Time, job: Job) -> Completion {
         let token = self.fresh_token();
         let ends_at = now + job.demand;
@@ -238,6 +246,7 @@ impl Server {
     /// Close the current service segment at `now`, accounting its busy
     /// time, and return the job with its demand reduced to the unserved
     /// remainder.
+    #[inline]
     fn close_segment(&mut self, now: Time) -> Job {
         #[expect(
             clippy::expect_used,
@@ -258,6 +267,10 @@ impl Server {
     ///
     /// Zero-demand jobs are legal (the paper's `liotime = 0` case) and
     /// complete at their service start instant.
+    ///
+    /// `submit` and [`Server::on_completion`] are the per-event server
+    /// transitions, so both are inlinable into the model's event handler.
+    #[inline]
     pub fn submit(&mut self, now: Time, job: Job) -> Option<Completion> {
         match (&self.current, job.class) {
             (None, _) => Some(self.start(now, job)),
@@ -281,6 +294,7 @@ impl Server {
     }
 
     /// Present a fired completion token.
+    #[inline]
     pub fn on_completion(&mut self, now: Time, token: Token) -> CompletionOutcome {
         match &self.current {
             Some(cur) if cur.token == token => {

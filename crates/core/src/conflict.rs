@@ -141,9 +141,10 @@ impl AccessSampler {
 /// A pluggable concurrency-control protocol.
 ///
 /// The contract mirrors the paper's protocol:
-/// * `register_access` is called exactly once per transaction, at spawn:
-///   the protocol materializes whatever declared-access state it needs
-///   (a concrete granule set for lock-table protocols; nothing for the
+/// * `register_access` is called exactly once per transaction, when it
+///   is admitted (it leaves the pending queue): the protocol
+///   materializes whatever declared-access state it needs (a concrete
+///   granule set for lock-table protocols; nothing for the
 ///   probabilistic draw). It may draw only from the passed access stream.
 /// * `try_acquire` is called once per **attempt** (first request and every
 ///   retry after a wake-up); it either admits the transaction or records
@@ -155,7 +156,7 @@ impl AccessSampler {
 /// * `stats` reports cumulative protocol counters (escalations,
 ///   intention locks) for the run metrics.
 pub trait ConcurrencyControl {
-    /// Materialize the declared access set of a freshly spawned
+    /// Materialize the declared access set of a freshly admitted
     /// transaction touching `entities` entities into `granules`
     /// (replacing its contents). The default clears the set — the
     /// protocol needs no concrete granules.

@@ -223,12 +223,14 @@ impl LockingCC {
     }
 
     /// Pre-size the incremental discipline for the closed system `cfg`
-    /// describes: `ntrans` simulated terminals bound the concurrent
-    /// transactions, and `min(size.max(), ltot)` bounds the locks each
-    /// can hold — so the steady state stays allocation-free even when a
-    /// record waiter count or holdings high-water mark first occurs deep
-    /// into a run. The one exception is the waits-for graph's edge slab:
-    /// its worst case is quadratic in `ntrans`, so it grows on demand
+    /// describes: `min(ntrans, mpl_limit)` bounds the concurrent
+    /// transactions (only admitted ones reach the conflict model; a
+    /// queued arrival is not yet drawn), and `min(size.max(), ltot)`
+    /// bounds the locks each can hold — so the steady state stays
+    /// allocation-free even when a record waiter count or holdings
+    /// high-water mark first occurs deep into a run. The one exception is
+    /// the waits-for graph's edge slab: its worst case is quadratic in
+    /// the concurrent transactions, so it grows on demand
     /// (DESIGN.md §12). Worst-case provisioning only makes sense while the
     /// worst case is small: past a fixed budget (capacity-scale MPL
     /// sweeps) the slabs are left to warm lazily instead of eagerly
@@ -239,7 +241,7 @@ impl LockingCC {
         let Discipline::Incremental(inc) = &mut self.discipline else {
             return;
         };
-        let txns = cfg.ntrans as usize;
+        let txns = cfg.mpl_limit.map_or(cfg.ntrans, |cap| cap.min(cfg.ntrans)) as usize;
         let per_txn = (cfg.size.max().min(cfg.ltot) as usize).max(1);
         let records = txns.saturating_mul(per_txn).saturating_add(txns);
         if records > BUDGET {

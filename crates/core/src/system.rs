@@ -4,6 +4,9 @@
 //!
 //! 1. Transactions arrive one time unit apart into the pending queue; a
 //!    transaction leaving the pending queue issues its lock request.
+//!    It is drawn (size, lock count, processors, granules) when it
+//!    leaves, so under an MPL cap a queued arrival is only its serial and
+//!    arrival time (DESIGN.md §11, "Admission-time draws").
 //! 2. Lock request/set/release work (`LU_i · lcputime` CPU and
 //!    `LU_i · liotime` I/O **per attempt**, charged even when denied) is
 //!    shared by all processors ("we assume that processors share the work
@@ -16,8 +19,9 @@
 //!    (FCFS), then joining.
 //! 4. A completed transaction releases its locks, wakes every transaction
 //!    blocked on it (they re-issue lock requests, paying the overhead
-//!    again), and is replaced by a freshly drawn transaction — the closed
-//!    model keeps exactly `ntrans` transactions in the system.
+//!    again), admits the head of the pending queue, and is replaced by a
+//!    fresh arrival — the closed model keeps exactly `ntrans`
+//!    transactions in the system.
 
 use std::collections::VecDeque;
 
@@ -192,25 +196,28 @@ pub struct System {
     io: Vec<Server>,
 
     // --- transactions ---
-    /// Slot-recycling slab of live transactions. The closed model keeps
-    /// exactly `ntrans` resident, so after the initial arrivals the slab
-    /// never grows; events address transactions by slot (see `job_id`).
+    /// Slot-recycling slab of admitted transactions. At most
+    /// `min(ntrans, mpl_limit)` are admitted at once, so the slab never
+    /// grows past that; events address transactions by slot (see
+    /// `job_id`).
     slab: Vec<Option<Transaction>>,
     /// LIFO free list of vacated slab slots.
     free_slots: Vec<u32>,
-    /// Carcasses of completed transactions; the next spawn reuses their
-    /// heap buffers (`spec.processors`, `granules`, `cpu_shares`) so the
-    /// closed-model replacement allocates nothing. [`System::reset`] also
-    /// drains the slab here, so a reused arena re-populates `ntrans`
-    /// transactions without touching the allocator.
+    /// Carcasses of completed transactions; the next admission reuses
+    /// their heap buffers (`spec.processors`, `granules`, `cpu_shares`)
+    /// so the closed-model replacement allocates nothing.
+    /// [`System::reset`] also drains the slab here, so a reused arena
+    /// re-admits transactions without touching the allocator.
     carcasses: Vec<Transaction>,
     next_serial: u64,
     blocked_count: u32,
     /// Admission control (`mpl_limit`): transactions holding a slot.
     admitted: u32,
     mpl_limit: Option<u32>,
-    /// FIFO of transaction slots waiting for an admission slot.
-    pending: VecDeque<u32>,
+    /// FIFO of arrivals waiting for an admission slot, as
+    /// `(serial, arrived)`: a transaction is drawn only when admitted, so
+    /// a queued one holds no slab slot, no buffer and no draw.
+    pending: VecDeque<(u64, Time)>,
     pending_tw: TimeWeighted,
 
     // --- failure extension ---
@@ -404,9 +411,9 @@ impl System {
                 s.reset(cfg.lock_preemption, cfg.discipline.to_sim());
             }
         }
-        // Drain resident transactions into the carcass pool: the reset
-        // run's spawns reuse their buffers instead of allocating `ntrans`
-        // transactions from scratch.
+        // Drain the admitted transactions into the carcass pool: the reset
+        // run's admissions reuse their buffers instead of allocating.
+        // Queued arrivals are bare (serial, arrival) pairs; they just go.
         self.carcasses
             .extend(self.slab.iter_mut().filter_map(Option::take));
         self.slab.clear();
@@ -520,13 +527,41 @@ impl System {
         now >= self.warmup
     }
 
-    /// Create a fresh transaction (closed-model replacement or initial
-    /// arrival) and start its lock phase. Reuses the retired carcass's
-    /// buffers when one is available, so the steady-state replacement
-    /// performs no heap allocation.
-    fn spawn_transaction(&mut self, now: Time, ex: &mut Executor<Event>) {
+    /// A transaction arrives (initial arrival or closed-model
+    /// replacement): it takes the next serial and is admitted if the
+    /// multiprogramming cap allows, otherwise queued as its
+    /// `(serial, arrived)` pair. An arrival bypasses the queue only when
+    /// the queue is empty (a completion admits the queue's head before its
+    /// replacement arrives), so transactions are admitted, and drawn, in
+    /// serial order.
+    fn arrive(&mut self, now: Time, ex: &mut Executor<Event>) {
         let serial = self.next_serial;
         self.next_serial += 1;
+        self.trace(now, TraceEvent::Arrived { serial });
+        if self.mpl_limit.is_none_or(|cap| self.admitted < cap) {
+            self.admit(now, serial, now, ex);
+        } else {
+            self.pending.push_back((serial, now));
+            self.pending_tw.record(now, self.pending.len() as f64);
+        }
+    }
+
+    /// Admit transaction `serial`: draw it, give it a slab slot and start
+    /// its lock phase. Reuses a retired carcass's buffers when one is
+    /// available, so the steady-state replacement performs no heap
+    /// allocation.
+    fn admit(&mut self, now: Time, serial: u64, arrived: Time, ex: &mut Executor<Event>) {
+        // The size, partitioning and access streams are consumed only
+        // here, so drawing in serial order gives transaction k the k-th
+        // draw of each, whether or not it waited in the queue. The one
+        // drawn now is the oldest not yet drawn: every younger arrival is
+        // queued.
+        debug_assert_eq!(
+            serial + self.pending.len() as u64 + 1,
+            self.next_serial,
+            "transactions must be drawn in serial order"
+        );
+        self.admitted += 1;
         let mut txn = self.carcasses.pop().unwrap_or_else(|| {
             Transaction::new(
                 0,
@@ -536,20 +571,20 @@ impl System {
                     processors: Vec::new(),
                 },
                 Vec::new(),
-                now,
+                arrived,
             )
         });
         txn.serial = serial;
-        txn.arrived = now;
+        txn.arrived = arrived;
         txn.attempts = 0;
         txn.phase = TxnPhase::LockPhase;
         txn.lock_shares_outstanding = 0;
         txn.subtxns_outstanding = 0;
         txn.cpu_shares.clear();
-        // Same draw order as before the slab: spec first, then granules.
-        // The conflict model decides what "declared access" means — the
-        // probabilistic model clears the set without touching the access
-        // stream; the lock-table models sample a concrete granule set.
+        // Spec first, then granules. The conflict model decides what
+        // "declared access" means — the probabilistic model clears the
+        // set without touching the access stream; the lock-table models
+        // sample a concrete granule set.
         self.generator.next_spec_into(&mut txn.spec);
         self.conflict
             .register_access(&mut self.access_rng, txn.spec.entities, &mut txn.granules);
@@ -563,21 +598,7 @@ impl System {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.trace(now, TraceEvent::Arrived { serial });
-        self.admit_or_enqueue(now, slot, ex);
-    }
-
-    /// Admission control: hand the transaction a slot (and start its lock
-    /// phase) if the multiprogramming cap allows, otherwise queue it.
-    fn admit_or_enqueue(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
-        let open = self.mpl_limit.is_none_or(|cap| self.admitted < cap);
-        if open {
-            self.admitted += 1;
-            self.begin_lock_phase(now, slot, ex);
-        } else {
-            self.pending.push_back(slot);
-            self.pending_tw.record(now, self.pending.len() as f64);
-        }
+        self.begin_lock_phase(now, slot, ex);
     }
 
     /// Issue a lock request attempt: charge the lock overhead across all
@@ -879,7 +900,8 @@ impl System {
     }
 
     /// Transaction completion: release locks, wake blocked transactions,
-    /// record statistics, spawn the closed-model replacement.
+    /// record statistics, admit the head of the pending queue, and let
+    /// the closed-model replacement arrive.
     fn complete(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
         #[expect(
             clippy::expect_used,
@@ -899,8 +921,8 @@ impl System {
             self.response_batch.record(resp);
             self.attempts_per_txn.record(f64::from(txn.attempts));
         }
-        // Retire the carcass: the replacement spawned below reuses its
-        // heap buffers instead of allocating.
+        // Retire the carcass: the admission below reuses its heap buffers
+        // instead of allocating.
         self.carcasses.push(txn);
         // Reuse the wake buffer across completions (no per-release
         // allocation); take it out of `self` so `begin_lock_phase` can
@@ -921,15 +943,14 @@ impl System {
         }
         self.wake_buf = woken;
         // The finished transaction gives up its admission slot; the head
-        // of the pending queue takes it.
+        // of the pending queue takes it, before the replacement arrives.
         self.admitted -= 1;
-        if let Some(next) = self.pending.pop_front() {
+        if let Some((serial, arrived)) = self.pending.pop_front() {
             self.pending_tw.record(now, self.pending.len() as f64);
-            self.admitted += 1;
-            self.begin_lock_phase(now, next, ex);
+            self.admit(now, serial, arrived, ex);
         }
         // Closed model: a fresh transaction replaces the finished one.
-        self.spawn_transaction(now, ex);
+        self.arrive(now, ex);
     }
 
     /// Processor `proc` fails: mark it down, schedule the repair, and
@@ -1141,17 +1162,6 @@ impl System {
         metrics
     }
 
-    /// Number of transactions currently resident (always `ntrans` once the
-    /// initial arrivals are in).
-    pub fn resident_transactions(&self) -> usize {
-        self.slab.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Number of transactions currently blocked.
-    pub fn blocked_transactions(&self) -> u32 {
-        self.blocked_count
-    }
-
     /// The horizon this system was configured with.
     pub fn tmax(&self) -> Time {
         self.tmax
@@ -1163,7 +1173,7 @@ impl Model for System {
 
     fn handle(&mut self, now: Time, event: Event, ex: &mut Executor<Event>) {
         match event {
-            Event::Arrive => self.spawn_transaction(now, ex),
+            Event::Arrive => self.arrive(now, ex),
             Event::WarmupReached => self.take_snapshot(now),
             Event::SampleTick => self.sample_tick(now, ex),
             Event::Fail { proc } => self.fail_processor(now, proc, ex),
@@ -1314,5 +1324,28 @@ mod tests {
             job_id(7, MAX_NPROS - 1, KIND_SUB_CPU),
             job_id(8, 0, KIND_SUB_CPU)
         );
+    }
+
+    /// Under an MPL cap only admitted transactions are drawn: 5 000
+    /// terminals behind MPL 16 never hold more than 16 slab slots or
+    /// carcasses, although arrivals queue for the whole run.
+    #[test]
+    fn queued_arrivals_hold_no_slab_slot_and_no_transaction() {
+        let cfg = ModelConfig::table1()
+            .with_ntrans(5_000)
+            .with_mpl_limit(Some(16))
+            .with_tmax(2_000.0);
+        let mut ex = Executor::new();
+        let mut sys = System::new(&cfg, 3, &mut ex);
+        let horizon = sys.tmax();
+        let end = ex.run(&mut sys, horizon);
+        let m = sys.finish(end);
+        assert!(sys.slab.len() <= 16, "slab has {} slots", sys.slab.len());
+        assert!(
+            sys.carcasses.len() <= 16,
+            "carcass pool holds {} transactions",
+            sys.carcasses.len()
+        );
+        assert!(m.mean_pending > 0.0, "no arrival ever queued");
     }
 }

@@ -31,7 +31,9 @@ pub struct Transaction {
     pub spec: TransactionSpec,
     /// Explicit granule set (empty under the probabilistic model).
     pub granules: Vec<u64>,
-    /// When the transaction first entered the pending queue.
+    /// When the transaction arrived into the pending queue. Under an MPL
+    /// cap it is drawn and admitted later, when it leaves the queue; its
+    /// response time still runs from here.
     pub arrived: Time,
     /// Lock request attempts so far (1 = first try).
     pub attempts: u32,

@@ -26,8 +26,13 @@
 //! `--out DIR` also writes `<id>.txt`, `<id>.csv` and `<id>.json`
 //! artifacts. Multi-figure runs are fault-isolated: a figure that
 //! panics is reported in an end-of-run summary (and the exit code is
-//! nonzero) while the remaining figures still render.
+//! nonzero) while the remaining figures still render. Every command
+//! writes its standard output through one fallible writer: a reader that
+//! closes the pipe early (`lockgran … | head -1`) ends the program with
+//! status 0, and any other write error is an error.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -39,13 +44,50 @@ use lockgran_workload::{Partitioning, Placement};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
+    let mut out = io::stdout();
+    match dispatch(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader has all it wanted (`lockgran … | head`).
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e @ Failure::Output(_)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+        Err(e @ Failure::Command(_)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command did not finish.
+enum Failure {
+    /// A bad flag, an unreadable file or failed figures; reported with
+    /// the usage text.
+    Command(String),
+    /// Writing to standard output failed.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Command(e)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Command(e) => f.write_str(e),
+            Failure::Output(e) => write!(f, "writing to standard output: {e}"),
         }
     }
 }
@@ -63,43 +105,41 @@ const USAGE: &str = "usage:
                [--areas N] [--escalation N|inf]
                [--liotime X] [--tmax T] [--seed N]";
 
-fn dispatch(args: &[String]) -> Result<(), String> {
+/// Run the command `args` names, writing its standard output to `w`.
+fn dispatch(args: &[String], w: &mut dyn Write) -> Result<(), Failure> {
     let Some(cmd) = args.first() else {
-        return Err("missing command".into());
+        return Err(Failure::Command("missing command".into()));
     };
     match cmd.as_str() {
-        "help" | "-h" | "--help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "-h" | "--help" => Ok(writeln!(w, "{USAGE}")?),
         "list" => {
-            println!("paper artifacts:");
+            writeln!(w, "paper artifacts:")?;
             for id in ALL_IDS {
-                println!("  {id}");
+                writeln!(w, "  {id}")?;
             }
-            println!("extension experiments:");
+            writeln!(w, "extension experiments:")?;
             for id in EXT_IDS {
-                println!("  {id}");
+                writeln!(w, "  {id}")?;
             }
             Ok(())
         }
-        "run" => run_single(&args[1..]),
-        "batch" => run_batch(&args[1..]),
-        "timeline" => run_timeline_cmd(&args[1..]),
-        "warmup" => run_warmup_cmd(&args[1..]),
+        "run" => run_single(&args[1..], w),
+        "batch" => run_batch(&args[1..], w),
+        "timeline" => run_timeline_cmd(&args[1..], w),
+        "warmup" => run_warmup_cmd(&args[1..], w),
         "all" => {
             let (opts, out, show_chart) = parse_fig_flags(&args[1..])?;
-            run_figures(&ALL_IDS, &opts, out.as_deref(), show_chart)
+            run_figures(&ALL_IDS, &opts, out.as_deref(), show_chart, w)
         }
         "ext" => {
             let (opts, out, show_chart) = parse_fig_flags(&args[1..])?;
-            run_figures(&EXT_IDS, &opts, out.as_deref(), show_chart)
+            run_figures(&EXT_IDS, &opts, out.as_deref(), show_chart, w)
         }
         id if ALL_IDS.contains(&id) || EXT_IDS.contains(&id) => {
             let (opts, out, show_chart) = parse_fig_flags(&args[1..])?;
-            run_figure(id, &opts, out.as_deref(), show_chart)
+            run_figure(id, &opts, out.as_deref(), show_chart, w)
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(Failure::Command(format!("unknown command '{other}'"))),
     }
 }
 
@@ -108,7 +148,8 @@ fn run_figure(
     opts: &RunOptions,
     out: Option<&std::path::Path>,
     show_chart: bool,
-) -> Result<(), String> {
+    w: &mut dyn Write,
+) -> Result<(), Failure> {
     eprintln!(
         "running {id} ({} mode, {} replications, {} sweep worker(s))…",
         if opts.quick { "quick" } else { "full" },
@@ -116,7 +157,7 @@ fn run_figure(
         opts.effective_jobs()
     );
     let fig = run_by_id(id, opts).ok_or_else(|| format!("unknown figure '{id}'"))?;
-    render_figure(&fig, out, show_chart)
+    render_figure(&fig, out, show_chart, w)
 }
 
 /// Run a batch of figures, fanning the figures themselves out across the
@@ -128,13 +169,14 @@ fn run_figure(
 /// Figures are fault-isolated: a figure that panics is collected into an
 /// end-of-run summary and returned as an error (→ nonzero exit) after
 /// every surviving figure has rendered, instead of tearing down the whole
-/// batch mid-flight.
+/// batch mid-flight. A failed write to `w` ends the batch at once.
 fn run_figures(
     ids: &[&str],
     opts: &RunOptions,
     out: Option<&std::path::Path>,
     show_chart: bool,
-) -> Result<(), String> {
+    w: &mut dyn Write,
+) -> Result<(), Failure> {
     let jobs = opts.effective_jobs();
     let outer = jobs.min(ids.len()).max(1);
     let inner = (jobs / outer).max(1);
@@ -155,11 +197,11 @@ fn run_figures(
     let mut failures: Vec<String> = Vec::new();
     for (id, result) in ids.iter().zip(figs) {
         match result {
-            Ok(Some(fig)) => {
-                if let Err(e) = render_figure(&fig, out, show_chart) {
-                    failures.push(format!("{id}: {e}"));
-                }
-            }
+            Ok(Some(fig)) => match render_figure(&fig, out, show_chart, w) {
+                Ok(()) => {}
+                Err(Failure::Command(e)) => failures.push(format!("{id}: {e}")),
+                Err(e @ Failure::Output(_)) => return Err(e),
+            },
             Ok(None) => failures.push(format!("{id}: unknown figure")),
             Err(p) => failures.push(format!("{id}: panicked: {}", p.message)),
         }
@@ -172,7 +214,7 @@ fn run_figures(
             summary.push_str("\n  ");
             summary.push_str(f);
         }
-        Err(summary)
+        Err(Failure::Command(summary))
     }
 }
 
@@ -182,15 +224,17 @@ fn render_figure(
     fig: &Figure,
     out: Option<&std::path::Path>,
     show_chart: bool,
-) -> Result<(), String> {
-    print!("{}", emit::render_table(fig));
-    println!();
+    w: &mut dyn Write,
+) -> Result<(), Failure> {
+    write!(w, "{}", emit::render_table(fig))?;
+    writeln!(w)?;
     if show_chart {
         for panel in &fig.panels {
-            println!(
+            writeln!(
+                w,
                 "{}",
                 chart::render_chart(panel, &chart::ChartOptions::default())
-            );
+            )?;
         }
     }
     if let Some(dir) = out {
@@ -231,24 +275,26 @@ fn parse_fig_flags(args: &[String]) -> Result<(RunOptions, Option<PathBuf>, bool
 
 /// `lockgran timeline [run flags] [--interval X]` — windowed time series
 /// of one run, as a table plus an ASCII chart of throughput over time.
-fn run_timeline_cmd(args: &[String]) -> Result<(), String> {
+fn run_timeline_cmd(args: &[String], w: &mut dyn Write) -> Result<(), Failure> {
     let (cfg, seed, rest) = parse_run_flags(args)?;
     let mut interval = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--interval" => interval = Some(next_val(&mut it, "--interval")?),
-            other => return Err(format!("unknown flag '{other}'")),
+            other => return Err(Failure::Command(format!("unknown flag '{other}'"))),
         }
     }
     let interval = checked_interval(interval, &cfg)?;
     let (m, points) = sim::run_timeline(&cfg, seed, interval);
-    println!(
+    writeln!(
+        w,
         "{:>10} {:>8} {:>12} {:>8} {:>8} {:>9} {:>9}",
         "t", "totcom", "throughput", "active", "blocked", "cpu util", "io util"
-    );
+    )?;
     for p in &points {
-        println!(
+        writeln!(
+            w,
             "{:>10.1} {:>8} {:>12.4} {:>8} {:>8} {:>9.3} {:>9.3}",
             p.t,
             p.completions,
@@ -257,13 +303,14 @@ fn run_timeline_cmd(args: &[String]) -> Result<(), String> {
             p.blocked,
             p.cpu_utilization,
             p.io_utilization
-        );
+        )?;
     }
-    println!();
-    println!(
+    writeln!(w)?;
+    writeln!(
+        w,
         "final: throughput {:.4}, response {:.2}",
         m.throughput, m.response_time
-    );
+    )?;
     // Throughput-over-time chart (linear x via index is fine here).
     let panel = lockgran_experiments::Panel {
         metric: "throughput over time".into(),
@@ -280,16 +327,17 @@ fn run_timeline_cmd(args: &[String]) -> Result<(), String> {
                 .collect(),
         }],
     };
-    println!(
+    writeln!(
+        w,
         "{}",
         chart::render_chart(&panel, &chart::ChartOptions::default())
-    );
+    )?;
     Ok(())
 }
 
 /// `lockgran warmup [run flags] [--interval X] [--reps R]` — Welch
 /// warm-up suggestion for a configuration.
-fn run_warmup_cmd(args: &[String]) -> Result<(), String> {
+fn run_warmup_cmd(args: &[String], w: &mut dyn Write) -> Result<(), Failure> {
     let (cfg, seed, rest) = parse_run_flags(args)?;
     let mut interval = None;
     let mut reps = 5u32;
@@ -298,23 +346,25 @@ fn run_warmup_cmd(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--interval" => interval = Some(next_val(&mut it, "--interval")?),
             "--reps" => reps = next_val(&mut it, "--reps")?,
-            other => return Err(format!("unknown flag '{other}'")),
+            other => return Err(Failure::Command(format!("unknown flag '{other}'"))),
         }
     }
     let interval = checked_interval(interval, &cfg)?;
     if reps == 0 {
-        return Err("--reps must be at least 1".into());
+        return Err(Failure::Command("--reps must be at least 1".into()));
     }
     match sim::suggest_warmup(&cfg, seed, reps, interval) {
-        Some(w) => println!(
-            "suggested warmup: {w:.0} time units ({}% of tmax {})",
-            (w / cfg.tmax * 100.0).round(),
+        Some(warmup) => writeln!(
+            w,
+            "suggested warmup: {warmup:.0} time units ({}% of tmax {})",
+            (warmup / cfg.tmax * 100.0).round(),
             cfg.tmax
-        ),
-        None => println!(
+        )?,
+        None => writeln!(
+            w,
             "no stable warm-up point found — lengthen tmax (currently {}) or widen --interval",
             cfg.tmax
-        ),
+        )?,
     }
     Ok(())
 }
@@ -383,7 +433,7 @@ fn parse_run_flags(args: &[String]) -> Result<(ModelConfig, u64, Vec<String>), S
 /// The JSON file holds an array of [`ModelConfig`] values (see
 /// `ModelConfig::table1()` serialized for a template). Each config runs
 /// once; results are printed as CSV (and written to `--out` if given).
-fn run_batch(args: &[String]) -> Result<(), String> {
+fn run_batch(args: &[String], w: &mut dyn Write) -> Result<(), Failure> {
     let mut it = args.iter();
     let path = next_str(&mut it, "batch")?;
     let mut seed = 0u64;
@@ -392,7 +442,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--seed" => seed = next_val(&mut it, "--seed")?,
             "--out" => out = Some(PathBuf::from(next_str(&mut it, "--out")?)),
-            other => return Err(format!("unknown flag '{other}'")),
+            other => return Err(Failure::Command(format!("unknown flag '{other}'"))),
         }
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -424,7 +474,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
             m.denial_rate
         ));
     }
-    print!("{csv}");
+    write!(w, "{csv}")?;
     if let Some(p) = out {
         std::fs::write(&p, &csv).map_err(|e| format!("writing {}: {e}", p.display()))?;
         eprintln!("wrote {}", p.display());
@@ -432,13 +482,14 @@ fn run_batch(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_single(args: &[String]) -> Result<(), String> {
+fn run_single(args: &[String], w: &mut dyn Write) -> Result<(), Failure> {
     let (cfg, seed, rest) = parse_run_flags(args)?;
     if let Some(flag) = rest.first() {
-        return Err(format!("unknown flag '{flag}'"));
+        return Err(Failure::Command(format!("unknown flag '{flag}'")));
     }
     let m = sim::run(&cfg, seed);
-    println!(
+    writeln!(
+        w,
         "config : ltot={} npros={} ntrans={} placement={} partitioning={} conflict={}",
         cfg.ltot,
         cfg.npros,
@@ -446,36 +497,37 @@ fn run_single(args: &[String]) -> Result<(), String> {
         cfg.placement,
         cfg.partitioning,
         cfg.conflict.name()
-    );
-    println!("totcom      = {}", m.totcom);
-    println!("throughput  = {:.5}", m.throughput);
-    println!("response    = {:.2}", m.response_time);
-    println!("totcpus     = {:.1}", m.totcpus);
-    println!("totios      = {:.1}", m.totios);
-    println!("lockcpus    = {:.1}", m.lockcpus);
-    println!("lockios     = {:.1}", m.lockios);
-    println!("usefulcpus  = {:.2}", m.usefulcpus);
-    println!("usefulios   = {:.2}", m.usefulios);
-    println!("denial rate = {:.3}", m.denial_rate);
-    println!("mean active = {:.2}", m.mean_active);
-    println!("cpu util    = {:.3}", m.cpu_utilization);
-    println!("io util     = {:.3}", m.io_utilization);
+    )?;
+    writeln!(w, "totcom      = {}", m.totcom)?;
+    writeln!(w, "throughput  = {:.5}", m.throughput)?;
+    writeln!(w, "response    = {:.2}", m.response_time)?;
+    writeln!(w, "totcpus     = {:.1}", m.totcpus)?;
+    writeln!(w, "totios      = {:.1}", m.totios)?;
+    writeln!(w, "lockcpus    = {:.1}", m.lockcpus)?;
+    writeln!(w, "lockios     = {:.1}", m.lockios)?;
+    writeln!(w, "usefulcpus  = {:.2}", m.usefulcpus)?;
+    writeln!(w, "usefulios   = {:.2}", m.usefulios)?;
+    writeln!(w, "denial rate = {:.3}", m.denial_rate)?;
+    writeln!(w, "mean active = {:.2}", m.mean_active)?;
+    writeln!(w, "cpu util    = {:.3}", m.cpu_utilization)?;
+    writeln!(w, "io util     = {:.3}", m.io_utilization)?;
     if cfg.conflict == ConflictMode::Hierarchical {
         let h = cfg.hierarchy_spec();
-        println!(
+        writeln!(
+            w,
             "hierarchy   = {} areas, escalation {}",
             h.areas,
             match h.escalation_threshold {
                 Some(t) => t.to_string(),
                 None => "off".to_string(),
             }
-        );
-        println!("escalations = {}", m.escalations);
-        println!("intent lks  = {}", m.intent_locks);
+        )?;
+        writeln!(w, "escalations = {}", m.escalations)?;
+        writeln!(w, "intent lks  = {}", m.intent_locks)?;
     }
     if cfg.conflict == ConflictMode::Twophase {
-        println!("deadlocks   = {}", m.deadlocks);
-        println!("aborts      = {}", m.aborts);
+        writeln!(w, "deadlocks   = {}", m.deadlocks)?;
+        writeln!(w, "aborts      = {}", m.aborts)?;
     }
     Ok(())
 }
@@ -558,7 +610,8 @@ mod tests {
     #[test]
     fn run_rejects_unknown_flags() {
         let args = ["--ltot", "50", "--bogus", "1"].map(String::from);
-        assert_eq!(run_single(&args), Err("unknown flag '--bogus'".into()));
+        let err = run_single(&args, &mut io::sink()).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag '--bogus'");
     }
 
     /// A batch with failing figures renders the survivors and returns a
@@ -569,8 +622,15 @@ mod tests {
         let mut opts = RunOptions::quick();
         opts.jobs = 1;
         opts.tmax = Some(300.0);
-        let err = run_figures(&["no-such-figure", "also-missing"], &opts, None, false)
-            .expect_err("bogus ids must fail");
+        let err = run_figures(
+            &["no-such-figure", "also-missing"],
+            &opts,
+            None,
+            false,
+            &mut io::sink(),
+        )
+        .expect_err("bogus ids must fail")
+        .to_string();
         assert!(err.contains("2 of 2 figures failed"), "summary: {err}");
         assert!(
             err.contains("no-such-figure: unknown figure"),
@@ -590,7 +650,7 @@ mod tests {
             // An invalid flag proves the id itself was recognised: the
             // error comes from flag parsing, not `unknown command`.
             let args = vec![id.to_string(), "--bogus".to_string()];
-            let err = dispatch(&args).unwrap_err();
+            let err = dispatch(&args, &mut io::sink()).unwrap_err().to_string();
             assert!(
                 err.contains("unknown flag"),
                 "id '{id}' not routed to the figure path: {err}"

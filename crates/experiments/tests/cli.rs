@@ -235,3 +235,37 @@ fn invalid_parameters_are_rejected() {
         );
     }
 }
+
+/// A reader that closes the pipe after one line (`lockgran … | head -1`)
+/// ends the program quietly with status 0: no broken-pipe panic (exit
+/// 101). The timeline prints 10 000 rows, far more than a pipe buffers,
+/// so the program is still writing when the pipe closes.
+#[test]
+fn closed_stdout_pipe_ends_without_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let mut child = lockgran()
+        .args(["timeline", "--tmax", "10000", "--interval", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    {
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        stdout.read_line(&mut first).unwrap();
+    }
+    assert!(first.contains("throughput"), "first line: {first}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert_ne!(status.code(), Some(101), "stderr:\n{stderr}");
+    assert!(status.success(), "{status}, stderr:\n{stderr}");
+}

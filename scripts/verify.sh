@@ -97,28 +97,42 @@ echo "== simbench digests (one short pass per workload at seed 0)"
 # The pass's wall_s (host seconds scaled to the reference host speed, on
 # the last JSON line) must stay under a ceiling far above every
 # workload's few seconds: a smoke test against a pathological slowdown,
-# not a perf gate (simbench/ab.py is that).
+# not a perf gate (simbench/ab.py is that). Its peak_rss_mb must stay
+# under a memory ceiling too. A terminal waiting for an MPL slot is only
+# its (serial, arrival) pair, so capacity's 10^5 terminals behind MPL 64
+# peak at about 10 MB and the other two workloads at about 3.5 MB; a
+# drawn transaction kept per waiting terminal (about 50 MB on capacity)
+# fails here.
 wall_ceiling_s=30
+rss_ceiling_mb=24
+# The value of end-to-end metric $1 on the JSON result line $2.
+metric_value() {
+    sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p" <<<"$2"
+}
 for workload in paper_sweep lock_contention capacity; do
     simbench_out=$(cargo run --offline -q --release --manifest-path simbench/Cargo.toml -- \
         --workload "$workload" --seed 0 --seconds 1 --trace 0) \
         || { echo "$simbench_out"; echo "simbench $workload failed its correctness checks"; exit 1; }
     result=$(tail -n 1 <<<"$simbench_out")
     echo "$result"
-    wall_s=$(sed -n 's/.*"wall_s": {"value": \([^,}]*\).*/\1/p' <<<"$result")
+    wall_s=$(metric_value wall_s "$result")
     awk -v w="$wall_s" -v max="$wall_ceiling_s" 'BEGIN { exit !(w != "" && w + 0 <= max) }' \
         || { echo "simbench $workload: wall_s ${wall_s:-missing} is over ${wall_ceiling_s} s"; exit 1; }
+    rss_mb=$(metric_value peak_rss_mb "$result")
+    awk -v m="$rss_mb" -v max="$rss_ceiling_mb" 'BEGIN { exit !(m != "" && m + 0 <= max) }' \
+        || { echo "simbench $workload: peak_rss_mb ${rss_mb:-missing} is over ${rss_ceiling_mb} MB"; exit 1; }
 done
 
 echo "== twophase smoke (incremental 2PL end to end: deadlocks detected, victims replayed)"
 # One contended single run in the incremental conflict mode; extI's own
 # unit tests carry the figure's shape assertions, and the golden step
 # regenerates it in full.
-# Capture, then grep: `grep -q` exits on first match and closes the
-# pipe mid-print, which the binary reports as a broken-pipe panic.
-twophase_out=$(cargo run --offline -q --release --bin lockgran -- run --conflict twophase \
-    --ltot 10 --ntrans 50 --maxtransize 50 --placement random --tmax 1000 --seed 7)
-grep -q "deadlocks" <<<"$twophase_out" || { echo "twophase run smoke failed"; exit 1; }
+# `grep -q` exits on the first match and closes the pipe mid-print; the
+# binary then ends quietly with status 0 (crates/experiments/tests/cli.rs
+# checks that), so pipefail still sees only a real failure.
+cargo run --offline -q --release --bin lockgran -- run --conflict twophase \
+    --ltot 10 --ntrans 50 --maxtransize 50 --placement random --tmax 1000 --seed 7 \
+    | grep -q "deadlocks" || { echo "twophase run smoke failed"; exit 1; }
 
 echo "== micro benches (each body once, untimed, so none can rot)"
 cargo bench --offline -q -p lockgran-bench -- --test

@@ -84,6 +84,18 @@ fn gauntlet() -> Vec<(ModelConfig, u64)> {
                 .with_service(ServiceVariability::Exponential),
             17,
         ),
+        // A pending queue still about 790 deep at the horizon: the next
+        // reset discards arrivals that were queued but never drawn.
+        (quick().with_ntrans(2_000).with_mpl_limit(Some(8)), 22),
+        // Incremental 2PL behind an MPL cap: the conflict model is
+        // prewarmed for the 4 admitted transactions, not the 40 terminals.
+        (
+            quick()
+                .with_conflict(ConflictMode::Twophase)
+                .with_ntrans(40)
+                .with_mpl_limit(Some(4)),
+            23,
+        ),
         // Failure extension plus a different lock distribution.
         (
             quick()

@@ -111,7 +111,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let txn = TxnId(serial);
             serial += 1;
-            black_box(s.request_all(txn, &locks));
+            black_box(&s.request_all(txn, &locks));
             s.release_into(txn, &mut woken);
             black_box(woken.len());
         });

@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
                     let txn = TxnId(serial);
                     serial += 1;
                     for g in granule_run(serial, locks) {
-                        black_box(s.acquire_into(txn, GranuleId(g), LockMode::X, &mut fx));
+                        black_box(&s.acquire_into(txn, GranuleId(g), LockMode::X, &mut fx));
                     }
                     s.release_into(txn, &mut granted);
                     black_box(granted.len());
@@ -58,8 +58,8 @@ fn bench(c: &mut Criterion) {
             let waiter = TxnId(serial + 1);
             serial += 2;
             let g = GranuleId(7);
-            black_box(s.acquire_into(holder, g, LockMode::X, &mut fx));
-            black_box(s.acquire_into(waiter, g, LockMode::X, &mut fx));
+            black_box(&s.acquire_into(holder, g, LockMode::X, &mut fx));
+            black_box(&s.acquire_into(waiter, g, LockMode::X, &mut fx));
             s.release_into(holder, &mut granted);
             debug_assert_eq!(granted, vec![waiter]);
             s.release_into(waiter, &mut granted);
@@ -80,9 +80,9 @@ fn bench(c: &mut Criterion) {
             let young = TxnId(serial + 1);
             serial += 2;
             let (ga, gb) = (GranuleId(0), GranuleId(1));
-            black_box(s.acquire_into(old, ga, LockMode::X, &mut fx));
-            black_box(s.acquire_into(young, gb, LockMode::X, &mut fx));
-            black_box(s.acquire_into(old, gb, LockMode::X, &mut fx)); // old waits on young
+            black_box(&s.acquire_into(old, ga, LockMode::X, &mut fx));
+            black_box(&s.acquire_into(young, gb, LockMode::X, &mut fx));
+            black_box(&s.acquire_into(old, gb, LockMode::X, &mut fx)); // old waits on young
             let out = s.acquire_into(young, ga, LockMode::X, &mut fx); // closes the cycle
             debug_assert_eq!(
                 out,
@@ -90,7 +90,7 @@ fn bench(c: &mut Criterion) {
                     retry: RetryOutcome::SelfAborted
                 }
             );
-            black_box(out);
+            black_box(&out);
             s.release_into(old, &mut granted);
             black_box(granted.len());
         });
@@ -109,7 +109,7 @@ fn bench(c: &mut Criterion) {
                 let first = serial;
                 serial += k;
                 for txn in first..serial {
-                    black_box(s.acquire_into(TxnId(txn), GranuleId(0), LockMode::X, &mut fx));
+                    black_box(&s.acquire_into(TxnId(txn), GranuleId(0), LockMode::X, &mut fx));
                 }
                 for txn in first..serial {
                     s.release_into(TxnId(txn), &mut granted);
@@ -133,10 +133,15 @@ fn bench(c: &mut Criterion) {
                 let first = serial;
                 serial += k;
                 for i in 0..k {
-                    black_box(s.acquire_into(TxnId(first + i), GranuleId(i), LockMode::X, &mut fx));
+                    black_box(&s.acquire_into(
+                        TxnId(first + i),
+                        GranuleId(i),
+                        LockMode::X,
+                        &mut fx,
+                    ));
                 }
                 for i in 1..k {
-                    black_box(s.acquire_into(
+                    black_box(&s.acquire_into(
                         TxnId(first + i),
                         GranuleId(i - 1),
                         LockMode::X,
@@ -151,7 +156,7 @@ fn bench(c: &mut Criterion) {
                     }
                 );
                 debug_assert_eq!(fx.victims, vec![TxnId(serial - 1)]);
-                black_box(out);
+                black_box(&out);
                 for txn in first..serial - 1 {
                     s.release_into(TxnId(txn), &mut granted);
                     black_box(granted.len());

@@ -50,7 +50,10 @@ use lockgran_workload::{access, HotSpot, Placement};
 
 use crate::config::{ConflictMode, ModelConfig};
 
-/// Identifies a transaction instance within a run (monotone serial).
+/// A transaction's key in conflict calls: the system model passes its
+/// slab slot, which is dense in [0, min(`ntrans`, `mpl_limit`)) and
+/// reused once the transaction completes. Lock-table models keep their
+/// per-transaction records in a vector indexed by it.
 pub type TxnSerial = u64;
 
 /// Outcome of an admission attempt.

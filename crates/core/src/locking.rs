@@ -40,7 +40,9 @@
 //! ## Per-transaction records and age ids
 //!
 //! The system model keys conflict calls by slab slot, and slots recycle
-//! as transactions complete. Each transaction therefore gets a monotone
+//! as transactions complete; they are dense in [0, min(`ntrans`,
+//! `mpl_limit`)), so the records are a vector indexed by slot. Each
+//! transaction also gets a monotone
 //! *age id* at its first `try_acquire` (spawn order is age order), and
 //! the schedulers know it only by that id. Its record keeps the id and
 //! the request list from the first attempt until release: a retry after
@@ -59,9 +61,9 @@
 //! [`ConcurrencyControl::drain_deadlock_effects`] after every attempt.
 
 use lockgran_lockmgr::{
-    escalate_predeclared_into, AcquireEffects, AcquireStatus, ConservativeOutcome,
-    ConservativeScheduler, EscalationPolicy, GranuleId, GranuleTree, LockMode, NodeId,
-    RetryOutcome, TwoPhaseScheduler, TxnId,
+    escalate_predeclared_into, merge_by_supremum, AcquireEffects, AcquireStatus,
+    ConservativeOutcome, ConservativeScheduler, EscalationPolicy, GranuleId, GranuleTree, LockMode,
+    LockTable, NodeId, RetryOutcome, TwoPhaseScheduler, TxnId,
 };
 use lockgran_sim::{DetMap, SimRng};
 use lockgran_workload::HierarchyMap;
@@ -119,6 +121,16 @@ enum Discipline {
     Incremental(Incremental),
 }
 
+impl Discipline {
+    /// The lock table under the scheduler.
+    fn table(&self) -> &LockTable {
+        match self {
+            Discipline::Predeclared(s) => s.table(),
+            Discipline::Incremental(inc) => inc.scheduler.table(),
+        }
+    }
+}
+
 /// The incremental discipline: its scheduler plus the effects of deadlock
 /// resolution awaiting system pickup.
 #[derive(Default)]
@@ -141,8 +153,18 @@ struct Txn {
     /// Requests held: exactly `request[..granted]` (predeclared grants
     /// them all at once, so a blocked transaction holds nothing).
     granted: usize,
-    /// Escalations the request list embodies, counted when it is granted.
+    /// What the request list embodies, counted when it is granted.
+    declared: Declared,
+}
+
+/// Counts a request list embodies, known when the declarative step builds
+/// it.
+#[derive(Clone, Copy, Default)]
+struct Declared {
+    /// Escalations.
     escalations: u64,
+    /// Intention locks (`IS`, `IX` or `SIX`), after the supremum merge.
+    intents: u64,
 }
 
 /// The lock-table concurrency control: a (tree, discipline) engine whose
@@ -153,8 +175,8 @@ pub struct LockingCC {
     /// The tree axis: `None` for the flat table.
     hierarchy: Option<Hierarchy>,
     discipline: Discipline,
-    /// Records per simulator slot.
-    txns: DetMap<Txn>,
+    /// Records by simulator slot (see module docs).
+    txns: Vec<Option<Txn>>,
     /// Reverse map: age id → simulator slot.
     slot_of: DetMap<TxnSerial>,
     /// Retired request buffers.
@@ -179,7 +201,7 @@ impl LockingCC {
             sampler: AccessSampler::from_config(cfg),
             hierarchy: None,
             discipline: Discipline::Predeclared(ConservativeScheduler::new()),
-            txns: DetMap::new(),
+            txns: Vec::new(),
             slot_of: DetMap::new(),
             spare: Vec::new(),
             next_id: 0,
@@ -192,16 +214,20 @@ impl LockingCC {
     }
 
     /// The declarative step: write the request list for the declared
-    /// granule set `granules` into `out` (cleared first) and return the
-    /// escalations it embodies. The paper locks granules exclusively, so
-    /// every declared granule is requested in `X`; in a hierarchy the set
-    /// first passes through escalation, and every surviving target brings
-    /// its intent chain.
-    fn declare(&mut self, granules: &[u64], out: &mut Vec<Request>) -> u64 {
+    /// granule set `granules` into `out` (cleared first) and return what
+    /// it embodies. The paper locks granules exclusively, so every
+    /// declared granule is requested in `X`; in a hierarchy the set first
+    /// passes through escalation, and every surviving target brings its
+    /// intent chain. The chains share ancestors, so they are merged by
+    /// supremum here, once, in ascending granule order (the predeclared
+    /// discipline's probe order): the list is then exactly what the
+    /// transaction holds once granted, and its intention locks are
+    /// counted from it.
+    fn declare(&mut self, granules: &[u64], out: &mut Vec<Request>) -> Declared {
         out.clear();
         let Some(h) = &mut self.hierarchy else {
             out.extend(granules.iter().map(|&g| (GranuleId(g), LockMode::X)));
-            return 0;
+            return Declared::default();
         };
         let level = h.tree.leaf_level();
         h.leaves.clear();
@@ -219,7 +245,15 @@ impl LockingCC {
         for &(node, mode) in &h.targets {
             h.tree.intent_chain_into(node, mode, out);
         }
-        escalations
+        merge_by_supremum(out);
+        let intents = out
+            .iter()
+            .filter(|(_, m)| matches!(m, LockMode::IS | LockMode::IX | LockMode::SIX))
+            .count();
+        Declared {
+            escalations,
+            intents: intents as u64,
+        }
     }
 
     /// Pre-size the incremental discipline for the closed system `cfg`
@@ -268,15 +302,15 @@ fn slot(slot_of: &DetMap<TxnSerial>, id: TxnId) -> TxnSerial {
 }
 
 /// The record of a registered slot.
-fn record(txns: &mut DetMap<Txn>, slot: TxnSerial) -> &mut Txn {
-    match txns.get_mut(slot) {
+fn record(txns: &mut [Option<Txn>], slot: TxnSerial) -> &mut Txn {
+    match txns.get_mut(slot as usize).and_then(Option::as_mut) {
         Some(rec) => rec,
         None => unreachable!("no record for slot {slot}"),
     }
 }
 
 /// Record that `slot`'s next queued request was granted.
-fn grant_next(txns: &mut DetMap<Txn>, slot: TxnSerial) {
+fn grant_next(txns: &mut [Option<Txn>], slot: TxnSerial) {
     let rec = record(txns, slot);
     rec.granted += 1;
     debug_assert!(rec.granted <= rec.request.len(), "granted past the request");
@@ -296,23 +330,26 @@ impl ConcurrencyControl for LockingCC {
     ) -> ConflictDecision {
         // The first attempt registers the request list under a fresh age
         // id; wake-up retries and deadlock replays resume the record.
-        if !self.txns.contains_key(txn) {
+        let at = txn as usize;
+        if self.txns.get(at).is_none_or(Option::is_none) {
             debug_assert_eq!(
                 granules.len() as u64,
                 locks,
                 "granule set size disagrees with lock count"
             );
             let mut request = self.spare.pop().unwrap_or_default();
-            let escalations = self.declare(granules, &mut request);
+            let declared = self.declare(granules, &mut request);
             let id = self.next_id;
             self.next_id += 1;
-            let rec = Txn {
+            if at >= self.txns.len() {
+                self.txns.resize_with(at + 1, || None);
+            }
+            self.txns[at] = Some(Txn {
                 id,
                 request,
                 granted: 0,
-                escalations,
-            };
-            self.txns.insert(txn, rec);
+                declared,
+            });
             self.slot_of.insert(id, txn);
         }
         let decision = match &mut self.discipline {
@@ -322,21 +359,8 @@ impl ConcurrencyControl for LockingCC {
                 match s.request_all(id, &rec.request) {
                     ConservativeOutcome::Granted => {
                         rec.granted = rec.request.len();
-                        self.stats.escalations += rec.escalations;
-                        if self.hierarchy.is_some() {
-                            // Count the intention locks actually granted
-                            // (after the supremum merge).
-                            let table = s.table();
-                            self.stats.intent_locks +=
-                                s.holdings(id)
-                                    .filter(|&g| {
-                                        matches!(
-                                            table.held_mode(id, g),
-                                            Some(LockMode::IS | LockMode::IX | LockMode::SIX)
-                                        )
-                                    })
-                                    .count() as u64;
-                        }
+                        self.stats.escalations += rec.declared.escalations;
+                        self.stats.intent_locks += rec.declared.intents;
                         ConflictDecision::Granted
                     }
                     ConservativeOutcome::Blocked { blocker } => {
@@ -367,6 +391,10 @@ impl ConcurrencyControl for LockingCC {
                             let vslot = slot(&self.slot_of, v);
                             // Its locks are gone; the replay re-locks the
                             // same request list under the same age id.
+                            debug_assert!(
+                                !inc.scheduler.table().holds_or_awaits(v),
+                                "aborted {v:?} (slot {vslot}) still holds or awaits a lock"
+                            );
                             record(&mut self.txns, vslot).granted = 0;
                             if vslot != txn {
                                 inc.aborted.push(vslot);
@@ -406,7 +434,7 @@ impl ConcurrencyControl for LockingCC {
     }
 
     fn release(&mut self, txn: TxnSerial, woken: &mut Vec<TxnSerial>) {
-        let mut rec = match self.txns.remove(txn) {
+        let mut rec = match self.txns.get_mut(txn as usize).and_then(Option::take) {
             Some(rec) if rec.granted == rec.request.len() => rec,
             // Protocol invariant: the system releases only transactions
             // it admitted.
@@ -429,6 +457,10 @@ impl ConcurrencyControl for LockingCC {
                 true
             }
         };
+        debug_assert!(
+            !self.discipline.table().holds_or_awaits(id),
+            "released {id:?} (slot {txn}) still holds or awaits a lock"
+        );
         for &t in &self.released {
             let slot = slot(&self.slot_of, t);
             if grants {
@@ -476,8 +508,8 @@ impl ConcurrencyControl for LockingCC {
             (_, false) => self.discipline = Discipline::Predeclared(ConservativeScheduler::new()),
             (_, true) => self.discipline = Discipline::Incremental(Incremental::default()),
         }
-        for rec in self.txns.values_mut() {
-            let mut buf = std::mem::take(&mut rec.request);
+        for rec in self.txns.iter_mut().filter_map(Option::take) {
+            let mut buf = rec.request;
             buf.clear();
             self.spare.push(buf);
         }

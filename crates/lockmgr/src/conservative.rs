@@ -15,14 +15,20 @@
 //! The blocked/blocks indexes live in [`DetMap`]s and every per-request
 //! buffer is pooled, so the steady-state request/release cycle allocates
 //! nothing (the paper's sweeps hammer this path at every granularity).
+//!
+//! A requester holds and awaits nothing, and this scheduler never queues
+//! in the table, so every request takes the table's fresh path
+//! ([`LockTable::probe_fresh`], [`LockTable::grant_fresh`]): one index
+//! lookup per granule, no walk of a granted group or wait queue.
 
 use lockgran_sim::DetMap;
 
 use crate::mode::LockMode;
-use crate::table::{GranuleId, LockTable, TxnId};
+use crate::table::{FreshSlot, GranuleId, LockTable, TxnId};
 
 /// Outcome of an all-at-once lock request.
 #[derive(Clone, Debug, PartialEq, Eq)]
+#[must_use = "a blocked request holds nothing and must be retried when woken"]
 pub enum ConservativeOutcome {
     /// Every lock in the set is now held.
     Granted,
@@ -36,6 +42,23 @@ pub enum ConservativeOutcome {
     },
 }
 
+/// Sort a request list by granule and merge each granule's requests into
+/// one, in the supremum of their modes: the form
+/// [`ConservativeScheduler::request_all`] takes as it comes.
+pub fn merge_by_supremum(requests: &mut Vec<(GranuleId, LockMode)>) {
+    // Unstable is enough: duplicates merge by `supremum`, a lattice join,
+    // so their order cannot change the result; the stable sort would
+    // allocate scratch once the list outgrows its stack buffer.
+    requests.sort_unstable_by_key(|&(g, _)| g);
+    requests.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = kept.1.supremum(later.1);
+        }
+        same
+    });
+}
+
 /// All-or-nothing lock acquisition over a [`LockTable`].
 #[derive(Default, Debug)]
 pub struct ConservativeScheduler {
@@ -46,12 +69,11 @@ pub struct ConservativeScheduler {
     blocks: DetMap<Vec<TxnId>>,
     /// Spare wake lists recycled through `blocks` (alloc-free steady state).
     spare_lists: Vec<Vec<TxnId>>,
-    /// Scratch: merged request set for the current `request_all`.
+    /// Scratch: the caller's request set sorted and merged, when it does
+    /// not come that way.
     merge_scratch: Vec<(GranuleId, LockMode)>,
-    /// Scratch: sorted copy of the caller's request set.
-    sort_scratch: Vec<(GranuleId, LockMode)>,
-    /// Scratch: blocker sink for the acquire phase.
-    blocker_scratch: Vec<TxnId>,
+    /// Scratch: the entry slot each request's probe found.
+    probe_scratch: Vec<FreshSlot>,
     /// Scratch: promotion sink for release (asserted empty).
     promote_scratch: Vec<(TxnId, GranuleId, LockMode)>,
 }
@@ -82,13 +104,13 @@ impl ConservativeScheduler {
             }
         }
         self.merge_scratch.clear();
-        self.sort_scratch.clear();
-        self.blocker_scratch.clear();
+        self.probe_scratch.clear();
         self.promote_scratch.clear();
     }
 
     /// Atomically request the full lock set for `txn`. The set must be
-    /// duplicate-free per granule (duplicates are merged by supremum).
+    /// duplicate-free per granule (duplicates are merged by supremum; a
+    /// set already strictly ascending by granule is used as it is).
     ///
     /// On conflict nothing is acquired and `txn` is recorded as blocked by
     /// the first conflicting holder (deterministic: smallest granule id
@@ -104,7 +126,7 @@ impl ConservativeScheduler {
         locks: &[(GranuleId, LockMode)],
     ) -> ConservativeOutcome {
         assert!(
-            self.table.holdings(txn).next().is_none(),
+            !self.table.holds_or_awaits(txn),
             "{txn:?} already holds locks"
         );
         assert!(
@@ -112,48 +134,52 @@ impl ConservativeScheduler {
             "{txn:?} is already blocked"
         );
 
-        // Merge duplicates deterministically, in pooled scratch buffers.
-        let mut sorted = std::mem::take(&mut self.sort_scratch);
-        sorted.clear();
-        sorted.extend_from_slice(locks);
-        // Unstable is enough: duplicates merge by `supremum`, a lattice
-        // join, so their order cannot change `merged`; the stable sort
-        // would allocate scratch once the list outgrows its stack buffer.
-        sorted.sort_unstable_by_key(|(g, _)| *g);
+        // Sort and merge duplicates deterministically, in a pooled
+        // scratch buffer, unless the caller already did.
         let mut merged = std::mem::take(&mut self.merge_scratch);
-        merged.clear();
-        for (g, m) in sorted.iter().copied() {
-            match merged.last_mut() {
-                Some((lg, lm)) if *lg == g => *lm = lm.supremum(m),
-                _ => merged.push((g, m)),
-            }
-        }
-        self.sort_scratch = sorted;
+        let request: &[(GranuleId, LockMode)] = if locks.windows(2).all(|w| w[0].0 < w[1].0) {
+            locks
+        } else {
+            merged.clear();
+            merged.extend_from_slice(locks);
+            merge_by_supremum(&mut merged);
+            &merged
+        };
 
-        // Probe phase: find the first conflict without acquiring anything.
-        for (g, m) in &merged {
-            if let Some(blocker) = self.table.first_conflict(txn, *g, *m) {
-                self.blocked.insert(txn.0, blocker);
-                let list = self.blocks.get_or_insert_with(blocker.0, Vec::new);
-                if list.capacity() == 0 {
-                    if let Some(spare) = self.spare_lists.pop() {
-                        *list = spare;
+        // Probe phase: one index lookup per granule finds the first
+        // conflict without acquiring anything. The slots found are kept;
+        // sized from the caller's list, the buffer grows exactly when the
+        // sorting scratch would have.
+        let mut probed = std::mem::take(&mut self.probe_scratch);
+        probed.clear();
+        probed.reserve(locks.len());
+        for &(g, m) in request {
+            match self.table.probe_fresh(g, m) {
+                Ok(at) => probed.push(at),
+                Err(blocker) => {
+                    self.blocked.insert(txn.0, blocker);
+                    let list = self.blocks.get_or_insert_with(blocker.0, Vec::new);
+                    if list.capacity() == 0 {
+                        if let Some(spare) = self.spare_lists.pop() {
+                            *list = spare;
+                        }
                     }
+                    list.push(txn);
+                    self.probe_scratch = probed;
+                    self.merge_scratch = merged;
+                    return ConservativeOutcome::Blocked { blocker };
                 }
-                list.push(txn);
-                self.merge_scratch = merged;
-                return ConservativeOutcome::Blocked { blocker };
             }
         }
 
-        // Acquire phase: by construction every request is grantable, and
-        // single-threaded use means nothing changed since the probe.
-        let mut blockers = std::mem::take(&mut self.blocker_scratch);
-        for (g, m) in &merged {
-            let granted = self.table.lock_into(txn, *g, *m, &mut blockers);
-            debug_assert!(granted, "probe said grantable but lock queued");
+        // Grant phase: every request is grantable, and single-threaded use
+        // means nothing changed since the probe, so each is granted from
+        // the slot its probe found without a second look (debug builds
+        // re-check).
+        for (&(g, m), &at) in request.iter().zip(&probed) {
+            self.table.grant_fresh(txn, g, m, at);
         }
-        self.blocker_scratch = blockers;
+        self.probe_scratch = probed;
         self.merge_scratch = merged;
         ConservativeOutcome::Granted
     }
@@ -373,7 +399,10 @@ mod tests {
     #[test]
     fn reset_behaves_like_fresh() {
         let mut s = ConservativeScheduler::new();
-        s.request_all(t(1), &xs(&[0, 1]));
+        assert_eq!(
+            s.request_all(t(1), &xs(&[0, 1])),
+            ConservativeOutcome::Granted
+        );
         assert!(matches!(
             s.request_all(t(2), &xs(&[1])),
             ConservativeOutcome::Blocked { .. }
@@ -388,7 +417,7 @@ mod tests {
     #[should_panic(expected = "already holds locks")]
     fn double_request_panics() {
         let mut s = ConservativeScheduler::new();
-        s.request_all(t(1), &xs(&[0]));
-        s.request_all(t(1), &xs(&[1]));
+        assert_eq!(s.request_all(t(1), &xs(&[0])), ConservativeOutcome::Granted);
+        let _ = s.request_all(t(1), &xs(&[1]));
     }
 }

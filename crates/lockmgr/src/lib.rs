@@ -59,12 +59,12 @@ pub mod reference;
 pub mod table;
 pub mod twophase;
 
-pub use conservative::{ConservativeOutcome, ConservativeScheduler};
+pub use conservative::{merge_by_supremum, ConservativeOutcome, ConservativeScheduler};
 pub use deadlock::WaitsForGraph;
 pub use hierarchy::{
     escalate_predeclared_into, EscalationPolicy, GranuleTree, HierarchyLevel, NodeId,
 };
 pub use mode::LockMode;
 pub use reference::ReferenceLockTable;
-pub use table::{GranuleId, LockOutcome, LockTable, TxnId};
+pub use table::{FreshSlot, GranuleId, LockOutcome, LockTable, TxnId};
 pub use twophase::{AcquireEffects, AcquireStatus, RetryOutcome, TwoPhaseScheduler};

@@ -33,6 +33,25 @@
 //! Steady-state `lock_into` / `unlock_into` / `release_all_into` cycles
 //! allocate nothing once the pools are warm; [`LockTable::reset`] drops
 //! all state but keeps every allocation (reset-equals-fresh).
+//!
+//! # Group summaries and the fresh path
+//!
+//! Each entry also counts its granted group: the `IS` holders, plus the
+//! one non-`IS` mode present and its holders. Gray's matrix lets `IX`
+//! share only with `IX` and `S` only with `S`, and lets `SIX` and `X`
+//! share with no other non-`IS` holder, so a valid group never mixes two
+//! non-`IS` modes and those counts describe it whole. A request from a
+//! transaction that does not hold the granule is checked against them in
+//! O(1); a group is walked only to find the requester's own block or to
+//! name the first blocker of a denial, so group order — and with it every
+//! blocker and wake order — is what it would be without the counts.
+//! [`LockTable::probe_fresh`] and [`LockTable::grant_fresh`] serve a
+//! transaction that holds and awaits nothing on the granule, the
+//! predeclared discipline's only kind of request: one index lookup and no
+//! walk at all. [`LockTable::visit_count`] counts the blocks every walk
+//! visits.
+
+use std::cell::Cell;
 
 use lockgran_sim::DetMap;
 
@@ -75,22 +94,88 @@ struct Block {
     next: u32,
 }
 
-/// One element of a per-txn granule list (holdings or waited granules).
+/// One element of a per-txn granule list (holdings or waited granules),
+/// with the granule's entry slot: an entry stays put while anyone holds
+/// or awaits it, so a release finds it without an index lookup.
 #[derive(Clone, Copy, Debug)]
 struct Link {
     granule: u64,
+    slot: u32,
     next: u32,
 }
 
+/// The counts of a granted group (see module docs): its `IS` holders and
+/// its holders of the one non-`IS` mode it may hold. Eight bytes, so an
+/// entry stays within the prewarm footprint (DESIGN.md §13).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Group {
+    /// Holders in `IS`.
+    is: u32,
+    /// Holders in the non-`IS` mode times 8, plus that mode's index in
+    /// [`LockMode::ALL`]; 0 when there is none.
+    strong: u32,
+}
+
+impl Group {
+    const EMPTY: Group = Group { is: 0, strong: 0 };
+
+    /// The non-`IS` mode the group holds, if any.
+    fn strong_mode(self) -> Option<LockMode> {
+        (self.strong != 0).then(|| LockMode::ALL[(self.strong & 7) as usize])
+    }
+
+    /// Count one more holder in `mode`.
+    fn add(&mut self, mode: LockMode) {
+        if mode == LockMode::IS {
+            self.is += 1;
+        } else {
+            debug_assert!(
+                self.strong_mode().is_none_or(|m| m == mode),
+                "{mode} granted beside {:?}",
+                self.strong_mode()
+            );
+            self.strong = (self.strong | mode as u32) + 8;
+        }
+    }
+
+    /// Count one holder in `mode` fewer.
+    fn remove(&mut self, mode: LockMode) {
+        if mode == LockMode::IS {
+            self.is -= 1;
+        } else {
+            debug_assert_eq!(self.strong_mode(), Some(mode), "no {mode} holder to remove");
+            self.strong -= 8;
+            if self.strong < 8 {
+                self.strong = 0;
+            }
+        }
+    }
+
+    /// Is `mode` compatible with every holder counted?
+    fn admits(self, mode: LockMode) -> bool {
+        (self.is == 0 || mode.compatible(LockMode::IS))
+            && self.strong_mode().is_none_or(|held| mode.compatible(held))
+    }
+
+    /// Is `mode` compatible with every holder but one holding `own` (the
+    /// requester itself)?
+    fn admits_besides(mut self, own: LockMode, mode: LockMode) -> bool {
+        self.remove(own);
+        self.admits(mode)
+    }
+}
+
 /// Per-granule lock state: granted group + FIFO wait queue, as heads and
-/// tails into the shared block pool. `granted_head` doubles as the
-/// entry free-list link while the slot is free.
+/// tails into the shared block pool, and the granted group's counts.
+/// `granted_head` doubles as the entry free-list link while the slot is
+/// free.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     granted_head: u32,
     granted_tail: u32,
     wait_head: u32,
     wait_tail: u32,
+    group: Group,
 }
 
 const EMPTY_ENTRY: Entry = Entry {
@@ -98,7 +183,14 @@ const EMPTY_ENTRY: Entry = Entry {
     granted_tail: NIL,
     wait_head: NIL,
     wait_tail: NIL,
+    group: Group::EMPTY,
 };
+
+/// Where [`LockTable::probe_fresh`] found a granule's entry, or that it
+/// has none, for [`LockTable::grant_fresh`]. Valid until the table next
+/// releases or queues anything, or grants that granule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FreshSlot(u32);
 
 /// Per-transaction state: holdings list (append order — the release
 /// scan order) and the granules the txn currently waits on.
@@ -133,6 +225,9 @@ pub struct LockTable {
     txns: DetMap<TxnRec>,
     grants: u64,
     waits: u64,
+    /// Blocks visited by walks along granted groups and wait queues (a
+    /// `Cell`, so the `&self` probes count theirs too).
+    visits: Cell<u64>,
     /// Scratch for release_all's sorted wait-cancel pass.
     cancel_scratch: Vec<u64>,
     /// Scratch for release_all's per-granule promotion results.
@@ -159,6 +254,7 @@ impl LockTable {
             txns: DetMap::new(),
             grants: 0,
             waits: 0,
+            visits: Cell::new(0),
             cancel_scratch: Vec::new(),
             promote_scratch: Vec::new(),
         }
@@ -171,6 +267,12 @@ impl LockTable {
     /// front (multiprogramming level × largest declared set); callers
     /// with unbounded or astronomically large worst cases should skip
     /// the call and let the slabs warm lazily.
+    ///
+    /// A release cancels only the releasing transaction's own waits, and
+    /// a transaction awaits at most one granule at a time under both
+    /// schedulers (none under the predeclared one), so the cancel scratch
+    /// is sized for one wait; a caller that queues one transaction on
+    /// several granules lets it grow on demand.
     pub fn prewarm(&mut self, txns: usize, records: usize) {
         fn reserve_total<T>(v: &mut Vec<T>, cap: usize) {
             if cap > v.capacity() {
@@ -183,7 +285,7 @@ impl LockTable {
         reserve_total(&mut self.entries, records);
         reserve_total(&mut self.blocks, records);
         reserve_total(&mut self.links, records);
-        reserve_total(&mut self.cancel_scratch, records);
+        reserve_total(&mut self.cancel_scratch, txns.min(1));
         reserve_total(&mut self.promote_scratch, txns);
     }
 
@@ -201,6 +303,7 @@ impl LockTable {
         self.txns.clear();
         self.grants = 0;
         self.waits = 0;
+        self.visits.set(0);
         self.cancel_scratch.clear();
         self.promote_scratch.clear();
     }
@@ -249,14 +352,19 @@ impl LockTable {
         self.free_block = b;
     }
 
-    fn alloc_link(&mut self, granule: u64) -> u32 {
+    fn alloc_link(&mut self, granule: u64, slot: u32) -> u32 {
+        let link = Link {
+            granule,
+            slot,
+            next: NIL,
+        };
         if self.free_link != NIL {
             let l = self.free_link;
             self.free_link = self.links[l as usize].next;
-            self.links[l as usize] = Link { granule, next: NIL };
+            self.links[l as usize] = link;
             l
         } else {
-            self.links.push(Link { granule, next: NIL });
+            self.links.push(link);
             (self.links.len() - 1) as u32
         }
     }
@@ -280,16 +388,17 @@ impl LockTable {
         }
     }
 
-    /// Append `granule` to `txn`'s holdings list. Callers guarantee the
-    /// granule is not already present (fresh grants only — upgrades and
-    /// upgrade promotions keep their existing link), which is exactly
-    /// the dedupe-at-insert contract; debug builds verify it.
-    fn add_holding(&mut self, txn: TxnId, granule: GranuleId) {
+    /// Append `granule`, whose entry is at `slot`, to `txn`'s holdings
+    /// list. Callers guarantee the granule is not already present (fresh
+    /// grants only — upgrades and upgrade promotions keep their existing
+    /// link), which is exactly the dedupe-at-insert contract; debug
+    /// builds verify it.
+    fn add_holding(&mut self, txn: TxnId, granule: GranuleId, slot: u32) {
         debug_assert!(
             !self.holdings(txn).any(|g| g == granule),
             "{txn:?} already holds {granule:?}"
         );
-        let link = self.alloc_link(granule.0);
+        let link = self.alloc_link(granule.0, slot);
         let rec = self.txn_rec(txn);
         if rec.hold_tail == NIL {
             rec.hold_head = link;
@@ -326,9 +435,9 @@ impl LockTable {
         }
     }
 
-    /// Record that `txn` now waits on `granule`.
-    fn add_wait_ref(&mut self, txn: TxnId, granule: GranuleId) {
-        let link = self.alloc_link(granule.0);
+    /// Record that `txn` now waits on `granule`, whose entry is at `slot`.
+    fn add_wait_ref(&mut self, txn: TxnId, granule: GranuleId, slot: u32) {
+        let link = self.alloc_link(granule.0, slot);
         let head = self.txn_rec(txn).wait_head;
         self.links[link as usize].next = head;
         self.txn_rec(txn).wait_head = link;
@@ -358,33 +467,47 @@ impl LockTable {
 
     // ---- per-entry list helpers -----------------------------------------
 
-    fn holder_mode_at(&self, slot: u32, txn: TxnId) -> Option<LockMode> {
-        let mut cur = self.entries[slot as usize].granted_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn == txn {
-                return Some(b.mode);
-            }
-            cur = b.next;
-        }
-        None
+    /// Count `n` more visited blocks.
+    fn visited(&self, n: u64) {
+        self.visits.set(self.visits.get() + n);
     }
 
-    /// Is `mode` compatible with every granted holder other than `txn`?
-    fn compatible_with_granted_at(&self, slot: u32, txn: TxnId, mode: LockMode) -> bool {
-        let mut cur = self.entries[slot as usize].granted_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn != txn && !mode.compatible(b.mode) {
-                return false;
+    /// Walk the list starting at `head` to `txn`'s block: `(previous
+    /// block or NIL, block)`, or `None` if `txn` is not on it.
+    fn seek(&self, head: u32, txn: TxnId) -> Option<(u32, u32)> {
+        let (mut prev, mut cur, mut seen) = (NIL, head, 0);
+        let found = loop {
+            if cur == NIL {
+                break None;
             }
+            seen += 1;
+            let b = self.blocks[cur as usize];
+            if b.txn == txn {
+                break Some((prev, cur));
+            }
+            prev = cur;
             cur = b.next;
-        }
-        true
+        };
+        self.visited(seen);
+        found
+    }
+
+    /// `txn`'s block in `slot`'s granted group, if it holds the granule.
+    fn holder_at(&self, slot: u32, txn: TxnId) -> Option<u32> {
+        self.seek(self.entries[slot as usize].granted_head, txn)
+            .map(|(_, b)| b)
+    }
+
+    /// `txn`'s queued block in `slot`'s wait queue, if any.
+    fn find_waiter(&self, slot: u32, txn: TxnId) -> Option<u32> {
+        self.seek(self.entries[slot as usize].wait_head, txn)
+            .map(|(_, b)| b)
     }
 
     fn push_granted(&mut self, slot: u32, block: u32) {
+        let mode = self.blocks[block as usize].mode;
         let e = &mut self.entries[slot as usize];
+        e.group.add(mode);
         let tail = e.granted_tail;
         if tail == NIL {
             e.granted_head = block;
@@ -395,28 +518,37 @@ impl LockTable {
         self.blocks[block as usize].next = NIL;
     }
 
+    /// Unlink granted `block` (after `prev`, NIL at the head) and free it.
+    fn unlink_granted(&mut self, slot: u32, prev: u32, block: u32) {
+        let b = self.blocks[block as usize];
+        let e = &mut self.entries[slot as usize];
+        e.group.remove(b.mode);
+        if prev == NIL {
+            e.granted_head = b.next;
+        } else {
+            self.blocks[prev as usize].next = b.next;
+        }
+        if e.granted_tail == block {
+            e.granted_tail = prev;
+        }
+        self.free_block_slot(block);
+    }
+
     /// Unlink `txn`'s granted block, returning its mode.
     fn remove_granted(&mut self, slot: u32, txn: TxnId) -> Option<LockMode> {
-        let (mut prev, mut cur) = (NIL, self.entries[slot as usize].granted_head);
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn == txn {
-                let e = &mut self.entries[slot as usize];
-                if prev == NIL {
-                    e.granted_head = b.next;
-                } else {
-                    self.blocks[prev as usize].next = b.next;
-                }
-                if self.entries[slot as usize].granted_tail == cur {
-                    self.entries[slot as usize].granted_tail = prev;
-                }
-                self.free_block_slot(cur);
-                return Some(b.mode);
-            }
-            prev = cur;
-            cur = b.next;
-        }
-        None
+        let (prev, block) = self.seek(self.entries[slot as usize].granted_head, txn)?;
+        let mode = self.blocks[block as usize].mode;
+        self.unlink_granted(slot, prev, block);
+        Some(mode)
+    }
+
+    /// Raise granted `block`'s mode to `mode` in place (an upgrade).
+    fn set_granted_mode(&mut self, slot: u32, block: u32, mode: LockMode) {
+        let b = &mut self.blocks[block as usize];
+        let group = &mut self.entries[slot as usize].group;
+        group.remove(b.mode);
+        group.add(mode);
+        b.mode = mode;
     }
 
     fn push_waiter(&mut self, slot: u32, block: u32) {
@@ -434,25 +566,18 @@ impl LockTable {
     /// Unlink `txn`'s queued waiter block, if any, returning it (caller
     /// frees or reuses it).
     fn remove_waiter(&mut self, slot: u32, txn: TxnId) -> Option<u32> {
-        let (mut prev, mut cur) = (NIL, self.entries[slot as usize].wait_head);
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn == txn {
-                let e = &mut self.entries[slot as usize];
-                if prev == NIL {
-                    e.wait_head = b.next;
-                } else {
-                    self.blocks[prev as usize].next = b.next;
-                }
-                if self.entries[slot as usize].wait_tail == cur {
-                    self.entries[slot as usize].wait_tail = prev;
-                }
-                return Some(cur);
-            }
-            prev = cur;
-            cur = b.next;
+        let (prev, block) = self.seek(self.entries[slot as usize].wait_head, txn)?;
+        let next = self.blocks[block as usize].next;
+        let e = &mut self.entries[slot as usize];
+        if prev == NIL {
+            e.wait_head = next;
+        } else {
+            self.blocks[prev as usize].next = next;
         }
-        None
+        if e.wait_tail == block {
+            e.wait_tail = prev;
+        }
+        Some(block)
     }
 
     fn entry_is_empty(&self, slot: u32) -> bool {
@@ -467,6 +592,42 @@ impl LockTable {
         }
     }
 
+    /// Would `txn` get `slot`'s granule in `mode` right now?
+    fn grantable_at(&self, slot: u32, txn: TxnId, mode: LockMode) -> bool {
+        let e = &self.entries[slot as usize];
+        match self.holder_at(slot, txn) {
+            Some(b) => {
+                let held = self.blocks[b as usize].mode;
+                let target = held.supremum(mode);
+                target == held || e.group.admits_besides(held, target)
+            }
+            None => e.wait_head == NIL && e.group.admits(mode),
+        }
+    }
+
+    /// The first transaction a denied request for `mode` by `txn` (`None`:
+    /// a transaction on neither list) waits behind in `slot`: the first
+    /// incompatible holder, else the first incompatible waiter, else the
+    /// queue head (FIFO order alone can block).
+    fn first_blocker(&self, slot: u32, txn: Option<TxnId>, mode: LockMode) -> Option<TxnId> {
+        let e = &self.entries[slot as usize];
+        let mut seen = 0;
+        for head in [e.granted_head, e.wait_head] {
+            let mut cur = head;
+            while cur != NIL {
+                seen += 1;
+                let b = self.blocks[cur as usize];
+                if txn != Some(b.txn) && !mode.compatible(b.mode) {
+                    self.visited(seen);
+                    return Some(b.txn);
+                }
+                cur = b.next;
+            }
+        }
+        self.visited(seen);
+        (e.wait_head != NIL).then(|| self.blocks[e.wait_head as usize].txn)
+    }
+
     // ---- public API ------------------------------------------------------
 
     /// Request `granule` in `mode` for `txn`. Returns `true` when the
@@ -477,6 +638,7 @@ impl LockTable {
     /// Re-requests by a holder upgrade to the supremum mode. A
     /// re-request by a transaction already waiting on the granule merges
     /// into its queued waiter (see module docs).
+    #[must_use = "`false` means the request queued behind `blockers`"]
     pub fn lock_into(
         &mut self,
         txn: TxnId,
@@ -500,10 +662,10 @@ impl LockTable {
         // held mode already covers is satisfied without touching the
         // queue.
         if let Some(w) = self.find_waiter(slot, txn) {
-            if self
-                .holder_mode_at(slot, txn)
-                .is_some_and(|held| held.supremum(mode) == held)
-            {
+            if self.holder_at(slot, txn).is_some_and(|b| {
+                let held = self.blocks[b as usize].mode;
+                held.supremum(mode) == held
+            }) {
                 return true;
             }
             let merged = self.blocks[w as usize].mode.supremum(mode);
@@ -513,82 +675,108 @@ impl LockTable {
             return false;
         }
 
-        if let Some(held) = self.holder_mode_at(slot, txn) {
+        if let Some(b) = self.holder_at(slot, txn) {
             // Upgrade path: jumps the queue but must respect other holders.
+            let held = self.blocks[b as usize].mode;
             let target = held.supremum(mode);
             if target == held {
                 return true;
             }
-            if self.compatible_with_granted_at(slot, txn, target) {
-                self.set_granted_mode(slot, txn, target);
+            if self.entries[slot as usize]
+                .group
+                .admits_besides(held, target)
+            {
+                self.set_granted_mode(slot, b, target);
                 self.grants += 1;
                 return true;
             }
-            self.collect_blockers(slot, txn, target, blockers);
-            let b = self.alloc_block(txn, target);
-            self.push_waiter(slot, b);
-            self.add_wait_ref(txn, granule);
-            self.waits += 1;
+            self.enqueue(slot, txn, granule, target, blockers);
             return false;
         }
 
-        if self.entries[slot as usize].wait_head == NIL
-            && self.compatible_with_granted_at(slot, txn, mode)
-        {
-            let b = self.alloc_block(txn, mode);
-            self.push_granted(slot, b);
-            self.add_holding(txn, granule);
-            self.grants += 1;
+        let e = &self.entries[slot as usize];
+        if e.wait_head == NIL && e.group.admits(mode) {
+            self.grant_new(slot, txn, granule, mode);
             true
         } else {
-            self.collect_blockers(slot, txn, mode, blockers);
-            let b = self.alloc_block(txn, mode);
-            self.push_waiter(slot, b);
-            self.add_wait_ref(txn, granule);
-            self.waits += 1;
+            self.enqueue(slot, txn, granule, mode, blockers);
             false
         }
     }
 
-    fn find_waiter(&self, slot: u32, txn: TxnId) -> Option<u32> {
-        let mut cur = self.entries[slot as usize].wait_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn == txn {
-                return Some(cur);
-            }
-            cur = b.next;
-        }
-        None
+    /// Give `txn` a new granted block in `slot` and a holdings link.
+    fn grant_new(&mut self, slot: u32, txn: TxnId, granule: GranuleId, mode: LockMode) {
+        let b = self.alloc_block(txn, mode);
+        self.push_granted(slot, b);
+        self.add_holding(txn, granule, slot);
+        self.grants += 1;
     }
 
-    fn set_granted_mode(&mut self, slot: u32, txn: TxnId, mode: LockMode) {
-        let mut cur = self.entries[slot as usize].granted_head;
-        while cur != NIL {
-            let b = &mut self.blocks[cur as usize];
-            if b.txn == txn {
-                b.mode = mode;
-                return;
-            }
-            cur = b.next;
+    /// Queue `txn`'s request for `mode` at the tail of `slot`'s wait
+    /// queue, filling `blockers` with what it waits behind.
+    fn enqueue(
+        &mut self,
+        slot: u32,
+        txn: TxnId,
+        granule: GranuleId,
+        mode: LockMode,
+        blockers: &mut Vec<TxnId>,
+    ) {
+        self.collect_blockers(slot, txn, mode, blockers);
+        let b = self.alloc_block(txn, mode);
+        self.push_waiter(slot, b);
+        self.add_wait_ref(txn, granule, slot);
+        self.waits += 1;
+    }
+
+    /// The fresh probe: would a transaction that holds and awaits nothing
+    /// on `granule` get it in `mode` now? `Ok` carries where to grant it
+    /// from ([`LockTable::grant_fresh`]); `Err` names the transaction
+    /// [`LockTable::first_conflict`] would. One index lookup; the granted
+    /// group and queue are walked only on a denial.
+    pub fn probe_fresh(&self, granule: GranuleId, mode: LockMode) -> Result<FreshSlot, TxnId> {
+        let Some(&slot) = self.index.get(granule.0) else {
+            return Ok(FreshSlot(NIL));
+        };
+        let e = &self.entries[slot as usize];
+        if e.wait_head == NIL && e.group.admits(mode) {
+            return Ok(FreshSlot(slot));
         }
+        match self.first_blocker(slot, None, mode) {
+            Some(blocker) => Err(blocker),
+            None => unreachable!("a denied fresh request has an incompatible holder or a queue"),
+        }
+    }
+
+    /// The fresh grant: give `txn`, which holds and awaits nothing on
+    /// `granule`, the lock in `mode` from the slot a fresh probe returned,
+    /// without re-checking (debug builds re-check). Visits no block.
+    pub fn grant_fresh(&mut self, txn: TxnId, granule: GranuleId, mode: LockMode, at: FreshSlot) {
+        debug_assert_eq!(
+            self.probe_fresh(granule, mode),
+            Ok(at),
+            "{txn:?} granted {granule:?} in {mode} from a stale probe"
+        );
+        debug_assert!(
+            !self.waited(txn).any(|g| g == granule),
+            "{txn:?} awaits {granule:?}"
+        );
+        let slot = if at.0 == NIL {
+            let s = self.alloc_entry();
+            self.index.insert(granule.0, s);
+            s
+        } else {
+            at.0
+        };
+        self.grant_new(slot, txn, granule, mode);
     }
 
     /// Non-mutating conflict probe: would `txn` get `granule` in `mode`
     /// right now?
     pub fn would_grant(&self, txn: TxnId, granule: GranuleId, mode: LockMode) -> bool {
-        match self.index.get(granule.0) {
-            None => true,
-            Some(&slot) => {
-                if let Some(held) = self.holder_mode_at(slot, txn) {
-                    let target = held.supremum(mode);
-                    target == held || self.compatible_with_granted_at(slot, txn, target)
-                } else {
-                    self.entries[slot as usize].wait_head == NIL
-                        && self.compatible_with_granted_at(slot, txn, mode)
-                }
-            }
-        }
+        self.index
+            .get(granule.0)
+            .is_none_or(|&slot| self.grantable_at(slot, txn, mode))
     }
 
     /// The first transaction `txn` would wait on if it requested
@@ -596,28 +784,10 @@ impl LockTable {
     /// Allocation-free variant of [`LockTable::conflicts_with`].
     pub fn first_conflict(&self, txn: TxnId, granule: GranuleId, mode: LockMode) -> Option<TxnId> {
         let &slot = self.index.get(granule.0)?;
-        if self.would_grant(txn, granule, mode) {
+        if self.grantable_at(slot, txn, mode) {
             return None;
         }
-        let mut cur = self.entries[slot as usize].granted_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn != txn && !mode.compatible(b.mode) {
-                return Some(b.txn);
-            }
-            cur = b.next;
-        }
-        let mut cur = self.entries[slot as usize].wait_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn != txn && !mode.compatible(b.mode) {
-                return Some(b.txn);
-            }
-            cur = b.next;
-        }
-        // FIFO order alone can block: fall back to the queue head.
-        let head = self.entries[slot as usize].wait_head;
-        (head != NIL).then(|| self.blocks[head as usize].txn)
+        self.first_blocker(slot, Some(txn), mode)
     }
 
     /// The transactions `txn` would wait on if it requested `granule` in
@@ -625,7 +795,7 @@ impl LockTable {
     pub fn conflicts_with(&self, txn: TxnId, granule: GranuleId, mode: LockMode) -> Vec<TxnId> {
         let mut out = Vec::new();
         if let Some(&slot) = self.index.get(granule.0) {
-            if !self.would_grant(txn, granule, mode) {
+            if !self.grantable_at(slot, txn, mode) {
                 self.collect_blockers(slot, txn, mode, &mut out);
             }
         }
@@ -633,29 +803,24 @@ impl LockTable {
     }
 
     fn collect_blockers(&self, slot: u32, txn: TxnId, mode: LockMode, out: &mut Vec<TxnId>) {
-        let mut cur = self.entries[slot as usize].granted_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn != txn && !mode.compatible(b.mode) && !out.contains(&b.txn) {
-                out.push(b.txn);
+        let e = &self.entries[slot as usize];
+        let mut seen = 0;
+        for head in [e.granted_head, e.wait_head] {
+            let mut cur = head;
+            while cur != NIL {
+                seen += 1;
+                let b = self.blocks[cur as usize];
+                if b.txn != txn && !mode.compatible(b.mode) && !out.contains(&b.txn) {
+                    out.push(b.txn);
+                }
+                cur = b.next;
             }
-            cur = b.next;
         }
-        let mut cur = self.entries[slot as usize].wait_head;
-        while cur != NIL {
-            let b = self.blocks[cur as usize];
-            if b.txn != txn && !mode.compatible(b.mode) && !out.contains(&b.txn) {
-                out.push(b.txn);
-            }
-            cur = b.next;
-        }
+        self.visited(seen);
         // FIFO order alone can block (compatible request behind an
         // incompatible waiter): fall back to the queue head.
-        if out.is_empty() {
-            let head = self.entries[slot as usize].wait_head;
-            if head != NIL {
-                out.push(self.blocks[head as usize].txn);
-            }
+        if out.is_empty() && e.wait_head != NIL {
+            out.push(self.blocks[e.wait_head as usize].txn);
         }
     }
 
@@ -689,7 +854,9 @@ impl LockTable {
     /// ascending granule order.
     pub fn release_all_into(&mut self, txn: TxnId, woken: &mut Vec<(TxnId, GranuleId, LockMode)>) {
         woken.clear();
-        let Some(rec) = self.txns.get(txn.0) else {
+        // Nothing below grants `txn` or queues it, so its record can go
+        // first; its lists are walked from this copy.
+        let Some(rec) = self.txns.remove(txn.0) else {
             return;
         };
         // Phase 1: walk the holdings list in append order, releasing and
@@ -701,10 +868,12 @@ impl LockTable {
         while cur != NIL {
             let link = self.links[cur as usize];
             let granule = GranuleId(link.granule);
-            let slot = match self.index.get(link.granule) {
-                Some(&s) => s,
-                None => unreachable!("holdings reference a live entry"),
-            };
+            let slot = link.slot;
+            debug_assert_eq!(
+                self.index.get(link.granule),
+                Some(&slot),
+                "stale holding slot"
+            );
             self.remove_granted(slot, txn);
             promoted.clear();
             self.promote(slot, granule, Some(txn), &mut promoted);
@@ -718,11 +887,7 @@ impl LockTable {
         // unblocked by the removal.
         let mut scratch = std::mem::take(&mut self.cancel_scratch);
         scratch.clear();
-        let rec = self.txn_rec(txn);
         let mut cur = rec.wait_head;
-        rec.hold_head = NIL;
-        rec.hold_tail = NIL;
-        rec.wait_head = NIL;
         while cur != NIL {
             let link = self.links[cur as usize];
             scratch.push(link.granule);
@@ -746,7 +911,7 @@ impl LockTable {
         self.cancel_scratch = scratch;
         promoted.clear();
         self.promote_scratch = promoted;
-        self.txns.remove(txn.0);
+        debug_assert!(!self.txns.contains_key(txn.0), "{txn:?} regained a record");
     }
 
     /// Grant the longest compatible prefix of `slot`'s wait queue,
@@ -769,7 +934,14 @@ impl LockTable {
             if skip == Some(w.txn) {
                 return;
             }
-            if !self.compatible_with_granted_at(slot, w.txn, w.mode) {
+            // An upgrading waiter's own granted block does not block it.
+            let own = self.seek(self.entries[slot as usize].granted_head, w.txn);
+            let group = self.entries[slot as usize].group;
+            let compatible = match own {
+                Some((_, b)) => group.admits_besides(self.blocks[b as usize].mode, w.mode),
+                None => group.admits(w.mode),
+            };
+            if !compatible {
                 return;
             }
             // Pop the head waiter and move its block to the granted group.
@@ -778,13 +950,13 @@ impl LockTable {
             if e.wait_head == NIL {
                 e.wait_tail = NIL;
             }
-            // An upgrading waiter replaces its old granted entry; a fresh
+            // An upgrading waiter replaces its old granted block; a fresh
             // waiter gains a holdings link.
-            let upgraded = self.remove_granted(slot, w.txn).is_some();
-            self.push_granted(slot, head);
-            if !upgraded {
-                self.add_holding(w.txn, granule);
+            match own {
+                Some((prev, b)) => self.unlink_granted(slot, prev, b),
+                None => self.add_holding(w.txn, granule, slot),
             }
+            self.push_granted(slot, head);
             self.remove_wait_ref(w.txn, granule);
             self.grants += 1;
             out.push((w.txn, w.mode));
@@ -794,7 +966,8 @@ impl LockTable {
     /// Mode in which `txn` holds `granule`, if any.
     pub fn held_mode(&self, txn: TxnId, granule: GranuleId) -> Option<LockMode> {
         let &slot = self.index.get(granule.0)?;
-        self.holder_mode_at(slot, txn)
+        self.holder_at(slot, txn)
+            .map(|b| self.blocks[b as usize].mode)
     }
 
     /// Granules currently held by `txn`, in acquisition (append) order.
@@ -804,6 +977,21 @@ impl LockTable {
             links: &self.links,
             cur: head,
         }
+    }
+
+    /// Granules `txn` currently waits on, latest first.
+    fn waited(&self, txn: TxnId) -> impl Iterator<Item = GranuleId> + '_ {
+        let head = self.txns.get(txn.0).map_or(NIL, |r| r.wait_head);
+        LinkIter {
+            links: &self.links,
+            cur: head,
+        }
+    }
+
+    /// Does `txn` hold or await any granule? (Its record lives exactly
+    /// that long.)
+    pub fn holds_or_awaits(&self, txn: TxnId) -> bool {
+        self.txns.contains_key(txn.0)
     }
 
     /// Number of granules with at least one holder or waiter.
@@ -821,9 +1009,24 @@ impl LockTable {
         self.waits
     }
 
+    /// Total granted-group and wait-queue blocks visited by walks: an
+    /// exact, host-independent measure of the table's list work. A fresh
+    /// probe or grant visits none.
+    pub fn visit_count(&self) -> u64 {
+        self.visits.get()
+    }
+
     /// Check internal invariants; returns a description of the first
-    /// violation. Used by property tests and debug assertions.
+    /// violation. Used by property tests and debug assertions. Its own
+    /// walks are not the table's work: the visit count is left as it was.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let visits = self.visits.get();
+        let verdict = self.audit();
+        self.visits.set(visits);
+        verdict
+    }
+
+    fn audit(&self) -> Result<(), String> {
         for (g, &slot) in self.index.iter() {
             let g = GranuleId(g);
             // Collect the granted group.
@@ -868,15 +1071,42 @@ impl LockTable {
             if granted.is_empty() && head == NIL {
                 return Err(format!("empty entry retained for {g:?}"));
             }
-            // 4. holdings index consistent with granted groups.
+            // 4. The group's counts match the group.
+            let mut counted = Group::EMPTY;
+            for &(_, m) in &granted {
+                counted.add(m);
+            }
+            let kept = self.entries[slot as usize].group;
+            if kept != counted {
+                return Err(format!(
+                    "group counts on {g:?} read {kept:?}, its holders {counted:?}"
+                ));
+            }
+            // 5. holdings index consistent with granted groups.
             for (t, _) in &granted {
                 if !self.holdings(*t).any(|h| h == g) {
                     return Err(format!("{t:?} granted on {g:?} but missing from holdings"));
                 }
             }
         }
-        for (t, _) in self.txns.iter() {
+        for (t, rec) in self.txns.iter() {
             let t = TxnId(t);
+            if rec.hold_head == NIL && rec.wait_head == NIL {
+                return Err(format!("{t:?} holds and awaits nothing but keeps a record"));
+            }
+            for head in [rec.hold_head, rec.wait_head] {
+                let mut cur = head;
+                while cur != NIL {
+                    let link = self.links[cur as usize];
+                    if self.index.get(link.granule) != Some(&link.slot) {
+                        return Err(format!(
+                            "{t:?} links granule {} to a stale entry slot",
+                            link.granule
+                        ));
+                    }
+                    cur = link.next;
+                }
+            }
             let hs: Vec<GranuleId> = self.holdings(t).collect();
             let mut sorted = hs.clone();
             sorted.sort();

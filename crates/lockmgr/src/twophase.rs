@@ -26,6 +26,7 @@ use crate::table::{GranuleId, LockTable, TxnId};
 /// ([`TwoPhaseScheduler::acquire_into`]); the lists that go with it land
 /// in the caller's [`AcquireEffects`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[must_use = "a request that is not granted waits or was aborted"]
 pub enum AcquireStatus {
     /// Lock held; proceed. (`effects` untouched beyond the initial clear.)
     Granted,

@@ -8,6 +8,12 @@
 //! order, counters, probes. Small transaction/granule spaces keep
 //! contention high so upgrades, upgrade-jumps-queue, waiting-re-request
 //! merges and greedy multi-waiter promotion runs all occur constantly.
+//!
+//! A transaction that holds and awaits nothing may also take the table's
+//! fresh path: its probe must name the blocker `first_conflict` names,
+//! and a fresh grant must leave the table where `lock_into` would (every
+//! other one is made through it). `check_invariants` recounts every
+//! granted group's summary.
 
 use lockgran_lockmgr::{GranuleId, LockMode, LockOutcome, LockTable, ReferenceLockTable, TxnId};
 use lockgran_sim::SimRng;
@@ -20,6 +26,19 @@ const MODES: [LockMode; 5] = [
     LockMode::X,
 ];
 
+/// Steps per phase of a phased mode mix.
+const PHASE: usize = 400;
+
+/// A mix heavy in the modes that share a granule, in phases: `IS` with
+/// `IX`, then `IS` with `S`, then the exclusive modes. Groups grow long
+/// within a phase; at its end the first request of the next phase's
+/// modes queues behind them, and the group drains from the middle.
+const SHARING_PHASES: [&[LockMode]; 3] = [
+    &[LockMode::IS, LockMode::IX, LockMode::IX],
+    &[LockMode::IS, LockMode::S, LockMode::S],
+    &[LockMode::IS, LockMode::SIX, LockMode::X],
+];
+
 /// Number of (seed, stream) repetitions. The quick profile
 /// (`QUICK_PROP=1`, set by `verify.sh --quick`) trims the seed count.
 fn seeds() -> u64 {
@@ -30,7 +49,10 @@ fn seeds() -> u64 {
     }
 }
 
-fn drive(seed: u64, txns: u64, granules: u64, ops: usize) {
+/// Drive both tables through `ops` random operations by `txns`
+/// transactions on `granules` granules, drawing modes from
+/// `phases[step / PHASE % phases.len()]`.
+fn drive(seed: u64, txns: u64, granules: u64, ops: usize, phases: &[&[LockMode]]) {
     let mut rng = SimRng::new(seed);
     let mut real = LockTable::new();
     let mut spec = ReferenceLockTable::new();
@@ -41,14 +63,32 @@ fn drive(seed: u64, txns: u64, granules: u64, ops: usize) {
     for step in 0..ops {
         let txn = TxnId(rng.uniform_inclusive(0, txns - 1));
         let granule = GranuleId(rng.uniform_inclusive(0, granules - 1));
-        let mode = MODES[rng.uniform_inclusive(0, 4) as usize];
+        let modes = phases[step / PHASE % phases.len()];
+        let mode = modes[rng.uniform_inclusive(0, modes.len() as u64 - 1) as usize];
         let ctx =
             |what: &str| format!("seed {seed} step {step} {what} ({txn:?} {granule:?} {mode})");
+
+        let fresh = (!real.holds_or_awaits(txn)).then(|| real.probe_fresh(granule, mode));
+        if let Some(probe) = fresh {
+            assert_eq!(
+                probe.err(),
+                real.first_conflict(txn, granule, mode),
+                "{}",
+                ctx("fresh probe and first_conflict disagree")
+            );
+        }
 
         match rng.uniform_inclusive(0, 9) {
             // Lock-heavy mix keeps queues deep.
             0..=5 => {
-                let granted = real.lock_into(txn, granule, mode, &mut blockers);
+                let granted = match fresh {
+                    Some(Ok(at)) if step % 2 == 0 => {
+                        real.grant_fresh(txn, granule, mode, at);
+                        blockers.clear();
+                        true
+                    }
+                    _ => real.lock_into(txn, granule, mode, &mut blockers),
+                };
                 let expected = spec.lock(txn, granule, mode);
                 match expected {
                     LockOutcome::Granted => {
@@ -136,7 +176,7 @@ fn drive(seed: u64, txns: u64, granules: u64, ops: usize) {
 #[test]
 fn differential_high_contention() {
     for seed in 0..seeds() {
-        drive(seed, 8, 4, 2_000);
+        drive(seed, 8, 4, 2_000, &[&MODES]);
     }
 }
 
@@ -145,7 +185,7 @@ fn differential_high_contention() {
 #[test]
 fn differential_wide_granule_space() {
     for seed in 0..seeds() {
-        drive(1_000 + seed, 12, 64, 2_000);
+        drive(1_000 + seed, 12, 64, 2_000, &[&MODES]);
     }
 }
 
@@ -154,6 +194,16 @@ fn differential_wide_granule_space() {
 #[test]
 fn differential_upgrade_duels() {
     for seed in 0..seeds() {
-        drive(2_000 + seed, 2, 3, 2_000);
+        drive(2_000 + seed, 2, 3, 2_000, &[&MODES]);
+    }
+}
+
+/// Long granted groups: about a hundred transactions on two granules,
+/// mostly in sharing modes, so groups reach dozens of members, lose
+/// members from the middle, and go through upgrades.
+#[test]
+fn differential_long_granted_groups() {
+    for seed in 0..seeds() {
+        drive(3_000 + seed, 96, 2, 4_000, &SHARING_PHASES);
     }
 }

@@ -160,15 +160,11 @@ impl<V> DetMap<V> {
     /// Mutably borrow the value for `key`, inserting `make()` first when
     /// absent (the missing `entry` API for the hot paths).
     pub fn get_or_insert_with<F: FnOnce() -> V>(&mut self, key: u64, make: F) -> &mut V {
-        if self.find(key).is_none() {
-            self.insert(key, make());
-        }
-        let pos = match self.find(key) {
-            Some(p) => p,
-            None => unreachable!("key present after insert"),
+        let slot = match self.find(key) {
+            Some(pos) => self.index[pos] - 1,
+            None => self.insert_absent(key, make()),
         };
-        let slot = (self.index[pos] - 1) as usize;
-        match self.nodes[slot].value.as_mut() {
+        match self.nodes[slot as usize].value.as_mut() {
             Some(v) => v,
             None => unreachable!("indexed slot holds a live value"),
         }
@@ -182,6 +178,12 @@ impl<V> DetMap<V> {
             let slot = (self.index[pos] - 1) as usize;
             return self.nodes[slot].value.replace(value);
         }
+        self.insert_absent(key, value);
+        None
+    }
+
+    /// Insert `key`, known to be absent, and return its slab slot.
+    fn insert_absent(&mut self, key: u64, value: V) -> u32 {
         self.grow_if_needed();
         // Claim a slab slot: recycle the free list before growing the Vec.
         let slot = if self.free != NIL {
@@ -218,7 +220,7 @@ impl<V> DetMap<V> {
         }
         self.index[pos] = slot + 1;
         self.len += 1;
-        None
+        slot
     }
 
     /// Remove `key`, returning its value. Backward-shift deletion keeps

@@ -1348,4 +1348,96 @@ mod tests {
         );
         assert!(m.mean_pending > 0.0, "no arrival ever queued");
     }
+
+    /// The workload and access streams are common to every conflict
+    /// model: the k-th admitted transaction takes the k-th spec and, under
+    /// a lock table, the k-th granule-set draw, whatever the model decided
+    /// for the ones before it. Blocking, deadlock aborts, escalation and
+    /// replays draw from neither, and deterministic service draws nothing
+    /// from the service stream. So at the horizon each stream stands where
+    /// a fresh one does after one replay per admitted transaction.
+    #[test]
+    fn shared_streams_advance_once_per_admission() {
+        use crate::config::{ConflictMode, HierarchySpec};
+        use crate::conflict::AccessSampler;
+        use lockgran_workload::{HotSpot, Placement};
+
+        let table1 = ModelConfig::table1().with_tmax(1_000.0);
+        // simbench's `lock_contention` shape: the 80/20 hot spot.
+        let contention = ModelConfig::table1()
+            .with_ntrans(50)
+            .with_maxtransize(50)
+            .with_placement(Placement::Random)
+            .with_hot_spot(Some(HotSpot::eighty_twenty()))
+            .with_tmax(1_000.0);
+        let hierarchy = table1.clone().with_hierarchy(Some(HierarchySpec {
+            areas: 10,
+            escalation_threshold: Some(3),
+        }));
+        let (mut cases, mut escalations, mut deadlocks) = (0, 0, 0);
+        for mode in ConflictMode::ALL {
+            for (shape, base) in [
+                ("table1", &table1),
+                ("contention", &contention),
+                ("hierarchy", &hierarchy),
+            ] {
+                for service in ServiceVariability::ALL {
+                    for seed in [42, 7] {
+                        let cfg = base.clone().with_conflict(mode).with_service(service);
+                        if cfg.validate().is_err() {
+                            continue;
+                        }
+                        let case = format!("{mode} {shape} {service} seed {seed}");
+                        let mut ex = Executor::new();
+                        let mut sys = System::new(&cfg, seed, &mut ex);
+                        let horizon = sys.tmax();
+                        ex.run(&mut sys, horizon);
+                        let stats = sys.conflict.stats();
+                        escalations += stats.escalations;
+                        deadlocks += stats.deadlocks;
+                        cases += 1;
+
+                        let drawn = sys.next_serial - sys.pending.len() as u64;
+                        assert!(drawn > 0, "{case}: nothing was admitted");
+                        let root = SimRng::new(seed);
+                        let mut generator = WorkloadGenerator::new(cfg.workload_params(), &root);
+                        let mut access = root.split("access");
+                        let sampler = AccessSampler::from_config(&cfg);
+                        let mut granules = Vec::new();
+                        for _ in 0..drawn {
+                            let spec = generator.next_spec();
+                            if mode != ConflictMode::Probabilistic {
+                                sampler.sample_into(&mut access, spec.entities, &mut granules);
+                            }
+                        }
+                        assert_eq!(sys.generator.generated(), drawn, "{case}: specs drawn");
+                        assert_eq!(
+                            sys.generator.next_spec(),
+                            generator.next_spec(),
+                            "{case}: workload stream"
+                        );
+                        assert_eq!(
+                            sys.access_rng.next_u64(),
+                            access.next_u64(),
+                            "{case}: access stream"
+                        );
+                        if service == ServiceVariability::Deterministic {
+                            assert_eq!(
+                                sys.service_rng.next_u64(),
+                                root.split("service").next_u64(),
+                                "{case}: service stream drawn under deterministic service"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            cases, 32,
+            "4 + 3 + 1 valid models per shape, × 2 services × 2 seeds"
+        );
+        // The cases reach the paths that must not draw.
+        assert!(escalations > 0, "no case escalated");
+        assert!(deadlocks > 0, "no case deadlocked");
+    }
 }

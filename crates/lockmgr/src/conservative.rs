@@ -210,11 +210,6 @@ impl ConservativeScheduler {
         }
     }
 
-    /// The holder `txn` is currently blocked on, if any.
-    pub fn blocked_on(&self, txn: TxnId) -> Option<TxnId> {
-        self.blocked.get(txn.0).copied()
-    }
-
     /// Number of currently blocked transactions.
     pub fn blocked_count(&self) -> usize {
         self.blocked.len()

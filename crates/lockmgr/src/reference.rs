@@ -20,8 +20,9 @@
 //!   cancels queued waits in ascending granule order.
 //!
 //! This module is intentionally *not* allocation-free; it is never on a
-//! hot path (test oracle only), which is also why the lint's hot-path
-//! rule (D005) exempts it.
+//! hot path (test oracle only), which is also why the source-policy
+//! scan (`tests/self_check.rs`) allows its ordered maps and its front
+//! removal.
 
 use std::collections::BTreeMap;
 
@@ -160,8 +161,8 @@ impl ReferenceLockTable {
             if !Self::compatible_with_granted(entry, txn, mode) {
                 return;
             }
-            // lint:allow(P002): the oracle favours the most literal FIFO
-            // expression over throughput; queues here are a handful deep
+            // Front removal on purpose: the oracle favours the most literal FIFO
+            // expression over throughput; queues here are a handful deep.
             entry.waiting.remove(0);
             // An upgrading waiter replaces its old granted entry; a fresh
             // waiter gains a holdings link.

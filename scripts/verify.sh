@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline verification gate: formatting, clippy, policy lint, build, tests.
+# Offline verification gate: formatting, clippy, build, goldens, tests.
 #
 # Everything runs with --offline — the workspace has no external
 # dependencies by policy (see DESIGN.md §5), so a bare toolchain with no
@@ -37,7 +37,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo clippy, library code (no panics, exact float compares or enum wildcards)"
 cargo clippy --offline --workspace --lib --bins -- -D warnings "${library_lints[@]}"
 
-echo "== clippy rule fixtures (clippy flags exactly each fixture's VIOLATION lines)"
+echo "== rule fixtures (clippy and the source-policy scan flag exactly each fixture's VIOLATION lines)"
 cargo test --offline -q -p lockgran --test rule_fixtures
 
 echo "== simbench clippy, all targets"
@@ -50,15 +50,6 @@ cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- \
 echo "== simbench clippy, binaries (library-code lints)"
 cargo clippy --offline --manifest-path simbench/Cargo.toml --bins -- \
     -D warnings "${simbench_allow[@]}" "${library_lints[@]}"
-
-echo "== lockgran-lint (lock protocol, determinism flow, hot-path maps, front removals)"
-if [[ -n "${GITHUB_ACTIONS:-}" ]]; then
-    # Under Actions, emit workflow commands so findings show up as
-    # inline annotations on the PR diff (same exit status either way).
-    cargo run --offline -q -p lockgran-lint -- --github
-else
-    cargo run --offline -q -p lockgran-lint
-fi
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace

@@ -1,13 +1,16 @@
-//! The determinism and panic policy that clippy enforces, checked
-//! against its rule fixtures.
+//! The policy that clippy and the source-policy scan enforce, checked
+//! against their rule fixtures.
 //!
-//! Each fixture under `crates/lint/tests/fixtures/` is compiled by
+//! Each clippy rule's fixture under `tests/fixtures/` is compiled by
 //! `clippy-driver` as a standalone library crate, with the root
 //! `clippy.toml` and the library pass's lint flags read from
 //! `scripts/verify.sh`. Clippy must flag exactly the lines marked
 //! `// VIOLATION`, and every `#[expect]` case must be fulfilled. So
 //! dropping a ban from `clippy.toml` or a flag from `verify.sh` fails
-//! here, not silently.
+//! here, not silently. The D005 and P002 fixtures hold the scanner of
+//! `tests/source_policy/` to the same contract.
+
+mod source_policy;
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -15,9 +18,7 @@ use std::process::Command;
 const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
 fn fixture_path(name: &str) -> PathBuf {
-    Path::new(ROOT)
-        .join("crates/lint/tests/fixtures")
-        .join(name)
+    Path::new(ROOT).join("tests/fixtures").join(name)
 }
 
 /// The library pass's lint flags: the `library_lints=(…)` array in
@@ -142,4 +143,40 @@ fn test_scope_exempts_panics_but_not_containers() {
         violation_lines("d001.rs")
     );
     assert!(clippy_lines("p001.rs", Pass::AllTargets).is_empty());
+}
+
+/// The source-policy scan flags exactly the fixture's `// VIOLATION`
+/// lines.
+fn assert_scan_flags_violations(name: &str, needles: &[&str]) {
+    let expected = violation_lines(name);
+    assert!(!expected.is_empty(), "{name} marks no violation");
+    let src = std::fs::read_to_string(fixture_path(name)).expect("read fixture");
+    assert_eq!(source_policy::flagged(&src, needles), expected, "{name}");
+}
+
+#[test]
+fn d005_ordered_maps_in_hot_lock_module() {
+    assert_scan_flags_violations("d005.rs", &source_policy::ORDERED_MAPS);
+}
+
+#[test]
+fn p002_front_removal() {
+    assert_scan_flags_violations("p002.rs", &source_policy::FRONT_REMOVAL);
+}
+
+#[test]
+fn p002_exempt_outside_library_scope() {
+    // Only library code is read: the same file under tests/, benches/,
+    // examples/ or simbench/ is never scanned.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("library-scope");
+    let src = std::fs::read_to_string(fixture_path("p002.rs")).expect("read fixture");
+    for dir in ["src", "tests", "benches", "examples", "simbench/src"] {
+        let dir = root.join("crates/x").join(dir);
+        std::fs::create_dir_all(&dir).expect("create scratch crate");
+        std::fs::write(dir.join("p002.rs"), &src).expect("write scratch file");
+    }
+    assert_eq!(
+        source_policy::library_files(&root),
+        ["crates/x/src/p002.rs"]
+    );
 }

@@ -7,6 +7,9 @@
 //! is visible in isolation from the rest of the simulator. Beside it: the
 //! X-mode grant/release cycle on an empty table at paper-scale lock
 //! counts, and the conservative all-at-once request.
+//!
+//! A transaction id is a slot the table indexes its records by, so the
+//! benches recycle a bounded set of slots, as the simulator does.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -17,6 +20,8 @@ use lockgran_lockmgr::{ConservativeScheduler, GranuleId, LockMode, LockTable, Tx
 const HOLDERS: u64 = 16;
 /// Granules the probe transaction touches per iteration.
 const PROBE: u64 = 64;
+/// Transactions in the hot granule's convoy (one holder, the rest queued).
+const CONVOY: u64 = 32;
 
 /// A table with `ltot` granule entries resident, S-held by persistent
 /// holder transactions that never release.
@@ -43,11 +48,9 @@ fn bench(c: &mut Criterion) {
                 let step = (ltot / PROBE).max(1);
                 let probes = PROBE.min(ltot);
                 let (mut blockers, mut woken) = (Vec::new(), Vec::new());
-                let mut serial = HOLDERS;
+                let txn = TxnId(HOLDERS);
                 let mut offset = 0u64;
                 b.iter(|| {
-                    let txn = TxnId(serial);
-                    serial += 1;
                     offset = (offset + 1) % step;
                     for i in 0..probes {
                         let g = (i * step + offset) % ltot;
@@ -65,17 +68,20 @@ fn bench(c: &mut Criterion) {
             let mut lt = resident_table(ltot);
             let hot = GranuleId(ltot); // fresh granule: pure X convoy
             let (mut blockers, mut woken) = (Vec::new(), Vec::new());
-            let mut head = HOLDERS;
-            let mut tail = HOLDERS;
-            for _ in 0..32 {
-                let _ = lt.lock_into(TxnId(tail), hot, LockMode::X, &mut blockers);
+            // The convoy's n-th member takes slot n mod CONVOY: the new
+            // tail reuses the slot the head just released.
+            let member = |n: u64| TxnId(HOLDERS + n % CONVOY);
+            let mut head = 0;
+            let mut tail = 0;
+            for _ in 0..CONVOY {
+                let _ = lt.lock_into(member(tail), hot, LockMode::X, &mut blockers);
                 tail += 1;
             }
             b.iter(|| {
-                lt.unlock_into(TxnId(head), hot, &mut woken);
+                lt.unlock_into(member(head), hot, &mut woken);
                 black_box(woken.len());
                 head += 1;
-                let _ = lt.lock_into(TxnId(tail), hot, LockMode::X, &mut blockers);
+                let _ = lt.lock_into(member(tail), hot, LockMode::X, &mut blockers);
                 tail += 1;
             });
         });
@@ -88,10 +94,8 @@ fn bench(c: &mut Criterion) {
             |b, &k| {
                 let mut lt = LockTable::new();
                 let (mut blockers, mut woken) = (Vec::new(), Vec::new());
-                let mut serial = 0u64;
+                let txn = TxnId(0);
                 b.iter(|| {
-                    let txn = TxnId(serial);
-                    serial += 1;
                     for g in 0..k as u64 {
                         black_box(lt.lock_into(txn, GranuleId(g), LockMode::X, &mut blockers));
                     }
@@ -107,10 +111,8 @@ fn bench(c: &mut Criterion) {
         let locks: Vec<(GranuleId, LockMode)> =
             (0..50).map(|g| (GranuleId(g), LockMode::X)).collect();
         let mut woken = Vec::new();
-        let mut serial = 0u64;
+        let txn = TxnId(0);
         b.iter(|| {
-            let txn = TxnId(serial);
-            serial += 1;
             black_box(&s.request_all(txn, &locks));
             s.release_into(txn, &mut woken);
             black_box(woken.len());

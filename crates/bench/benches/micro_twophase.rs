@@ -5,6 +5,10 @@
 //! the extI sweeps; the contended paths — block/wake on a release, and
 //! waits-for cycle detection with a victim abort — price the protocol's
 //! deadlock machinery.
+//!
+//! A transaction id is a slot, so the benches recycle a bounded set of
+//! slots as the simulator does, seating each new transaction with the
+//! next age.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -33,9 +37,10 @@ fn bench(c: &mut Criterion) {
                 // one at a time, then one release.
                 let mut s = TwoPhaseScheduler::new();
                 let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
+                let txn = TxnId(0);
                 let mut serial = 0u64;
                 b.iter(|| {
-                    let txn = TxnId(serial);
+                    s.begin(txn, serial);
                     serial += 1;
                     for g in granule_run(serial, locks) {
                         black_box(&s.acquire_into(txn, GranuleId(g), LockMode::X, &mut fx));
@@ -51,12 +56,11 @@ fn bench(c: &mut Criterion) {
         // A holder pins a granule; a waiter queues behind it and is
         // granted at release — the block/wake path of the protocol.
         let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
-        let mut serial = 0u64;
+        let (holder, waiter) = (TxnId(0), TxnId(1));
         b.iter(|| {
             let mut s = TwoPhaseScheduler::new();
-            let holder = TxnId(serial);
-            let waiter = TxnId(serial + 1);
-            serial += 2;
+            s.begin(holder, 0);
+            s.begin(waiter, 1);
             let g = GranuleId(7);
             black_box(&s.acquire_into(holder, g, LockMode::X, &mut fx));
             black_box(&s.acquire_into(waiter, g, LockMode::X, &mut fx));
@@ -73,12 +77,11 @@ fn bench(c: &mut Criterion) {
         // the survivor is granted. Prices edge insertion, cycle search
         // and the victim teardown.
         let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
-        let mut serial = 0u64;
+        let (old, young) = (TxnId(0), TxnId(1));
         b.iter(|| {
             let mut s = TwoPhaseScheduler::new();
-            let old = TxnId(serial);
-            let young = TxnId(serial + 1);
-            serial += 2;
+            s.begin(old, 0);
+            s.begin(young, 1);
             let (ga, gb) = (GranuleId(0), GranuleId(1));
             black_box(&s.acquire_into(old, ga, LockMode::X, &mut fx));
             black_box(&s.acquire_into(young, gb, LockMode::X, &mut fx));
@@ -106,13 +109,13 @@ fn bench(c: &mut Criterion) {
             let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
             let mut serial = 0u64;
             b.iter(|| {
-                let first = serial;
-                serial += k;
-                for txn in first..serial {
-                    black_box(&s.acquire_into(TxnId(txn), GranuleId(0), LockMode::X, &mut fx));
+                for slot in (0..k).map(TxnId) {
+                    s.begin(slot, serial);
+                    serial += 1;
+                    black_box(&s.acquire_into(slot, GranuleId(0), LockMode::X, &mut fx));
                 }
-                for txn in first..serial {
-                    s.release_into(TxnId(txn), &mut granted);
+                for slot in (0..k).map(TxnId) {
+                    s.release_into(slot, &mut granted);
                     black_box(granted.len());
                 }
             });
@@ -130,35 +133,25 @@ fn bench(c: &mut Criterion) {
             let (mut fx, mut granted) = (AcquireEffects::default(), Vec::new());
             let mut serial = 0u64;
             b.iter(|| {
-                let first = serial;
-                serial += k;
                 for i in 0..k {
-                    black_box(&s.acquire_into(
-                        TxnId(first + i),
-                        GranuleId(i),
-                        LockMode::X,
-                        &mut fx,
-                    ));
+                    s.begin(TxnId(i), serial);
+                    serial += 1;
+                    black_box(&s.acquire_into(TxnId(i), GranuleId(i), LockMode::X, &mut fx));
                 }
                 for i in 1..k {
-                    black_box(&s.acquire_into(
-                        TxnId(first + i),
-                        GranuleId(i - 1),
-                        LockMode::X,
-                        &mut fx,
-                    ));
+                    black_box(&s.acquire_into(TxnId(i), GranuleId(i - 1), LockMode::X, &mut fx));
                 }
-                let out = s.acquire_into(TxnId(first), GranuleId(k - 1), LockMode::X, &mut fx);
+                let out = s.acquire_into(TxnId(0), GranuleId(k - 1), LockMode::X, &mut fx);
                 debug_assert_eq!(
                     out,
                     AcquireStatus::Deadlock {
                         retry: RetryOutcome::Granted
                     }
                 );
-                debug_assert_eq!(fx.victims, vec![TxnId(serial - 1)]);
+                debug_assert_eq!(fx.victims, vec![TxnId(k - 1)]);
                 black_box(&out);
-                for txn in first..serial - 1 {
-                    s.release_into(TxnId(txn), &mut granted);
+                for slot in (0..k - 1).map(TxnId) {
+                    s.release_into(slot, &mut granted);
                     black_box(granted.len());
                 }
             });

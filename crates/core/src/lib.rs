@@ -71,5 +71,5 @@ pub use locking::LockingCC;
 pub use metrics::RunMetrics;
 pub use sim::RunArena;
 pub use timeline::{TimelineCollector, TimelinePoint};
-pub use trace::{NullTracer, TraceEvent, Tracer, VecTracer};
+pub use trace::{TraceEvent, VecTracer};
 pub use transaction::{Transaction, TxnPhase};

@@ -37,20 +37,24 @@
 //! locking, the paper's `ltot = 1` extreme, whatever the configured
 //! `ltot`.
 //!
-//! ## Per-transaction records and age ids
+//! ## Per-transaction records and ages
 //!
 //! The system model keys conflict calls by slab slot, and slots recycle
 //! as transactions complete; they are dense in [0, min(`ntrans`,
-//! `mpl_limit`)), so the records are a vector indexed by slot. Each
-//! transaction also gets a monotone
-//! *age id* at its first `try_acquire` (spawn order is age order), and
-//! the schedulers know it only by that id. Its record keeps the id and
-//! the request list from the first attempt until release: a retry after
-//! a wake-up, or a replay after a deadlock abort, contends for exactly
-//! the locks it first asked for, and a victim keeps its age — it does not
-//! become young again by being aborted, which would let it be victimized
-//! forever. Request buffers cycle through a spare pool, so the steady
-//! state allocates nothing.
+//! `mpl_limit`)). The slot is the transaction's [`TxnId`] all the way
+//! down: the records here, the lock table's and the schedulers' are
+//! vectors indexed by it, and the transactions a scheduler names are
+//! slots already. A transaction's record keeps the request list from its
+//! first `try_acquire` until release: a retry after a wake-up, or a replay
+//! after a deadlock abort, contends for exactly the locks it first asked
+//! for. The incremental discipline also needs an order: each transaction
+//! gets a monotone *age* at its first `try_acquire` (spawn order is age
+//! order), which the scheduler learns once, when the slot is seated
+//! ([`TwoPhaseScheduler::begin`]). A victim keeps its slot and its age —
+//! it does not become young again by being aborted, which would let it be
+//! victimized forever; a released slot is seated again with a new age.
+//! Request buffers cycle through a spare pool, so the steady state
+//! allocates nothing.
 //!
 //! ## Effects channel
 //!
@@ -65,7 +69,7 @@ use lockgran_lockmgr::{
     ConservativeOutcome, ConservativeScheduler, EscalationPolicy, GranuleId, GranuleTree, LockMode,
     LockTable, NodeId, RetryOutcome, TwoPhaseScheduler, TxnId,
 };
-use lockgran_sim::{DetMap, SimRng};
+use lockgran_sim::SimRng;
 use lockgran_workload::HierarchyMap;
 
 use crate::config::{ConflictMode, ModelConfig};
@@ -113,12 +117,13 @@ impl Hierarchy {
     }
 }
 
-/// How a transaction's request list is acquired.
+/// How a transaction's request list is acquired. Both schedulers are
+/// boxed: each owns a lock table, and only one lives per engine.
 enum Discipline {
     /// All at once, all or nothing (the paper's conservative protocol).
-    Predeclared(ConservativeScheduler),
+    Predeclared(Box<ConservativeScheduler>),
     /// One request at a time, with deadlock detection (claim as needed).
-    Incremental(Incremental),
+    Incremental(Box<Incremental>),
 }
 
 impl Discipline {
@@ -136,6 +141,8 @@ impl Discipline {
 #[derive(Default)]
 struct Incremental {
     scheduler: TwoPhaseScheduler,
+    /// The age the next transaction is seated with (see module docs).
+    next_age: u64,
     /// Reusable side-effect buffers for the scheduler's acquire path.
     effects: AcquireEffects,
     /// Victims aborted inside `try_acquire`.
@@ -146,8 +153,6 @@ struct Incremental {
 
 /// One transaction's lock phase, from its first attempt until release.
 struct Txn {
-    /// Age id (see module docs).
-    id: u64,
     /// The request list the declarative step built at the first attempt.
     request: Vec<Request>,
     /// Requests held: exactly `request[..granted]` (predeclared grants
@@ -177,16 +182,12 @@ pub struct LockingCC {
     discipline: Discipline,
     /// Records by simulator slot (see module docs).
     txns: Vec<Option<Txn>>,
-    /// Reverse map: age id → simulator slot.
-    slot_of: DetMap<TxnSerial>,
     /// Retired request buffers.
     spare: Vec<Vec<Request>>,
-    /// Next age id (never reused within a run).
-    next_id: u64,
     /// Fully granted (running) transactions.
     active: usize,
     stats: CcStats,
-    /// Scratch: age ids a release woke.
+    /// Scratch: the slots a release woke.
     released: Vec<TxnId>,
 }
 
@@ -200,11 +201,9 @@ impl LockingCC {
         let mut cc = LockingCC {
             sampler: AccessSampler::from_config(cfg),
             hierarchy: None,
-            discipline: Discipline::Predeclared(ConservativeScheduler::new()),
+            discipline: Discipline::Predeclared(Box::default()),
             txns: Vec::new(),
-            slot_of: DetMap::new(),
             spare: Vec::new(),
-            next_id: 0,
             active: 0,
             stats: CcStats::default(),
             released: Vec::new(),
@@ -283,21 +282,12 @@ impl LockingCC {
         }
         inc.scheduler.prewarm(txns, records);
         self.txns.reserve(txns);
-        self.slot_of.reserve(txns);
         inc.effects.blockers.reserve(txns);
         inc.effects.victims.reserve(txns);
         inc.effects.granted.reserve(txns);
         self.released.reserve(txns);
         inc.aborted.reserve(txns);
         inc.woken.reserve(txns);
-    }
-}
-
-/// The simulator slot behind an age id the scheduler reported.
-fn slot(slot_of: &DetMap<TxnSerial>, id: TxnId) -> TxnSerial {
-    match slot_of.get(id.0) {
-        Some(&slot) => slot,
-        None => unreachable!("unregistered transaction id {id:?}"),
     }
 }
 
@@ -328,9 +318,11 @@ impl ConcurrencyControl for LockingCC {
         granules: &[u64],
         _rng: &mut SimRng,
     ) -> ConflictDecision {
-        // The first attempt registers the request list under a fresh age
-        // id; wake-up retries and deadlock replays resume the record.
+        // The first attempt registers the request list (and, for the
+        // incremental discipline, a fresh age); wake-up retries and
+        // deadlock replays resume the record.
         let at = txn as usize;
+        let id = TxnId(txn);
         if self.txns.get(at).is_none_or(Option::is_none) {
             debug_assert_eq!(
                 granules.len() as u64,
@@ -339,23 +331,22 @@ impl ConcurrencyControl for LockingCC {
             );
             let mut request = self.spare.pop().unwrap_or_default();
             let declared = self.declare(granules, &mut request);
-            let id = self.next_id;
-            self.next_id += 1;
             if at >= self.txns.len() {
                 self.txns.resize_with(at + 1, || None);
             }
             self.txns[at] = Some(Txn {
-                id,
                 request,
                 granted: 0,
                 declared,
             });
-            self.slot_of.insert(id, txn);
+            if let Discipline::Incremental(inc) = &mut self.discipline {
+                inc.scheduler.begin(id, inc.next_age);
+                inc.next_age += 1;
+            }
         }
         let decision = match &mut self.discipline {
             Discipline::Predeclared(s) => {
                 let rec = record(&mut self.txns, txn);
-                let id = TxnId(rec.id);
                 match s.request_all(id, &rec.request) {
                     ConservativeOutcome::Granted => {
                         rec.granted = rec.request.len();
@@ -364,7 +355,7 @@ impl ConcurrencyControl for LockingCC {
                         ConflictDecision::Granted
                     }
                     ConservativeOutcome::Blocked { blocker } => {
-                        ConflictDecision::BlockedBy(slot(&self.slot_of, blocker))
+                        ConflictDecision::BlockedBy(blocker.0)
                     }
                 }
             }
@@ -373,37 +364,31 @@ impl ConcurrencyControl for LockingCC {
                 let Some(&(granule, mode)) = rec.request.get(rec.granted) else {
                     break ConflictDecision::Granted;
                 };
-                let id = TxnId(rec.id);
                 match inc
                     .scheduler
                     .acquire_into(id, granule, mode, &mut inc.effects)
                 {
                     AcquireStatus::Granted => rec.granted += 1,
                     AcquireStatus::Waiting => {
-                        break ConflictDecision::BlockedBy(slot(
-                            &self.slot_of,
-                            inc.effects.blockers[0],
-                        ))
+                        break ConflictDecision::BlockedBy(inc.effects.blockers[0].0)
                     }
                     AcquireStatus::Deadlock { retry } => {
                         self.stats.deadlocks += inc.effects.victims.len() as u64;
                         for &v in &inc.effects.victims {
-                            let vslot = slot(&self.slot_of, v);
                             // Its locks are gone; the replay re-locks the
-                            // same request list under the same age id.
+                            // same request list under the same age.
                             debug_assert!(
                                 !inc.scheduler.table().holds_or_awaits(v),
-                                "aborted {v:?} (slot {vslot}) still holds or awaits a lock"
+                                "aborted {v:?} still holds or awaits a lock"
                             );
-                            record(&mut self.txns, vslot).granted = 0;
-                            if vslot != txn {
-                                inc.aborted.push(vslot);
+                            record(&mut self.txns, v.0).granted = 0;
+                            if v != id {
+                                inc.aborted.push(v.0);
                             }
                         }
                         for &g in &inc.effects.granted {
-                            let gslot = slot(&self.slot_of, g);
-                            grant_next(&mut self.txns, gslot);
-                            inc.woken.push(gslot);
+                            grant_next(&mut self.txns, g.0);
+                            inc.woken.push(g.0);
                         }
                         match retry {
                             RetryOutcome::SelfAborted => break ConflictDecision::Aborted,
@@ -420,7 +405,7 @@ impl ConcurrencyControl for LockingCC {
                                     .blockers_of(id)
                                     .next()
                                     .expect("queued 2PL request with no waits-for edge");
-                                break ConflictDecision::BlockedBy(slot(&self.slot_of, blocker));
+                                break ConflictDecision::BlockedBy(blocker.0);
                             }
                         }
                     }
@@ -440,11 +425,10 @@ impl ConcurrencyControl for LockingCC {
             // it admitted.
             _ => panic!("release of inactive transaction {txn}"),
         };
-        self.slot_of.remove(rec.id);
         self.active -= 1;
         rec.request.clear();
         self.spare.push(rec.request);
-        let id = TxnId(rec.id);
+        let id = TxnId(txn);
         // A predeclared release only tells the woken to retry; an
         // incremental one grants each woken transaction's queued request.
         let grants = match &mut self.discipline {
@@ -459,14 +443,13 @@ impl ConcurrencyControl for LockingCC {
         };
         debug_assert!(
             !self.discipline.table().holds_or_awaits(id),
-            "released {id:?} (slot {txn}) still holds or awaits a lock"
+            "released {id:?} still holds or awaits a lock"
         );
         for &t in &self.released {
-            let slot = slot(&self.slot_of, t);
             if grants {
-                grant_next(&mut self.txns, slot);
+                grant_next(&mut self.txns, t.0);
             }
-            woken.push(slot);
+            woken.push(t.0);
         }
     }
 
@@ -501,12 +484,13 @@ impl ConcurrencyControl for LockingCC {
             (Discipline::Predeclared(s), false) => s.reset(),
             (Discipline::Incremental(inc), true) => {
                 inc.scheduler.reset();
+                inc.next_age = 0;
                 inc.effects.clear();
                 inc.aborted.clear();
                 inc.woken.clear();
             }
-            (_, false) => self.discipline = Discipline::Predeclared(ConservativeScheduler::new()),
-            (_, true) => self.discipline = Discipline::Incremental(Incremental::default()),
+            (_, false) => self.discipline = Discipline::Predeclared(Box::default()),
+            (_, true) => self.discipline = Discipline::Incremental(Box::default()),
         }
         for rec in self.txns.iter_mut().filter_map(Option::take) {
             let mut buf = rec.request;
@@ -514,8 +498,6 @@ impl ConcurrencyControl for LockingCC {
             self.spare.push(buf);
         }
         self.txns.clear();
-        self.slot_of.clear();
-        self.next_id = 0;
         self.active = 0;
         self.stats = CcStats::default();
         self.released.clear();
@@ -786,7 +768,7 @@ mod tests {
     #[test]
     fn deadlock_aborts_youngest_and_requester_proceeds() {
         let mut m = engine(Twophase);
-        // Ages: slot 10 = id 0, slot 11 = id 1, slot 12 = id 2.
+        // Ages: slot 10 = age 0, slot 11 = age 1, slot 12 = age 2.
         assert_eq!(acquire(&mut m, 10, &[9]), Granted);
         // Holds g0, waits g9 on slot 10.
         assert_eq!(acquire(&mut m, 11, &[0, 9, 1]), BlockedBy(10));
@@ -815,7 +797,7 @@ mod tests {
     #[test]
     fn self_abort_reports_aborted_and_wakes_third_party() {
         let mut m = engine(Twophase);
-        // Ages: slot 1 = id 0, slot 2 = id 1, slot 3 = id 2, slot 4 = id 3.
+        // Ages: slot 1 = age 0, slot 2 = age 1, slot 3 = age 2, slot 4 = age 3.
         assert_eq!(acquire(&mut m, 1, &[0]), Granted);
         assert_eq!(acquire(&mut m, 2, &[9]), Granted);
         // Holds g1, waits g0 on slot 1.
@@ -855,6 +837,66 @@ mod tests {
         assert_eq!(release(&mut m, 90), vec![70]);
         assert_eq!(retry(&mut m, 70), Granted);
         assert_eq!(drain(&mut m).0, vec![5], "youngest by age, lowest by slot");
+    }
+
+    /// What the lock stack keeps for `slot`: whether it holds or awaits a
+    /// lock, the transaction it is blocked on or waits for first, how many
+    /// transactions wait on it (whether any do, under the incremental
+    /// discipline), and its age (incremental only).
+    fn kept(m: &LockingCC, slot: TxnSerial) -> (bool, Option<TxnId>, usize, Option<u64>) {
+        let id = TxnId(slot);
+        let held = m.discipline.table().holds_or_awaits(id);
+        match &m.discipline {
+            Discipline::Predeclared(s) => (held, s.blocker_of(id), s.waiters_of(id).count(), None),
+            Discipline::Incremental(inc) => {
+                let s = &inc.scheduler;
+                let waiters = usize::from(s.graph().has_waiters(id));
+                (held, s.blockers_of(id).next(), waiters, s.graph().age(id))
+            }
+        }
+    }
+
+    /// A released slot is reused clean under every preset: its next
+    /// transaction inherits no holdings, waits, blocked-on entry, waiters
+    /// or age from the last one, and under the incremental discipline it
+    /// is the youngest, so it is the victim of the cycle it closes.
+    #[test]
+    fn released_slot_is_reused_clean() {
+        for mode in PRESETS {
+            let mut m = engine(mode);
+            // Slot 1 blocks on slot 3, runs, and is waited on by slot 2.
+            assert_eq!(acquire(&mut m, 3, &[5]), Granted);
+            assert_eq!(acquire(&mut m, 1, &[1, 5]), BlockedBy(3), "{mode:?}");
+            assert_eq!(release(&mut m, 3), vec![1], "{mode:?}");
+            assert_eq!(retry(&mut m, 1), Granted, "{mode:?}");
+            assert_eq!(acquire(&mut m, 2, &[1, 2]), BlockedBy(1), "{mode:?}");
+            let age = (mode == Twophase).then_some(1);
+            assert_eq!(kept(&m, 1), (true, None, 1, age), "{mode:?}");
+            assert_eq!(release(&mut m, 1), vec![2], "{mode:?}");
+            assert_eq!(kept(&m, 1), (false, None, 0, None), "{mode:?}");
+            // Its next transaction starts from nothing and takes the next
+            // age.
+            assert_eq!(retry(&mut m, 2), Granted, "{mode:?}");
+            assert_eq!(acquire(&mut m, 1, &[7]), Granted, "{mode:?}");
+            let age = (mode == Twophase).then_some(3);
+            assert_eq!(kept(&m, 1), (true, None, 0, age), "{mode:?}");
+            assert!(release(&mut m, 1).is_empty(), "{mode:?}");
+        }
+        // The reused slot's transaction is younger than slot 2's, which
+        // was seated before it: it is the victim of their cycle.
+        let mut m = engine(Twophase);
+        assert_eq!(acquire(&mut m, 3, &[3]), Granted);
+        assert_eq!(acquire(&mut m, 1, &[0]), Granted);
+        assert_eq!(acquire(&mut m, 2, &[1, 3, 2]), BlockedBy(3));
+        assert!(release(&mut m, 1).is_empty());
+        assert_eq!(acquire(&mut m, 1, &[2, 1]), BlockedBy(2));
+        assert_eq!(release(&mut m, 3), vec![2]);
+        assert_eq!(retry(&mut m, 2), Granted);
+        assert_eq!(
+            drain(&mut m),
+            (vec![1], vec![]),
+            "the reused slot is youngest"
+        );
     }
 
     /// Drive a preset through a contended history and return every

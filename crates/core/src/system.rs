@@ -35,7 +35,7 @@ use crate::config::{LockDistribution, ModelConfig, ServiceVariability};
 use crate::conflict::{build_concurrency_control, CcStats, ConcurrencyControl, ConflictDecision};
 use crate::metrics::RunMetrics;
 use crate::timeline::TimelineCollector;
-use crate::trace::{TraceEvent, Tracer, VecTracer};
+use crate::trace::{TraceEvent, VecTracer};
 use crate::transaction::{Transaction, TxnPhase};
 
 /// Events of the system model.
@@ -784,30 +784,58 @@ impl System {
         self.conflict
             .drain_deadlock_effects(&mut aborted, &mut woken);
         for &v in &aborted {
-            let v = v as u32;
-            debug_assert_eq!(self.txn(v).phase, TxnPhase::Blocked);
-            let serial = self.txn(v).serial;
-            self.trace(now, TraceEvent::DeadlockAborted { serial });
             if self.measuring(now) {
                 self.aborts += 1;
             }
-            self.blocked_count -= 1;
-            self.blocked_tw.record(now, f64::from(self.blocked_count));
-            self.begin_lock_phase(now, v, ex);
+            self.unblock(
+                now,
+                v as u32,
+                |serial| TraceEvent::DeadlockAborted { serial },
+                ex,
+            );
         }
         for &w in &woken {
-            let w = w as u32;
-            debug_assert_eq!(self.txn(w).phase, TxnPhase::Blocked);
-            let serial = self.txn(w).serial;
-            self.trace(now, TraceEvent::Woken { serial });
-            self.blocked_count -= 1;
-            self.blocked_tw.record(now, f64::from(self.blocked_count));
-            self.begin_lock_phase(now, w, ex);
+            self.unblock(now, w as u32, |serial| TraceEvent::Woken { serial }, ex);
         }
         aborted.clear();
         woken.clear();
         self.dl_aborted_buf = aborted;
         self.dl_woken_buf = woken;
+    }
+
+    /// Blocked transaction `slot` leaves the blocked queue, woken or
+    /// aborted out of its wait as a deadlock victim (`event` says which),
+    /// and re-enters its lock phase.
+    fn unblock(
+        &mut self,
+        now: Time,
+        slot: u32,
+        event: fn(u64) -> TraceEvent,
+        ex: &mut Executor<Event>,
+    ) {
+        debug_assert_eq!(self.txn(slot).phase, TxnPhase::Blocked);
+        let serial = self.txn(slot).serial;
+        self.trace(now, event(serial));
+        self.blocked_count -= 1;
+        self.blocked_tw.record(now, f64::from(self.blocked_count));
+        self.begin_lock_phase(now, slot, ex);
+    }
+
+    /// Release `slot`'s locks and wake every transaction blocked on it,
+    /// in the order the conflict model names them.
+    fn release_and_wake(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
+        // Reuse the wake buffer across releases (no per-release
+        // allocation); take it out of `self` so the wake-ups can borrow
+        // `self` mutably while we iterate.
+        let mut woken = std::mem::take(&mut self.wake_buf);
+        woken.clear();
+        self.conflict.release(u64::from(slot), &mut woken);
+        self.active_tw
+            .record(now, self.conflict.active_count() as f64);
+        for &w in &woken {
+            self.unblock(now, w as u32, |serial| TraceEvent::Woken { serial }, ex);
+        }
+        self.wake_buf = woken;
     }
 
     /// Fork the admitted transaction into `PU_i` sub-transactions and
@@ -924,24 +952,7 @@ impl System {
         // Retire the carcass: the admission below reuses its heap buffers
         // instead of allocating.
         self.carcasses.push(txn);
-        // Reuse the wake buffer across completions (no per-release
-        // allocation); take it out of `self` so `begin_lock_phase` can
-        // borrow `self` mutably while we iterate.
-        let mut woken = std::mem::take(&mut self.wake_buf);
-        woken.clear();
-        self.conflict.release(u64::from(slot), &mut woken);
-        self.active_tw
-            .record(now, self.conflict.active_count() as f64);
-        for &w in &woken {
-            let w = w as u32;
-            debug_assert_eq!(self.txn(w).phase, TxnPhase::Blocked);
-            let serial = self.txn(w).serial;
-            self.trace(now, TraceEvent::Woken { serial });
-            self.blocked_count -= 1;
-            self.blocked_tw.record(now, f64::from(self.blocked_count));
-            self.begin_lock_phase(now, w, ex);
-        }
-        self.wake_buf = woken;
+        self.release_and_wake(now, slot, ex);
         // The finished transaction gives up its admission slot; the head
         // of the pending queue takes it, before the replacement arrives.
         self.admitted -= 1;
@@ -1055,26 +1066,7 @@ impl System {
             txn.cpu_shares.clear();
         }
         // Release locks and wake waiters — the same dance as `complete`.
-        let mut woken = std::mem::take(&mut self.wake_buf);
-        woken.clear();
-        self.conflict.release(u64::from(slot), &mut woken);
-        self.active_tw
-            .record(now, self.conflict.active_count() as f64);
-        for &w in &woken {
-            let w = w as u32;
-            debug_assert_eq!(self.txn(w).phase, TxnPhase::Blocked);
-            let woken_serial = self.txn(w).serial;
-            self.trace(
-                now,
-                TraceEvent::Woken {
-                    serial: woken_serial,
-                },
-            );
-            self.blocked_count -= 1;
-            self.blocked_tw.record(now, f64::from(self.blocked_count));
-            self.begin_lock_phase(now, w, ex);
-        }
-        self.wake_buf = woken;
+        self.release_and_wake(now, slot, ex);
         // Re-execute from the lock request (a fresh attempt, so the
         // repeated lock overhead is charged again).
         self.begin_lock_phase(now, slot, ex);

@@ -1,9 +1,9 @@
 //! Structured event tracing.
 //!
-//! A [`Tracer`] observes the model's protocol-level transitions —
+//! A [`VecTracer`] records the model's protocol-level transitions —
 //! arrivals, lock requests, grants, denials, wake-ups, sub-transaction
-//! stages, completions. Tracing is opt-in (the default [`NullTracer`]
-//! compiles to nothing) and is used by the protocol-order tests to verify
+//! stages, completions. Tracing is opt-in (a system without a tracer
+//! records nothing) and is used by the protocol-order tests to verify
 //! the paper's lifecycle: *request → (denied → blocked → woken →
 //! request)* … *→ granted → I/O → CPU → complete*.
 
@@ -107,21 +107,6 @@ impl TraceEvent {
     }
 }
 
-/// Observer of protocol transitions.
-pub trait Tracer {
-    /// Record one event at simulated time `now`.
-    fn record(&mut self, now: Time, event: TraceEvent);
-}
-
-/// The default tracer: drops everything (zero cost after inlining).
-#[derive(Default, Debug, Clone, Copy)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    #[inline]
-    fn record(&mut self, _now: Time, _event: TraceEvent) {}
-}
-
 /// Keeps every event in memory (tests, debugging, timeline dumps).
 #[derive(Default, Debug)]
 pub struct VecTracer {
@@ -129,13 +114,12 @@ pub struct VecTracer {
     pub events: Vec<(Time, TraceEvent)>,
 }
 
-impl Tracer for VecTracer {
-    fn record(&mut self, now: Time, event: TraceEvent) {
+impl VecTracer {
+    /// Record one event at simulated time `now`.
+    pub fn record(&mut self, now: Time, event: TraceEvent) {
         self.events.push((now, event));
     }
-}
 
-impl VecTracer {
     /// Events of one transaction, in order.
     pub fn of(&self, serial: u64) -> Vec<&TraceEvent> {
         self.events

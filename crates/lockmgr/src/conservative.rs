@@ -12,16 +12,17 @@
 //! Retries are all-or-nothing as well, so the scheduler never holds a
 //! partial lock set and the no-deadlock guarantee is preserved.
 //!
-//! The blocked/blocks indexes live in [`DetMap`]s and every per-request
-//! buffer is pooled, so the steady-state request/release cycle allocates
-//! nothing (the paper's sweeps hammer this path at every granularity).
+//! The blocked-on relation lives in one vector indexed by transaction
+//! slot: each blocked transaction names its holder, and each holder heads
+//! a FIFO list of its waiters threaded through their entries. With every
+//! per-request buffer pooled, the steady-state request/release cycle
+//! allocates nothing (the paper's sweeps hammer this path at every
+//! granularity).
 //!
 //! A requester holds and awaits nothing, and this scheduler never queues
 //! in the table, so every request takes the table's fresh path
 //! ([`LockTable::probe_fresh`], [`LockTable::grant_fresh`]): one index
 //! lookup per granule, no walk of a granted group or wait queue.
-
-use lockgran_sim::DetMap;
 
 use crate::mode::LockMode;
 use crate::table::{FreshSlot, GranuleId, LockTable, TxnId};
@@ -59,16 +60,34 @@ pub fn merge_by_supremum(requests: &mut Vec<(GranuleId, LockMode)>) {
     });
 }
 
+/// Sentinel for "no transaction" in [`Waits`] links.
+const NIL: u32 = u32::MAX;
+
+/// One transaction's place in the blocked-on relation.
+#[derive(Clone, Copy, Debug)]
+struct Waits {
+    /// The holder this transaction is blocked on, or NIL.
+    blocker: u32,
+    /// The next transaction blocked on the same holder, or NIL.
+    next: u32,
+    /// The first and last transactions blocked on this one (FIFO), or NIL.
+    head: u32,
+    tail: u32,
+}
+
+const NO_WAITS: Waits = Waits {
+    blocker: NIL,
+    next: NIL,
+    head: NIL,
+    tail: NIL,
+};
+
 /// All-or-nothing lock acquisition over a [`LockTable`].
 #[derive(Default, Debug)]
 pub struct ConservativeScheduler {
     table: LockTable,
-    /// Blocked transaction → the holder it waits for.
-    blocked: DetMap<TxnId>,
-    /// Reverse index: holder → transactions blocked on it (FIFO).
-    blocks: DetMap<Vec<TxnId>>,
-    /// Spare wake lists recycled through `blocks` (alloc-free steady state).
-    spare_lists: Vec<Vec<TxnId>>,
+    /// The blocked-on relation, by transaction slot.
+    waits: Vec<Waits>,
     /// Scratch: the caller's request set sorted and merged, when it does
     /// not come that way.
     merge_scratch: Vec<(GranuleId, LockMode)>,
@@ -88,21 +107,7 @@ impl ConservativeScheduler {
     /// (reset-equals-fresh).
     pub fn reset(&mut self) {
         self.table.reset();
-        self.blocked.clear();
-        // Recycle the wake lists still parked in the index.
-        let mut keys_done = false;
-        while !keys_done {
-            let key = self.blocks.iter().next().map(|(k, _)| k);
-            match key {
-                Some(k) => {
-                    if let Some(mut v) = self.blocks.remove(k) {
-                        v.clear();
-                        self.spare_lists.push(v);
-                    }
-                }
-                None => keys_done = true,
-            }
-        }
+        self.waits.clear();
         self.merge_scratch.clear();
         self.probe_scratch.clear();
         self.promote_scratch.clear();
@@ -129,10 +134,7 @@ impl ConservativeScheduler {
             !self.table.holds_or_awaits(txn),
             "{txn:?} already holds locks"
         );
-        assert!(
-            !self.blocked.contains_key(txn.0),
-            "{txn:?} is already blocked"
-        );
+        assert!(self.blocker_of(txn).is_none(), "{txn:?} is already blocked");
 
         // Sort and merge duplicates deterministically, in a pooled
         // scratch buffer, unless the caller already did.
@@ -157,14 +159,7 @@ impl ConservativeScheduler {
             match self.table.probe_fresh(g, m) {
                 Ok(at) => probed.push(at),
                 Err(blocker) => {
-                    self.blocked.insert(txn.0, blocker);
-                    let list = self.blocks.get_or_insert_with(blocker.0, Vec::new);
-                    if list.capacity() == 0 {
-                        if let Some(spare) = self.spare_lists.pop() {
-                            *list = spare;
-                        }
-                    }
-                    list.push(txn);
+                    self.block(txn, blocker);
                     self.probe_scratch = probed;
                     self.merge_scratch = merged;
                     return ConservativeOutcome::Blocked { blocker };
@@ -199,20 +194,56 @@ impl ConservativeScheduler {
         );
         promoted.clear();
         self.promote_scratch = promoted;
-        if let Some(mut list) = self.blocks.remove(txn.0) {
-            woken.extend_from_slice(&list);
-            list.clear();
-            self.spare_lists.push(list);
+        let Some(w) = self.waits.get_mut(txn.index()) else {
+            return;
+        };
+        let mut cur = std::mem::replace(&mut w.head, NIL);
+        w.tail = NIL;
+        while cur != NIL {
+            let w = &mut self.waits[cur as usize];
+            debug_assert_eq!(w.blocker as usize, txn.index());
+            woken.push(TxnId(u64::from(cur)));
+            w.blocker = NIL;
+            cur = std::mem::replace(&mut w.next, NIL);
         }
-        for t in woken.iter() {
-            let removed = self.blocked.remove(t.0);
-            debug_assert_eq!(removed, Some(txn));
+    }
+
+    /// Record `txn` as blocked on `blocker`, at the tail of its waiters.
+    fn block(&mut self, txn: TxnId, blocker: TxnId) {
+        let reach = txn.index().max(blocker.index()) + 1;
+        if self.waits.len() < reach {
+            self.waits.resize(reach, NO_WAITS);
         }
+        let me = txn.index() as u32;
+        let holder = &mut self.waits[blocker.index()];
+        match std::mem::replace(&mut holder.tail, me) {
+            NIL => holder.head = me,
+            tail => self.waits[tail as usize].next = me,
+        }
+        self.waits[txn.index()].blocker = blocker.index() as u32;
+    }
+
+    /// The holder `txn` is blocked on, if it is blocked.
+    pub fn blocker_of(&self, txn: TxnId) -> Option<TxnId> {
+        self.waits
+            .get(txn.index())
+            .filter(|w| w.blocker != NIL)
+            .map(|w| TxnId(u64::from(w.blocker)))
+    }
+
+    /// The transactions blocked on `holder`, in the order they blocked.
+    pub fn waiters_of(&self, holder: TxnId) -> impl Iterator<Item = TxnId> + '_ {
+        let mut cur = self.waits.get(holder.index()).map_or(NIL, |w| w.head);
+        std::iter::from_fn(move || {
+            let t = (cur != NIL).then(|| TxnId(u64::from(cur)))?;
+            cur = self.waits[cur as usize].next;
+            Some(t)
+        })
     }
 
     /// Number of currently blocked transactions.
     pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
+        self.waits.iter().filter(|w| w.blocker != NIL).count()
     }
 
     /// Granules currently held by `txn`, in acquisition order.
@@ -228,26 +259,24 @@ impl ConservativeScheduler {
     /// Check scheduler + table invariants.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.table.check_invariants()?;
-        for (waiter, holder) in self.blocked.iter() {
-            let waiter = TxnId(waiter);
-            if !self
-                .blocks
-                .get(holder.0)
-                .is_some_and(|v| v.contains(&waiter))
-            {
-                return Err(format!("{waiter:?} blocked on {holder:?} but not indexed"));
-            }
-            if self.table.holdings(waiter).next().is_some() {
-                return Err(format!("blocked {waiter:?} holds locks"));
-            }
-        }
-        for (holder, waiters) in self.blocks.iter() {
-            let holder = TxnId(holder);
-            for w in waiters {
-                if self.blocked.get(w.0) != Some(&holder) {
-                    return Err(format!("index lists {w:?} under {holder:?} spuriously"));
+        let mut listed = 0;
+        for holder in (0..self.waits.len() as u64).map(TxnId) {
+            for waiter in self.waiters_of(holder) {
+                listed += 1;
+                let on = self.blocker_of(waiter);
+                if on != Some(holder) {
+                    return Err(format!(
+                        "{waiter:?} listed under {holder:?} but blocked on {on:?}"
+                    ));
+                }
+                if self.table.holdings(waiter).next().is_some() {
+                    return Err(format!("blocked {waiter:?} holds locks"));
                 }
             }
+        }
+        let blocked = self.blocked_count();
+        if listed != blocked {
+            return Err(format!("{blocked} blocked but {listed} listed"));
         }
         Ok(())
     }

@@ -6,35 +6,36 @@
 //! wait. The conservative protocol the paper simulates never needs this —
 //! all locks are pre-declared — but the [`crate::twophase`] extension does.
 //!
-//! Layout: every transaction with an edge owns a dense node slot, and
-//! every edge lives in one pooled slab, linked into two lists — its
-//! waiter's out-list, kept in ascending holder id (the order the DFS
-//! visits neighbours, so the cycle it reports is the one a sorted-set
-//! adjacency would give), and its holder's in-list, so dropping a
-//! transaction touches only the edges it deletes. Each public call makes
-//! one `DetMap` lookup per transaction it names; the DFS follows slot
-//! indices and makes none. Node slots and edges recycle through free
-//! lists and the DFS reuses stamped per-node colours plus persistent
-//! scratch buffers, so steady-state detection allocates nothing.
-
-use lockgran_sim::DetMap;
+//! Layout: every transaction slot owns a node in a vector indexed by its
+//! [`TxnId`], holding the age [`WaitsForGraph::begin`] gave it. Every edge
+//! lives in one pooled slab, linked into two lists — its waiter's
+//! out-list, kept in ascending holder age (the order the DFS visits
+//! neighbours, so the cycle it reports is the one an age-sorted adjacency
+//! would give), and its holder's in-list, so dropping a transaction
+//! touches only the edges it deletes. No call hashes: a transaction's node
+//! is at its slot. Edges recycle through a free list and the DFS reuses
+//! stamped per-node colours plus persistent scratch buffers, so
+//! steady-state detection allocates nothing.
 
 use crate::table::TxnId;
 
 /// Null link in the node and edge lists.
 const NIL: u32 = u32::MAX;
+/// The age of a slot no transaction has been seated in.
+const NO_AGE: u64 = u64::MAX;
 /// DFS colour: on the current path.
 const GRAY: u8 = 1;
 /// DFS colour: fully explored, not on any cycle reachable this pass.
 const BLACK: u8 = 2;
 
-/// A transaction's node slot.
+/// A transaction slot's node.
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    /// The transaction in this slot.
-    id: TxnId,
+    /// Age of the transaction in this slot (larger is younger), or
+    /// `NO_AGE`.
+    age: u64,
     /// First edge out of this transaction (the out-list ascends by holder
-    /// id); the free-list link while the slot is free.
+    /// age).
     out_head: u32,
     /// First edge into this transaction (in-list order is unobservable).
     in_head: u32,
@@ -43,6 +44,14 @@ struct Node {
     /// Colour, valid only when `stamp` equals the current pass.
     color: u8,
 }
+
+const EMPTY_NODE: Node = Node {
+    age: NO_AGE,
+    out_head: NIL,
+    in_head: NIL,
+    stamp: 0,
+    color: 0,
+};
 
 /// One edge `waiter → holder`, threaded on both endpoints' lists.
 #[derive(Clone, Copy, Debug)]
@@ -62,26 +71,24 @@ struct Edge {
     next_in: u32,
 }
 
-/// A directed waits-for graph over transactions.
+/// A directed waits-for graph over transaction slots.
 ///
-/// A transaction's slot lives from its first edge until [`Self::remove_txn`]
-/// (it committed or aborted), so the slot count is bounded by the live
-/// transactions, not by the ones that ever waited.
+/// A slot is seated by [`Self::begin`] and keeps its age until
+/// [`Self::end`]; its edges live from the first wait naming it until
+/// [`Self::remove_txn`] (it aborted) or `end` (it committed) or, for its
+/// out-edges, [`Self::remove_outgoing`] (its wait was granted).
 #[derive(Debug)]
 pub struct WaitsForGraph {
-    /// Transaction id → node slot.
-    index: DetMap<u32>,
-    /// Node slab, recycled through `free_node`.
+    /// Nodes by transaction slot.
     nodes: Vec<Node>,
-    /// Head of the free node-slot list, threaded through `out_head`.
-    free_node: u32,
     /// Edge slab, recycled through `free_edge`; grows on demand.
     edges: Vec<Edge>,
     /// Head of the free edge list, threaded through `next_out`.
     free_edge: u32,
     /// Current DFS pass number (stamps validate per-node colours).
     version: u64,
-    /// Scratch: the sorted, deduplicated holders of one `add_waits` call.
+    /// Scratch: the age-sorted, deduplicated holders of one `add_waits`
+    /// call.
     holders: Vec<TxnId>,
     /// DFS scratch: the current path as (node slot, next out-edge to try).
     stack: Vec<(u32, u32)>,
@@ -92,9 +99,7 @@ pub struct WaitsForGraph {
 impl Default for WaitsForGraph {
     fn default() -> Self {
         Self {
-            index: DetMap::new(),
             nodes: Vec::new(),
-            free_node: NIL,
             edges: Vec::new(),
             free_edge: NIL,
             version: 0,
@@ -114,9 +119,7 @@ impl WaitsForGraph {
     /// Drop every node and edge but keep the slabs and the DFS scratch
     /// (reset-equals-fresh).
     pub fn clear(&mut self) {
-        self.index.clear();
         self.nodes.clear();
-        self.free_node = NIL;
         self.edges.clear();
         self.free_edge = NIL;
         self.version = 0;
@@ -125,55 +128,104 @@ impl WaitsForGraph {
         self.cycle.clear();
     }
 
-    /// Pre-size the node index, the node slab and the DFS scratch so
-    /// `txns` concurrent transactions can wait, be searched and leave
-    /// without touching the allocator — the warm-up hook for closed
-    /// systems where the multiprogramming level bounds concurrent
-    /// transactions. The edge slab is left to grow on demand: its worst
-    /// case is quadratic in `txns`, and a doubling slab reaches its
+    /// Pre-size the DFS and blocker-set scratch so `txns` transactions can
+    /// wait, be searched and leave without touching the allocator — the
+    /// warm-up hook for closed systems where the multiprogramming level
+    /// bounds the slots. The node vector grows at [`Self::begin`], when a
+    /// slot is first seated. The edge slab is left to grow on demand: its
+    /// worst case is quadratic in `txns`, and a doubling slab reaches its
     /// working size early in a run.
     pub fn prewarm(&mut self, txns: usize) {
-        self.index.reserve(txns);
-        self.nodes.reserve(txns);
         self.holders.reserve(txns);
         self.stack.reserve(txns);
         self.cycle.reserve(txns);
     }
 
+    /// Seat a transaction of `age` in slot `txn`, which has no edges.
+    /// Ages order every out-list and pick every victim, so the
+    /// transactions of one graph must carry distinct ages; a slot keeps
+    /// its age across [`Self::remove_txn`] (a deadlock victim replays
+    /// under it) until [`Self::end`].
+    pub fn begin(&mut self, txn: TxnId, age: u64) {
+        let i = txn.index();
+        if i >= self.nodes.len() {
+            self.nodes.resize(i + 1, EMPTY_NODE);
+            // DFS depth is bounded by the slot count, so growing the
+            // scratch *here* — when the slot-count record is set — keeps
+            // the search itself allocation-free.
+            let n = self.nodes.len();
+            self.stack.reserve(n.saturating_sub(self.stack.len()));
+            self.cycle.reserve(n.saturating_sub(self.cycle.len()));
+        }
+        let node = &mut self.nodes[i];
+        debug_assert!(
+            node.out_head == NIL && node.in_head == NIL,
+            "{txn:?} seated while it still has edges"
+        );
+        node.age = age;
+    }
+
+    /// The age slot `txn` was last seated with, if any.
+    pub fn age(&self, txn: TxnId) -> Option<u64> {
+        self.nodes
+            .get(txn.index())
+            .map(|n| n.age)
+            .filter(|&a| a != NO_AGE)
+    }
+
     /// Record that `waiter` waits on every transaction in `holders`.
     /// Duplicates, edges already present and `waiter` itself (a
-    /// transaction never waits on itself) are ignored.
+    /// transaction never waits on itself) are ignored. Every transaction
+    /// named must have been seated ([`Self::begin`]).
     pub fn add_waits(&mut self, waiter: TxnId, holders: &[TxnId]) {
         let mut sorted = std::mem::take(&mut self.holders);
         sorted.clear();
         sorted.extend(holders.iter().copied().filter(|&h| h != waiter));
-        sorted.sort_unstable();
+        debug_assert!(
+            sorted
+                .iter()
+                .chain([&waiter])
+                .all(|&t| self.age(t).is_some()),
+            "a wait of {waiter:?} on {holders:?} names an unseated slot"
+        );
+        let nodes = &self.nodes;
+        sorted.sort_unstable_by_key(|h| nodes[h.index()].age);
         sorted.dedup();
         if !sorted.is_empty() {
-            let from = self.slot(waiter);
-            // Merge into the ascending out-list; `prev` trails `cur`.
+            let from = waiter.index() as u32;
+            // Merge into the age-ascending out-list; `prev` trails `cur`.
             let (mut prev, mut cur) = (NIL, self.nodes[from as usize].out_head);
             for &holder in &sorted {
-                while cur != NIL && self.holder_of(cur) < holder {
+                let (to, age) = (holder.index() as u32, self.nodes[holder.index()].age);
+                while cur != NIL && self.holder_age(cur) < age {
                     prev = cur;
                     cur = self.edges[cur as usize].next_out;
                 }
-                if cur != NIL && self.holder_of(cur) == holder {
+                if cur != NIL && self.edges[cur as usize].to == to {
                     continue;
                 }
-                let to = self.slot(holder);
                 prev = self.link_edge(from, to, prev, cur);
             }
         }
         self.holders = sorted;
     }
 
-    /// Remove every edge into or out of `txn` and free its slot (it
-    /// committed or aborted).
+    /// The transaction in slot `txn` committed: remove its edges and
+    /// forget its age, until the slot is seated again.
+    pub fn end(&mut self, txn: TxnId) {
+        self.remove_txn(txn);
+        if let Some(node) = self.nodes.get_mut(txn.index()) {
+            node.age = NO_AGE;
+        }
+    }
+
+    /// Remove every edge into or out of `txn` (it aborted). Its age
+    /// stays.
     pub fn remove_txn(&mut self, txn: TxnId) {
-        let Some(slot) = self.index.remove(txn.0) else {
+        if txn.index() >= self.nodes.len() {
             return;
-        };
+        }
+        let slot = txn.index() as u32;
         self.drop_out_edges(slot);
         let mut e = self.nodes[slot as usize].in_head;
         while e != NIL {
@@ -189,10 +241,7 @@ impl WaitsForGraph {
             self.free_edge_slot(e);
             e = edge.next_in;
         }
-        let node = &mut self.nodes[slot as usize];
-        node.in_head = NIL;
-        node.out_head = self.free_node;
-        self.free_node = slot;
+        self.nodes[slot as usize].in_head = NIL;
     }
 
     /// Remove only the edges *out of* `txn` (its wait was satisfied),
@@ -201,33 +250,30 @@ impl WaitsForGraph {
     /// lock: its own wait ended, but anyone waiting on `txn` is now
     /// waiting on a holder — those edges are more valid than ever.
     pub fn remove_outgoing(&mut self, txn: TxnId) {
-        if let Some(&slot) = self.index.get(txn.0) {
-            self.drop_out_edges(slot);
+        if txn.index() < self.nodes.len() {
+            self.drop_out_edges(txn.index() as u32);
         }
     }
 
-    /// Transactions `txn` currently waits on, ascending.
+    /// Transactions `txn` currently waits on, youngest last.
     pub fn waits_on(&self, txn: TxnId) -> impl Iterator<Item = TxnId> + '_ {
-        let mut e = self
-            .index
-            .get(txn.0)
-            .map_or(NIL, |&slot| self.nodes[slot as usize].out_head);
+        let mut e = self.nodes.get(txn.index()).map_or(NIL, |n| n.out_head);
         std::iter::from_fn(move || {
             if e == NIL {
                 return None;
             }
             let edge = &self.edges[e as usize];
             e = edge.next_out;
-            Some(self.nodes[edge.to as usize].id)
+            Some(TxnId(u64::from(edge.to)))
         })
     }
 
     /// Does any transaction wait on `txn`? A cycle through `txn` needs an
     /// edge into it.
     pub fn has_waiters(&self, txn: TxnId) -> bool {
-        self.index
-            .get(txn.0)
-            .is_some_and(|&slot| self.nodes[slot as usize].in_head != NIL)
+        self.nodes
+            .get(txn.index())
+            .is_some_and(|n| n.in_head != NIL)
     }
 
     /// Find a cycle reachable from `start`, returned as the list of
@@ -237,12 +283,12 @@ impl WaitsForGraph {
     ///
     /// Iterative DFS with an explicit stack — transaction chains can be
     /// long under heavy contention and must not overflow the call stack.
-    /// Neighbours are explored ascending, so the cycle found is the same
-    /// one a sorted-set adjacency reports.
+    /// Neighbours are explored in ascending age, so the cycle found is the
+    /// same one an age-sorted adjacency reports.
     pub fn find_cycle_from(&mut self, start: TxnId) -> Option<&[TxnId]> {
         self.cycle.clear();
-        let start = *self.index.get(start.0)?;
-        let head = self.nodes[start as usize].out_head;
+        let head = self.nodes.get(start.index())?.out_head;
+        let start = start.index() as u32;
         // A transaction with no outgoing edges cannot be on or ahead of a
         // cycle.
         if head == NIL {
@@ -280,9 +326,8 @@ impl WaitsForGraph {
                     // the colouring.
                     unreachable!("gray node must be on path")
                 };
-                let nodes = &self.nodes;
                 self.cycle
-                    .extend(stack[pos..].iter().map(|&(s, _)| nodes[s as usize].id));
+                    .extend(stack[pos..].iter().map(|&(s, _)| TxnId(u64::from(s))));
                 break;
             }
         }
@@ -295,41 +340,21 @@ impl WaitsForGraph {
         }
     }
 
-    /// The slot of `txn`, allocating one on its first edge.
-    fn slot(&mut self, txn: TxnId) -> u32 {
-        let (nodes, free, stack, cycle) = (
-            &mut self.nodes,
-            &mut self.free_node,
-            &mut self.stack,
-            &mut self.cycle,
-        );
-        *self.index.get_or_insert_with(txn.0, || {
-            let node = Node {
-                id: txn,
-                out_head: NIL,
-                in_head: NIL,
-                stamp: 0,
-                color: 0,
-            };
-            if *free != NIL {
-                let slot = *free;
-                *free = nodes[slot as usize].out_head;
-                nodes[slot as usize] = node;
-                return slot;
-            }
-            nodes.push(node);
-            // DFS depth is bounded by the slot count, so growing the
-            // scratch *here* — when the slot-count record is set — keeps
-            // the search itself allocation-free.
-            stack.reserve(nodes.len().saturating_sub(stack.len()));
-            cycle.reserve(nodes.len().saturating_sub(cycle.len()));
-            (nodes.len() - 1) as u32
-        })
+    /// The victim that breaks the cycle [`Self::find_cycle_from`] finds
+    /// from `start`: its youngest (largest-age) transaction. `None` if no
+    /// cycle is reachable.
+    pub fn victim_from(&mut self, start: TxnId) -> Option<TxnId> {
+        self.find_cycle_from(start)?;
+        let nodes = &self.nodes;
+        self.cycle
+            .iter()
+            .copied()
+            .max_by_key(|t| nodes[t.index()].age)
     }
 
-    /// The holder id of edge `e`.
-    fn holder_of(&self, e: u32) -> TxnId {
-        self.nodes[self.edges[e as usize].to as usize].id
+    /// The age of edge `e`'s holder.
+    fn holder_age(&self, e: u32) -> u64 {
+        self.nodes[self.edges[e as usize].to as usize].age
     }
 
     /// Allocate an edge `from → to`, link it into `from`'s out-list
@@ -410,6 +435,15 @@ mod tests {
         TxnId(n)
     }
 
+    /// A graph with slots `0..n` seated, each aged by its slot number.
+    fn graph(n: u64) -> WaitsForGraph {
+        let mut g = WaitsForGraph::new();
+        for i in 0..n {
+            g.begin(t(i), i);
+        }
+        g
+    }
+
     /// Add the single edge `waiter → holder`.
     fn edge(g: &mut WaitsForGraph, waiter: u64, holder: u64) {
         g.add_waits(t(waiter), &[t(holder)]);
@@ -428,7 +462,7 @@ mod tests {
 
     #[test]
     fn no_cycle_in_chain() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(5);
         edge(&mut g, 1, 2);
         edge(&mut g, 2, 3);
         edge(&mut g, 3, 4);
@@ -438,7 +472,7 @@ mod tests {
 
     #[test]
     fn two_cycle_detected() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(3);
         edge(&mut g, 1, 2);
         edge(&mut g, 2, 1);
         let cycle = g.find_cycle_from(t(1)).expect("cycle");
@@ -448,7 +482,7 @@ mod tests {
 
     #[test]
     fn long_cycle_detected_from_any_entry() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(10);
         for i in 0..10 {
             edge(&mut g, i, (i + 1) % 10);
         }
@@ -461,7 +495,7 @@ mod tests {
     #[test]
     fn cycle_behind_a_tail_is_found() {
         // 0 -> 1 -> 2 -> 3 -> 1 : start node not on the cycle itself.
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(4);
         edge(&mut g, 0, 1);
         edge(&mut g, 1, 2);
         edge(&mut g, 2, 3);
@@ -473,7 +507,7 @@ mod tests {
 
     #[test]
     fn removing_txn_breaks_cycle() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(4);
         edge(&mut g, 1, 2);
         edge(&mut g, 2, 3);
         edge(&mut g, 3, 1);
@@ -487,7 +521,7 @@ mod tests {
     #[test]
     fn remove_outgoing_preserves_inbound() {
         // 3 -> 2 -> 1 ; granting 2 must drop only 2 -> 1, keeping 3 -> 2.
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(4);
         edge(&mut g, 2, 1);
         edge(&mut g, 3, 2);
         g.remove_outgoing(t(2));
@@ -502,7 +536,7 @@ mod tests {
 
     #[test]
     fn self_edges_ignored() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(2);
         edge(&mut g, 1, 1);
         assert_eq!(edge_count(&g, 0..2), 0);
         assert!(any_cycle(&mut g, 0..2).is_none());
@@ -511,7 +545,7 @@ mod tests {
 
     #[test]
     fn diamond_without_cycle() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(5);
         g.add_waits(t(1), &[t(3), t(2)]);
         edge(&mut g, 2, 4);
         edge(&mut g, 3, 4);
@@ -520,7 +554,7 @@ mod tests {
 
     #[test]
     fn blocker_sets_merge_ascending_without_duplicates() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(11);
         g.add_waits(t(5), &[t(9), t(2), t(5), t(9), t(7)]);
         g.add_waits(t(5), &[t(8), t(1), t(7), t(10)]);
         let out: Vec<TxnId> = g.waits_on(t(5)).collect();
@@ -528,9 +562,40 @@ mod tests {
         assert!(!g.has_waiters(t(5)) && g.has_waiters(t(10)));
     }
 
+    /// Out-lists ascend by holder age and the victim is the largest age
+    /// on the cycle, whatever the slot numbers: here the ages run against
+    /// them.
+    #[test]
+    fn ages_not_slots_order_out_lists_and_pick_victims() {
+        let mut g = WaitsForGraph::new();
+        for (slot, age) in [(0, 40), (1, 30), (2, 20), (3, 10)] {
+            g.begin(t(slot), age);
+        }
+        g.add_waits(t(3), &[t(0), t(2), t(1)]);
+        let out: Vec<TxnId> = g.waits_on(t(3)).collect();
+        assert_eq!(out, [2, 1, 0].map(t).to_vec(), "ascending age");
+        // 3 -> {2, 1, 0}; 2 -> 3 and 0 -> 3 both close cycles with 3. The
+        // DFS from 3 meets 2 (age 20) first, so the cycle is {3, 2}, and
+        // its youngest member is slot 2.
+        edge(&mut g, 0, 3);
+        edge(&mut g, 2, 3);
+        assert_eq!(g.find_cycle_from(t(3)).unwrap(), [t(3), t(2)]);
+        assert_eq!(g.victim_from(t(3)), Some(t(2)));
+        // A reseated slot takes its new age: slot 2 becomes the youngest.
+        g.remove_txn(t(2));
+        assert_eq!(g.age(t(2)), Some(20), "an abort keeps the age");
+        g.end(t(2));
+        assert_eq!(g.age(t(2)), None, "a commit forgets it");
+        g.begin(t(2), 50);
+        g.add_waits(t(3), &[t(2)]);
+        let out: Vec<TxnId> = g.waits_on(t(3)).collect();
+        assert_eq!(out, [1, 0, 2].map(t).to_vec());
+        assert_eq!(g.victim_from(t(3)), Some(t(0)));
+    }
+
     #[test]
     fn deep_chain_does_not_overflow_stack() {
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(100_001);
         for i in 0..100_000u64 {
             edge(&mut g, i, i + 1);
         }
@@ -543,7 +608,7 @@ mod tests {
     fn detection_is_allocation_free_after_warmup() {
         // Colour stamps + pooled scratch: repeated searches over a live
         // graph must not grow any buffer once warmed up.
-        let mut g = WaitsForGraph::new();
+        let mut g = graph(51);
         for i in 0..50 {
             edge(&mut g, i, i + 1);
         }

@@ -19,6 +19,9 @@
 //!   with Gray's compatibility matrix.
 //! * [`table`] — a pooled lock table with granted groups and FIFO wait
 //!   queues (no starvation: a request conflicts with earlier waiters too).
+//!   A transaction is named by its slot ([`TxnId`]), so every
+//!   per-transaction structure in this crate is a vector indexed by it;
+//!   only the granule index hashes.
 //! * [`hierarchy`] — the context layer: the granule tree behind
 //!   multi-granularity (intention) locking, the root-first intent chain
 //!   of a request, and lock escalation over a predeclared set. It mirrors
@@ -30,10 +33,12 @@
 //!   so deadlock is impossible.
 //! * [`twophase`] — incremental two-phase locking with a waits-for graph
 //!   and deadlock detection (extension beyond the paper).
-//! * [`deadlock`] — the waits-for graph and cycle detection: dense node
-//!   slots and one pooled edge slab, each edge on its waiter's ascending
-//!   out-list and its holder's in-list, so the search makes no hash
-//!   lookups and a leaving transaction touches only its own edges.
+//! * [`deadlock`] — the waits-for graph and cycle detection: one node per
+//!   slot, carrying its transaction's age, and one pooled edge slab, each
+//!   edge on its waiter's age-ascending out-list and its holder's
+//!   in-list, so the search makes no hash lookups, a leaving transaction
+//!   touches only its own edges, and the youngest on a cycle is the
+//!   victim.
 //! * [`reference`] — a naive ordered-map lock table with identical
 //!   semantics, the oracle for the differential property test pinning
 //!   [`table`]'s pooled implementation to an executable specification.

@@ -22,9 +22,10 @@
 //!
 //! Granted groups and wait queues are intrusive singly-linked lists of
 //! pooled [`Block`]s (one shared slab, free-list recycled); per-txn
-//! holdings and waited-granule sets are pooled [`Link`] lists. Granule
-//! and transaction lookup go through [`DetMap`] — O(1), deterministic by
-//! construction (see `lockgran_sim::detmap`). No code path iterates a
+//! holdings and waited-granule sets are pooled [`Link`] lists, headed
+//! from a record indexed by [`TxnId`]. Only granule lookup hashes, through
+//! [`DetMap`] — O(1), deterministic by construction (see
+//! `lockgran_sim::detmap`). No code path iterates a
 //! map to decide grant order: grants follow the FIFO queue, release
 //! order follows the per-txn holdings list (append order), and wait
 //! cancellation processes granules in ascending id order, so every
@@ -57,9 +58,21 @@ use lockgran_sim::DetMap;
 
 use crate::mode::LockMode;
 
-/// Transaction identifier.
+/// Transaction identifier: the slot the transaction occupies, which it
+/// keeps from its first request until its release. Slots are dense from
+/// 0 and recycled (the simulator hands out its slab slots), so every
+/// per-transaction structure of the lock stack is a vector indexed by
+/// it. The id carries no order: the incremental discipline learns each
+/// transaction's age separately ([`crate::TwoPhaseScheduler::begin`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TxnId(pub u64);
+
+impl TxnId {
+    /// The slot as an index into a per-transaction vector.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Lockable granule identifier (0-based, `< ltot`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -221,8 +234,8 @@ pub struct LockTable {
     /// Shared pool for per-txn granule lists.
     links: Vec<Link>,
     free_link: u32,
-    /// Txn id -> holdings + waits record.
-    txns: DetMap<TxnRec>,
+    /// Holdings + waits record, by transaction slot.
+    txns: Vec<TxnRec>,
     grants: u64,
     waits: u64,
     /// Blocks visited by walks along granted groups and wait queues (a
@@ -251,7 +264,7 @@ impl LockTable {
             free_block: NIL,
             links: Vec::new(),
             free_link: NIL,
-            txns: DetMap::new(),
+            txns: Vec::new(),
             grants: 0,
             waits: 0,
             visits: Cell::new(0),
@@ -281,7 +294,7 @@ impl LockTable {
             }
         }
         self.index.reserve(records);
-        self.txns.reserve(txns);
+        reserve_total(&mut self.txns, txns);
         reserve_total(&mut self.entries, records);
         reserve_total(&mut self.blocks, records);
         reserve_total(&mut self.links, records);
@@ -374,18 +387,18 @@ impl LockTable {
         self.free_link = l;
     }
 
+    /// `txn`'s record, growing the record vector to reach its slot.
     fn txn_rec(&mut self, txn: TxnId) -> &mut TxnRec {
-        self.txns.get_or_insert_with(txn.0, || EMPTY_TXN)
+        let i = txn.index();
+        if i >= self.txns.len() {
+            self.txns.resize(i + 1, EMPTY_TXN);
+        }
+        &mut self.txns[i]
     }
 
-    /// Drop the txn record once it neither holds nor waits on anything,
-    /// so the txn map tracks only live transactions.
-    fn gc_txn(&mut self, txn: TxnId) {
-        if let Some(rec) = self.txns.get(txn.0) {
-            if rec.hold_head == NIL && rec.wait_head == NIL {
-                self.txns.remove(txn.0);
-            }
-        }
+    /// `txn`'s record, or the empty one if its slot was never reached.
+    fn rec(&self, txn: TxnId) -> TxnRec {
+        self.txns.get(txn.index()).copied().unwrap_or(EMPTY_TXN)
     }
 
     /// Append `granule`, whose entry is at `slot`, to `txn`'s holdings
@@ -412,20 +425,18 @@ impl LockTable {
 
     /// Remove `granule` from `txn`'s holdings list, if present.
     fn remove_holding(&mut self, txn: TxnId, granule: GranuleId) {
-        let Some(rec) = self.txns.get(txn.0) else {
-            return;
-        };
-        let (mut prev, mut cur) = (NIL, rec.hold_head);
+        let (mut prev, mut cur) = (NIL, self.rec(txn).hold_head);
         while cur != NIL {
             let link = self.links[cur as usize];
             if link.granule == granule.0 {
+                let rec = &mut self.txns[txn.index()];
                 if prev == NIL {
-                    self.txn_rec(txn).hold_head = link.next;
+                    rec.hold_head = link.next;
                 } else {
                     self.links[prev as usize].next = link.next;
                 }
-                if self.txn_rec(txn).hold_tail == cur {
-                    self.txn_rec(txn).hold_tail = prev;
+                if rec.hold_tail == cur {
+                    rec.hold_tail = prev;
                 }
                 self.free_link_slot(cur);
                 return;
@@ -438,22 +449,18 @@ impl LockTable {
     /// Record that `txn` now waits on `granule`, whose entry is at `slot`.
     fn add_wait_ref(&mut self, txn: TxnId, granule: GranuleId, slot: u32) {
         let link = self.alloc_link(granule.0, slot);
-        let head = self.txn_rec(txn).wait_head;
+        let head = std::mem::replace(&mut self.txn_rec(txn).wait_head, link);
         self.links[link as usize].next = head;
-        self.txn_rec(txn).wait_head = link;
     }
 
     /// Remove `granule` from `txn`'s waited set, if present.
     fn remove_wait_ref(&mut self, txn: TxnId, granule: GranuleId) {
-        let Some(rec) = self.txns.get(txn.0) else {
-            return;
-        };
-        let (mut prev, mut cur) = (NIL, rec.wait_head);
+        let (mut prev, mut cur) = (NIL, self.rec(txn).wait_head);
         while cur != NIL {
             let link = self.links[cur as usize];
             if link.granule == granule.0 {
                 if prev == NIL {
-                    self.txn_rec(txn).wait_head = link.next;
+                    self.txns[txn.index()].wait_head = link.next;
                 } else {
                     self.links[prev as usize].next = link.next;
                 }
@@ -842,7 +849,6 @@ impl LockTable {
             return;
         }
         self.remove_holding(txn, granule);
-        self.gc_txn(txn);
         self.promote(slot, granule, None, woken);
         self.gc_entry(granule, slot);
     }
@@ -854,9 +860,13 @@ impl LockTable {
     /// ascending granule order.
     pub fn release_all_into(&mut self, txn: TxnId, woken: &mut Vec<(TxnId, GranuleId, LockMode)>) {
         woken.clear();
-        // Nothing below grants `txn` or queues it, so its record can go
-        // first; its lists are walked from this copy.
-        let Some(rec) = self.txns.remove(txn.0) else {
+        // Nothing below grants `txn` or queues it, so its record can be
+        // emptied first; its lists are walked from this copy.
+        let Some(rec) = self
+            .txns
+            .get_mut(txn.index())
+            .map(|r| std::mem::replace(r, EMPTY_TXN))
+        else {
             return;
         };
         // Phase 1: walk the holdings list in append order, releasing and
@@ -911,7 +921,10 @@ impl LockTable {
         self.cancel_scratch = scratch;
         promoted.clear();
         self.promote_scratch = promoted;
-        debug_assert!(!self.txns.contains_key(txn.0), "{txn:?} regained a record");
+        debug_assert!(
+            !self.holds_or_awaits(txn),
+            "{txn:?} regained a lock or wait"
+        );
     }
 
     /// Grant the longest compatible prefix of `slot`'s wait queue,
@@ -972,26 +985,24 @@ impl LockTable {
 
     /// Granules currently held by `txn`, in acquisition (append) order.
     pub fn holdings(&self, txn: TxnId) -> impl Iterator<Item = GranuleId> + '_ {
-        let head = self.txns.get(txn.0).map_or(NIL, |r| r.hold_head);
         LinkIter {
             links: &self.links,
-            cur: head,
+            cur: self.rec(txn).hold_head,
         }
     }
 
     /// Granules `txn` currently waits on, latest first.
     fn waited(&self, txn: TxnId) -> impl Iterator<Item = GranuleId> + '_ {
-        let head = self.txns.get(txn.0).map_or(NIL, |r| r.wait_head);
         LinkIter {
             links: &self.links,
-            cur: head,
+            cur: self.rec(txn).wait_head,
         }
     }
 
-    /// Does `txn` hold or await any granule? (Its record lives exactly
-    /// that long.)
+    /// Does `txn` hold or await any granule?
     pub fn holds_or_awaits(&self, txn: TxnId) -> bool {
-        self.txns.contains_key(txn.0)
+        let rec = self.rec(txn);
+        rec.hold_head != NIL || rec.wait_head != NIL
     }
 
     /// Number of granules with at least one holder or waiter.
@@ -1089,10 +1100,11 @@ impl LockTable {
                 }
             }
         }
-        for (t, rec) in self.txns.iter() {
-            let t = TxnId(t);
-            if rec.hold_head == NIL && rec.wait_head == NIL {
-                return Err(format!("{t:?} holds and awaits nothing but keeps a record"));
+        for (t, rec) in (0..).map(TxnId).zip(&self.txns) {
+            if (rec.hold_head == NIL) != (rec.hold_tail == NIL) {
+                return Err(format!(
+                    "{t:?} has a holdings head or tail without the other"
+                ));
             }
             for head in [rec.hold_head, rec.wait_head] {
                 let mut cur = head;

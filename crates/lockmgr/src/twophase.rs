@@ -8,15 +8,14 @@
 //! waits-for graph is maintained, and any cycle is broken by aborting the
 //! **youngest** transaction on it (fewest locks invested is a common
 //! alternative; youngest-aborts gives deterministic, starvation-resistant
-//! behaviour with monotone transaction ids).
+//! behaviour). Transactions are named by their slot ([`TxnId`]); their
+//! ages come separately, through [`TwoPhaseScheduler::begin`].
 //!
 //! The entry points [`TwoPhaseScheduler::acquire_into`],
 //! [`TwoPhaseScheduler::release_into`] and
 //! [`TwoPhaseScheduler::abort_into`] report side effects through
 //! caller-owned [`AcquireEffects`]/`Vec` buffers and allocate nothing once
 //! warm.
-
-use lockgran_sim::DetMap;
 
 use crate::deadlock::WaitsForGraph;
 use crate::mode::LockMode;
@@ -90,8 +89,8 @@ pub enum RetryOutcome {
 pub struct TwoPhaseScheduler {
     table: LockTable,
     graph: WaitsForGraph,
-    /// Requests currently queued in the table: txn → (granule, mode).
-    waiting: DetMap<(GranuleId, LockMode)>,
+    /// The request each transaction slot has queued in the table, if any.
+    waiting: Vec<Option<(GranuleId, LockMode)>>,
     /// Scratch: promotion sink shared by the release/abort paths.
     promote_scratch: Vec<(TxnId, GranuleId, LockMode)>,
 }
@@ -102,16 +101,17 @@ impl TwoPhaseScheduler {
         Self::default()
     }
 
-    /// Pre-size the lock table, the waiting map, the waits-for graph and
-    /// the promotion scratch for `txns` concurrent transactions holding
-    /// or awaiting up to `records` lock requests in total, so a closed
-    /// system running at that multiprogramming level never allocates on
-    /// the acquire/release/abort paths — not even when a record waiter
-    /// count first occurs deep into a run. Skip the call when the worst
-    /// case is too large to provision eagerly.
+    /// Pre-size the lock table, the waits-for graph and the promotion
+    /// scratch for `txns` concurrent transactions holding or awaiting up
+    /// to `records` lock requests in total, so a closed system running at
+    /// that multiprogramming level never allocates on the
+    /// acquire/release/abort paths — not even when a record waiter count
+    /// first occurs deep into a run. The per-slot vectors grow at
+    /// [`Self::begin`], off those paths, when a slot is first seated.
+    /// Skip the call when the worst case is too large to provision
+    /// eagerly.
     pub fn prewarm(&mut self, txns: usize, records: usize) {
         self.table.prewarm(txns, records);
-        self.waiting.reserve(txns);
         self.graph.prewarm(txns);
         self.promote_scratch.reserve(txns);
     }
@@ -125,15 +125,33 @@ impl TwoPhaseScheduler {
         self.promote_scratch.clear();
     }
 
+    /// Seat a new transaction of `age` in slot `txn`, before its first
+    /// acquire. The slot's previous transaction must have released (or
+    /// the slot be new). A larger age is younger; the ages of the
+    /// transactions seated at once must be distinct. An aborted
+    /// transaction keeps its slot and age: it is not begun again. A
+    /// release ends the seat.
+    pub fn begin(&mut self, txn: TxnId, age: u64) {
+        debug_assert!(
+            !self.table.holds_or_awaits(txn) && !self.is_waiting(txn),
+            "{txn:?} seated while its slot still holds or awaits a lock"
+        );
+        if txn.index() >= self.waiting.len() {
+            self.waiting.resize(txn.index() + 1, None);
+        }
+        self.graph.begin(txn, age);
+    }
+
     /// Acquire one lock for `txn`, reporting side effects through the
     /// caller's reusable `effects` buffers (cleared first). If a deadlock
-    /// would result, the youngest (largest-id) transaction on each cycle
+    /// would result, the youngest (largest-age) transaction on each cycle
     /// is aborted until no cycle remains.
     ///
     /// # Panics
     /// Panics if `txn` is already waiting for a lock (a transaction is a
     /// single thread of control: it cannot issue a second request while
-    /// blocked).
+    /// blocked), or if its slot was never seated ([`Self::begin`]; debug
+    /// builds also check a slot that was, and was released since).
     pub fn acquire_into(
         &mut self,
         txn: TxnId,
@@ -143,8 +161,12 @@ impl TwoPhaseScheduler {
     ) -> AcquireStatus {
         effects.clear();
         assert!(
-            !self.waiting.contains_key(txn.0),
+            !self.is_waiting(txn),
             "{txn:?} issued a request while already waiting"
+        );
+        debug_assert!(
+            self.graph.age(txn).is_some(),
+            "{txn:?} acquired before begin"
         );
         if self
             .table
@@ -152,7 +174,7 @@ impl TwoPhaseScheduler {
         {
             return AcquireStatus::Granted;
         }
-        self.waiting.insert(txn.0, (granule, mode));
+        self.waiting[txn.index()] = Some((granule, mode));
         self.graph.add_waits(txn, &effects.blockers);
         // The graph is acyclic between acquires: edges are only ever added
         // out of the requester, and the loop below runs until no cycle
@@ -172,12 +194,7 @@ impl TwoPhaseScheduler {
         // abort removes a node from the graph, and once `txn` stops
         // waiting (it was granted or aborted) it has no outgoing edges
         // left.
-        while let Some(cycle) = self.graph.find_cycle_from(txn) {
-            #[expect(
-                clippy::expect_used,
-                reason = "find_cycle_from never returns an empty cycle"
-            )]
-            let victim = *cycle.iter().max().expect("cycle is non-empty");
+        while let Some(victim) = self.graph.victim_from(txn) {
             self.abort_collect(victim, &mut effects.granted);
             effects.victims.push(victim);
         }
@@ -194,7 +211,7 @@ impl TwoPhaseScheduler {
                 effects.granted.remove(pos);
                 RetryOutcome::Granted
             } else {
-                debug_assert!(self.waiting.contains_key(txn.0));
+                debug_assert!(self.is_waiting(txn));
                 RetryOutcome::StillWaiting
             };
             AcquireStatus::Deadlock { retry }
@@ -203,7 +220,7 @@ impl TwoPhaseScheduler {
 
     /// Abort `victim`: drop its locks and queued request, grant whatever
     /// becomes available, and append the transactions granted as a result
-    /// to `granted` (cleared first).
+    /// to `granted` (cleared first). The victim keeps its slot and age.
     pub fn abort_into(&mut self, victim: TxnId, granted: &mut Vec<TxnId>) {
         granted.clear();
         self.abort_collect(victim, granted);
@@ -212,7 +229,9 @@ impl TwoPhaseScheduler {
     /// Abort `victim`, appending (not clearing) grants — the deadlock
     /// loop accumulates across several victims.
     fn abort_collect(&mut self, victim: TxnId, granted: &mut Vec<TxnId>) {
-        self.waiting.remove(victim.0);
+        if let Some(w) = self.waiting.get_mut(victim.index()) {
+            *w = None;
+        }
         self.graph.remove_txn(victim);
         let mut promoted = std::mem::take(&mut self.promote_scratch);
         self.table.release_all_into(victim, &mut promoted);
@@ -225,11 +244,8 @@ impl TwoPhaseScheduler {
     /// has now succeeded; callers resume them.
     pub fn release_into(&mut self, txn: TxnId, granted: &mut Vec<TxnId>) {
         granted.clear();
-        debug_assert!(
-            !self.waiting.contains_key(txn.0),
-            "{txn:?} released while waiting"
-        );
-        self.graph.remove_txn(txn);
+        debug_assert!(!self.is_waiting(txn), "{txn:?} released while waiting");
+        self.graph.end(txn);
         let mut promoted = std::mem::take(&mut self.promote_scratch);
         self.table.release_all_into(txn, &mut promoted);
         self.note_grants(&promoted, granted);
@@ -238,14 +254,13 @@ impl TwoPhaseScheduler {
 
     fn note_grants(&mut self, promoted: &[(TxnId, GranuleId, LockMode)], granted: &mut Vec<TxnId>) {
         for (t, g, m) in promoted {
-            if let Some(&(wg, wm)) = self.waiting.get(t.0) {
+            if let Some((wg, wm)) = self.waiting[t.index()].take() {
                 debug_assert_eq!(wg, *g, "{t:?} granted a granule it was not waiting for");
                 debug_assert_eq!(
                     wm.supremum(*m),
                     *m,
                     "{t:?} granted {m} which does not cover the waited-for {wm}"
                 );
-                self.waiting.remove(t.0);
                 // Only the satisfied wait's outgoing edges go away.
                 // Inbound edges from transactions queued behind `t` stay:
                 // they now wait on a *holder*, and deleting them (the old
@@ -259,7 +274,7 @@ impl TwoPhaseScheduler {
 
     /// Is `txn` currently queued for a lock?
     pub fn is_waiting(&self, txn: TxnId) -> bool {
-        self.waiting.contains_key(txn.0)
+        self.waiting.get(txn.index()).is_some_and(Option::is_some)
     }
 
     /// Transactions `txn`'s queued request currently waits on (the
@@ -276,6 +291,11 @@ impl TwoPhaseScheduler {
     pub fn table(&self) -> &LockTable {
         &self.table
     }
+
+    /// Access the waits-for graph.
+    pub fn graph(&self) -> &WaitsForGraph {
+        &self.graph
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +309,15 @@ mod tests {
     }
     fn g(n: u64) -> GranuleId {
         GranuleId(n)
+    }
+
+    /// A scheduler with slots `0..n` seated, each aged by its slot number.
+    fn seated(n: u64) -> TwoPhaseScheduler {
+        let mut s = TwoPhaseScheduler::new();
+        for i in 0..n {
+            s.begin(t(i), i);
+        }
+        s
     }
 
     /// One acquire with fresh effect buffers.
@@ -316,7 +345,7 @@ mod tests {
 
     #[test]
     fn grant_wait_release_cycle() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
         let (status, fx) = acq(&mut s, 2, 0, X);
         assert_eq!(status, Waiting);
@@ -329,7 +358,7 @@ mod tests {
 
     #[test]
     fn classic_two_transaction_deadlock_aborts_youngest() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
         assert_eq!(acq(&mut s, 2, 1, X).0, Granted);
         assert_eq!(acq(&mut s, 1, 1, X).0, Waiting);
@@ -348,9 +377,48 @@ mod tests {
         assert!(holds_nothing(&s, t(2)));
     }
 
+    /// The victim is the youngest by age, not the highest slot: slot 0
+    /// holds the youngest transaction of the 2-cycle, and the older one
+    /// in slot 3 closes it and is granted.
+    #[test]
+    fn youngest_in_a_low_slot_is_the_victim() {
+        let mut s = TwoPhaseScheduler::new();
+        s.begin(t(3), 10);
+        s.begin(t(0), 11);
+        assert_eq!(acq(&mut s, 3, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 0, 1, X).0, Granted);
+        assert_eq!(acq(&mut s, 0, 0, X).0, Waiting);
+        let (status, fx) = acq(&mut s, 3, 1, X);
+        assert_eq!(
+            status,
+            Deadlock {
+                retry: RetryOutcome::Granted
+            }
+        );
+        assert_eq!(fx.victims, vec![t(0)]);
+        assert!(holds_nothing(&s, t(0)));
+        assert_eq!(s.graph().age(t(0)), Some(11), "the victim keeps its age");
+        // Reseated after a release, slot 0 is older than slot 3's next
+        // transaction.
+        release(&mut s, 3);
+        s.begin(t(0), 12);
+        s.begin(t(3), 13);
+        assert_eq!(acq(&mut s, 0, 0, X).0, Granted);
+        assert_eq!(acq(&mut s, 3, 1, X).0, Granted);
+        assert_eq!(acq(&mut s, 0, 1, X).0, Waiting);
+        let (status, fx) = acq(&mut s, 3, 0, X);
+        assert_eq!(
+            status,
+            Deadlock {
+                retry: RetryOutcome::SelfAborted
+            }
+        );
+        assert_eq!(fx.victims, vec![t(3)]);
+    }
+
     #[test]
     fn three_way_deadlock_detected() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         for i in 0..3u64 {
             assert_eq!(acq(&mut s, i + 1, i, X).0, Granted);
         }
@@ -367,7 +435,7 @@ mod tests {
         // granting T2 used `remove_txn`, which also deleted the inbound
         // edge from T3 still queued behind it, so the cycle closed below
         // went undetected (a permanent, silent deadlock).
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 3, 2, X).0, Granted);
         assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
         assert_eq!(acq(&mut s, 2, 0, X).0, Waiting);
@@ -377,7 +445,9 @@ mod tests {
         // edge must survive the grant.
         assert_eq!(release(&mut s, 1), vec![t(2)]);
         assert!(s.is_waiting(t(3)));
-        // T1 re-requests, queueing on g2 behind T3: edge T1 -> T3.
+        // A new T1, seated with the oldest age again, queues on g2 behind
+        // T3: edge T1 -> T3.
+        s.begin(t(1), 1);
         assert_eq!(acq(&mut s, 1, 2, X).0, Waiting);
         // T2 requests g2, closing T2 -> T1 -> T3 -> T2. Detectable only
         // through the preserved T3 -> T2 edge.
@@ -402,7 +472,7 @@ mod tests {
     fn non_self_victim_grants_requester_on_retry() {
         // The requester closes the cycle but an *older* id means the other
         // transaction is the victim; the re-evaluated request is granted.
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
         assert_eq!(acq(&mut s, 2, 1, X).0, Granted);
         assert_eq!(acq(&mut s, 2, 0, X).0, Waiting);
@@ -424,7 +494,7 @@ mod tests {
 
     #[test]
     fn readers_do_not_deadlock() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         for (txn, granule) in [(1, 0), (2, 1), (1, 1), (2, 0)] {
             let (status, fx) = acq(&mut s, txn, granule, S);
             assert_eq!(status, Granted);
@@ -436,7 +506,7 @@ mod tests {
     fn upgrade_deadlock_is_broken() {
         // Both read the same granule, both try to upgrade: a classic
         // conversion deadlock.
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 1, 0, S).0, Granted);
         assert_eq!(acq(&mut s, 2, 0, S).0, Granted);
         assert_eq!(acq(&mut s, 1, 0, X).0, Waiting);
@@ -454,7 +524,7 @@ mod tests {
 
     #[test]
     fn release_grants_batch_of_readers() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
         assert_eq!(acq(&mut s, 2, 0, S).0, Waiting);
         assert_eq!(acq(&mut s, 3, 0, S).0, Waiting);
@@ -463,12 +533,14 @@ mod tests {
 
     #[test]
     fn reset_behaves_like_fresh() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         assert_eq!(acq(&mut s, 1, 0, X).0, Granted);
         assert_eq!(acq(&mut s, 2, 0, X).0, Waiting);
         s.reset();
         assert!(!s.is_waiting(t(2)));
         assert_eq!(s.blockers_of(t(2)).count(), 0);
+        assert_eq!(s.graph().age(t(2)), None, "a reset forgets every age");
+        s.begin(t(2), 0);
         assert_eq!(acq(&mut s, 2, 0, X).0, Granted);
         assert_eq!(s.table().held_mode(t(2), g(0)), Some(X));
     }
@@ -476,7 +548,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already waiting")]
     fn request_while_waiting_panics() {
-        let mut s = TwoPhaseScheduler::new();
+        let mut s = seated(4);
         let _ = acq(&mut s, 1, 0, X);
         let _ = acq(&mut s, 2, 0, X);
         let _ = acq(&mut s, 2, 1, X);

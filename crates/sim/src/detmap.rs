@@ -143,33 +143,6 @@ impl<V> DetMap<V> {
         self.nodes[slot].value.as_ref()
     }
 
-    /// Mutably borrow the value for `key`.
-    #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        let pos = self.find(key)?;
-        let slot = (self.index[pos] - 1) as usize;
-        self.nodes[slot].value.as_mut()
-    }
-
-    /// True if `key` has a live entry.
-    #[inline]
-    pub fn contains_key(&self, key: u64) -> bool {
-        self.find(key).is_some()
-    }
-
-    /// Mutably borrow the value for `key`, inserting `make()` first when
-    /// absent (the missing `entry` API for the hot paths).
-    pub fn get_or_insert_with<F: FnOnce() -> V>(&mut self, key: u64, make: F) -> &mut V {
-        let slot = match self.find(key) {
-            Some(pos) => self.index[pos] - 1,
-            None => self.insert_absent(key, make()),
-        };
-        match self.nodes[slot as usize].value.as_mut() {
-            Some(v) => v,
-            None => unreachable!("indexed slot holds a live value"),
-        }
-    }
-
     /// Insert or replace. Returns the previous value when `key` was
     /// already present (its insertion-order position is kept, matching
     /// `BTreeMap::insert` observable behavior for lookups).
@@ -178,12 +151,6 @@ impl<V> DetMap<V> {
             let slot = (self.index[pos] - 1) as usize;
             return self.nodes[slot].value.replace(value);
         }
-        self.insert_absent(key, value);
-        None
-    }
-
-    /// Insert `key`, known to be absent, and return its slab slot.
-    fn insert_absent(&mut self, key: u64, value: V) -> u32 {
         self.grow_if_needed();
         // Claim a slab slot: recycle the free list before growing the Vec.
         let slot = if self.free != NIL {
@@ -220,7 +187,7 @@ impl<V> DetMap<V> {
         }
         self.index[pos] = slot + 1;
         self.len += 1;
-        slot
+        None
     }
 
     /// Remove `key`, returning its value. Backward-shift deletion keeps
@@ -327,19 +294,6 @@ impl<V> DetMap<V> {
             cur: self.head,
         }
     }
-
-    /// Iterate keys in insertion order.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterate `&mut value` over every live entry, in **slab order** (not
-    /// insertion order). Slab layout is a pure function of the operation
-    /// history, so this is still deterministic; use it for sweeps whose
-    /// effect is order-independent.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.nodes.iter_mut().filter_map(|n| n.value.as_mut())
-    }
 }
 
 /// Insertion-order iterator over a [`DetMap`].
@@ -397,11 +351,11 @@ mod tests {
         for k in [9u64, 2, 400, 3, 77] {
             m.insert(k, k * 10);
         }
-        let keys: Vec<u64> = m.keys().collect();
+        let keys: Vec<u64> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![9, 2, 400, 3, 77]);
         m.remove(400);
         m.insert(400, 1); // re-insert moves to the back
-        let keys: Vec<u64> = m.keys().collect();
+        let keys: Vec<u64> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![9, 2, 3, 77, 400]);
     }
 

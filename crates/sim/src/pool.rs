@@ -10,8 +10,9 @@
 //! * a fixed number of `std::thread` workers (no external crates, no
 //!   channels) pull task indices from a shared atomic cursor;
 //! * every result is written into the slot of its *submission* index;
-//! * [`WorkerPool::run`] returns the results in submission order, no
-//!   matter which worker finished first.
+//! * [`WorkerPool::try_run_with_state`] (and [`WorkerPool::try_run`] on
+//!   top of it) returns the results in submission order, no matter which
+//!   worker finished first.
 //!
 //! With `jobs = 1` the pool degenerates to a plain in-order loop on the
 //! calling thread — byte-for-byte the sequential behavior, useful both as
@@ -111,119 +112,32 @@ impl WorkerPool {
         self.jobs
     }
 
-    /// Execute every task, returning results **in submission order**.
-    ///
-    /// Tasks are claimed by workers from a shared cursor (so long tasks
-    /// do not serialize behind each other), but each result lands in the
-    /// slot of its submission index; completion order is invisible to the
-    /// caller. A task panic propagates to the caller after the scope
-    /// joins.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        if self.jobs == 1 || n <= 1 {
-            // Sequential baseline: exactly the pre-pool behavior.
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-
-        // Scatter: one mutex'd cell per task so a worker can take
-        // ownership of the `FnOnce` it claimed; one shared cursor hands
-        // out indices.
-        let cells: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let cursor = AtomicUsize::new(0);
-        // Gather: results accumulate per worker and merge into indexed
-        // slots, so the output order is the submission order.
-        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the worker pool is the one sanctioned home for raw threads: \
-                      results gather into indexed slots, in submission order"
-        )]
-        std::thread::scope(|scope| {
-            for _ in 0..self.jobs.min(n) {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "a poisoned cell means a sibling task panicked, so \
-                                      propagating is correct; the cursor hands out each \
-                                      index exactly once"
-                        )]
-                        let task = cells[i]
-                            .lock()
-                            .expect("task cell poisoned")
-                            .take()
-                            .expect("task claimed twice");
-                        local.push((i, task()));
-                    }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "a poisoned gather means a sibling task panicked; \
-                                  propagating is correct"
-                    )]
-                    let mut merged = slots.lock().expect("result slots poisoned");
-                    for (i, v) in local {
-                        merged[i] = Some(v);
-                    }
-                });
-            }
-        });
-
-        #[expect(
-            clippy::expect_used,
-            reason = "all workers joined without panicking above, and every index \
-                      was claimed and merged exactly once"
-        )]
-        let results = slots
-            .into_inner()
-            .expect("result slots poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("task produced no result"))
-            .collect();
-        results
-    }
-
     /// Execute every task with per-task panic isolation, returning one
     /// `Result` per task **in submission order**.
     ///
-    /// Unlike [`WorkerPool::run`], a panicking task does not abort the
-    /// batch (or poison sibling workers): each task runs under
-    /// `catch_unwind`, so a poisoned input degrades to an `Err` carrying
-    /// the submission index and the panic payload while every other task
-    /// completes normally. The scheduling discipline (shared cursor,
-    /// indexed gather, sequential `jobs = 1` baseline) is exactly `run`'s.
+    /// A panicking task does not abort the batch (or poison sibling
+    /// workers): each task runs under `catch_unwind`, so a poisoned input
+    /// degrades to an `Err` carrying the submission index and the panic
+    /// payload while every other task completes normally. This is
+    /// [`WorkerPool::try_run_with_state`] with no state: the same shared
+    /// cursor, indexed gather and sequential `jobs = 1` baseline.
     pub fn try_run<T, F>(&self, tasks: Vec<F>) -> Vec<Result<T, TaskPanic>>
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let wrapped: Vec<_> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(index, task)| {
-                move || {
-                    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| TaskPanic {
-                        index,
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
-            })
-            .collect();
-        self.run(wrapped)
+        let stateless = tasks.into_iter().map(|task| move |_: &mut ()| task());
+        self.try_run_with_state(|| (), stateless.collect())
     }
 
     /// Execute every task against a per-worker scratch state, with
     /// per-task panic isolation, returning one `Result` per task **in
     /// submission order**.
+    ///
+    /// Tasks are claimed by workers from a shared cursor (so long tasks
+    /// do not serialize behind each other), but each result lands in the
+    /// slot of its submission index; completion order is invisible to the
+    /// caller.
     ///
     /// `mk` builds one state per worker thread (one on the calling thread
     /// in the sequential `jobs = 1` baseline); each task gets `&mut` to
@@ -347,10 +261,15 @@ mod tests {
     /// Boxed stateful task used by the `try_run_with_state` tests.
     type StatefulTask = Box<dyn FnOnce(&mut u64) -> u64 + Send>;
 
+    /// `try_run` over tasks that do not panic, unwrapped.
+    fn run<T: Send, F: FnOnce() -> T + Send>(pool: &WorkerPool, tasks: Vec<F>) -> Vec<T> {
+        let out = pool.try_run(tasks).into_iter();
+        out.map(|r| r.expect("no task panics")).collect()
+    }
+
     #[test]
     fn empty_task_list() {
-        let pool = WorkerPool::new(4);
-        let out: Vec<u32> = pool.run(Vec::<fn() -> u32>::new());
+        let out: Vec<u32> = run(&WorkerPool::new(4), Vec::<fn() -> u32>::new());
         assert!(out.is_empty());
     }
 
@@ -361,15 +280,16 @@ mod tests {
                 .map(|i| move || i.wrapping_mul(mult).wrapping_add(7))
                 .collect()
         };
-        let seq = WorkerPool::new(1).run(tasks(31));
+        let seq = run(&WorkerPool::new(1), tasks(31));
         for jobs in [2, 3, 8, 64] {
-            assert_eq!(WorkerPool::new(jobs).run(tasks(31)), seq, "jobs={jobs}");
+            assert_eq!(run(&WorkerPool::new(jobs), tasks(31)), seq, "jobs={jobs}");
         }
     }
 
     #[test]
     fn more_workers_than_tasks() {
-        let out = WorkerPool::new(16).run((0..3u32).map(|i| move || i * i).collect::<Vec<_>>());
+        let tasks = (0..3u32).map(|i| move || i * i).collect::<Vec<_>>();
+        let out = run(&WorkerPool::new(16), tasks);
         assert_eq!(out, vec![0, 1, 4]);
     }
 
@@ -431,15 +351,6 @@ mod tests {
         let out = WorkerPool::new(1).try_run(tasks);
         assert!(out[0].is_err());
         assert_eq!(out[1], Ok(7));
-    }
-
-    #[test]
-    fn try_run_all_ok_matches_run() {
-        let mk = || (0..16u64).map(|i| move || i * i).collect::<Vec<_>>();
-        let plain = WorkerPool::new(4).run(mk());
-        let tried = WorkerPool::new(4).try_run(mk());
-        let unwrapped: Vec<u64> = tried.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(plain, unwrapped);
     }
 
     #[test]
@@ -506,7 +417,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = WorkerPool::new(8).run(tasks);
+        let out = run(&WorkerPool::new(8), tasks);
         assert_eq!(out, (0..n).collect::<Vec<_>>());
     }
 }

@@ -117,13 +117,19 @@ done
 echo "== twophase smoke (incremental 2PL end to end: deadlocks detected, victims replayed)"
 # One contended single run in the incremental conflict mode; extI's own
 # unit tests carry the figure's shape assertions, and the golden step
-# regenerates it in full.
-# `grep -q` exits on the first match and closes the pipe mid-print; the
-# binary then ends quietly with status 0 (crates/experiments/tests/cli.rs
-# checks that), so pipefail still sees only a real failure.
-cargo run --offline -q --release --bin lockgran -- run --conflict twophase \
-    --ltot 10 --ntrans 50 --maxtransize 50 --placement random --tmax 1000 --seed 7 \
-    | grep -q "deadlocks" || { echo "twophase run smoke failed"; exit 1; }
+# regenerates it in full. The run must break deadlocks, and with the
+# failure extension off every abort is a deadlock victim's.
+twophase_out=$(cargo run --offline -q --release --bin lockgran -- run --conflict twophase \
+    --ltot 10 --ntrans 50 --maxtransize 50 --placement random --tmax 1000 --seed 7) \
+    || { echo "$twophase_out"; echo "twophase run smoke failed"; exit 1; }
+report_value() {
+    sed -n "s/^$1 *= *\([0-9][0-9]*\)\$/\1/p" <<<"$2"
+}
+deadlocks=$(report_value deadlocks "$twophase_out")
+aborts=$(report_value aborts "$twophase_out")
+echo "deadlocks = ${deadlocks:-missing}, aborts = ${aborts:-missing}"
+[[ -n "$deadlocks" && -n "$aborts" && "$deadlocks" -gt 0 && "$deadlocks" -eq "$aborts" ]] \
+    || { echo "$twophase_out"; echo "twophase run smoke: expected deadlocks > 0 and deadlocks == aborts"; exit 1; }
 
 echo "== micro benches (each body once, untimed, so none can rot)"
 cargo bench --offline -q -p lockgran-bench -- --test

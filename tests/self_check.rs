@@ -4,7 +4,8 @@
 //!
 //! - **D005:** no `BTreeMap` or `BTreeSet` in the lock stack's hot
 //!   modules. A per-request lookup there would cost O(log n); their
-//!   indexes are `DetMap`s.
+//!   per-transaction state is indexed by slot and their granule index
+//!   is a `DetMap`.
 //! - **P002:** no `.remove(0)` in library code. It shifts the whole
 //!   `Vec`; a FIFO is a `VecDeque`.
 //! - **Z001:** no lock file names a package from outside the tree (the

@@ -24,43 +24,31 @@
 
 use std::time::{Duration, Instant};
 
-use lockgran_sim::{Json, ToJson};
+use lockgran_sim::{json_struct, Json, ToJson};
 
 // ---------------------------------------------------------------------------
 // Timing statistics
 // ---------------------------------------------------------------------------
 
-/// The recorded outcome of one benchmark: per-sample ns/iteration
-/// statistics.
-#[derive(Clone, Debug)]
-pub struct BenchResult {
-    /// Full benchmark id, e.g. `event_queue/push_pop_cycle/64`.
-    pub id: String,
-    /// Iterations per sample (after calibration).
-    pub iterations: u64,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Fastest sample, ns per iteration.
-    pub min_ns: f64,
-    /// Mean over samples, ns per iteration.
-    pub mean_ns: f64,
-    /// Median over samples, ns per iteration.
-    pub median_ns: f64,
-    /// 95th-percentile sample, ns per iteration.
-    pub p95_ns: f64,
-}
-
-impl ToJson for BenchResult {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("id", self.id.to_json()),
-            ("iterations", self.iterations.to_json()),
-            ("samples", self.samples.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("median_ns", self.median_ns.to_json()),
-            ("p95_ns", self.p95_ns.to_json()),
-        ])
+json_struct! {
+    /// The recorded outcome of one benchmark: per-sample ns/iteration
+    /// statistics.
+    #[derive(Clone, Debug)]
+    pub struct BenchResult {
+        /// Full benchmark id, e.g. `event_queue/push_pop_cycle/64`.
+        pub id: String,
+        /// Iterations per sample (after calibration).
+        pub iterations: u64,
+        /// Number of timed samples.
+        pub samples: usize,
+        /// Fastest sample, ns per iteration.
+        pub min_ns: f64,
+        /// Mean over samples, ns per iteration.
+        pub mean_ns: f64,
+        /// Median over samples, ns per iteration.
+        pub median_ns: f64,
+        /// 95th-percentile sample, ns per iteration.
+        pub p95_ns: f64,
     }
 }
 

@@ -7,36 +7,10 @@
 //! 0.2`, `lcputime = 0.01`, `liotime = 0.2`; `tmax = 10 000` time units,
 //! long enough for the closed system to reach steady state).
 
-use lockgran_sim::{json_struct, named_enum, Time, TICKS_PER_UNIT};
+use lockgran_sim::{json_struct, named_enum, QueueDiscipline, Time, TICKS_PER_UNIT};
 use lockgran_workload::{
     FailureSpec, HotSpot, Partitioning, Placement, SizeDistribution, WorkloadParams,
 };
-
-named_enum! {
-    /// Service order for queued sub-transaction work at the resources
-    /// (JSON-friendly mirror of [`lockgran_sim::Discipline`]).
-    #[derive(Default)]
-    pub enum QueueDiscipline {
-        /// First come, first served — the paper's model.
-        #[default]
-        Fcfs => "fcfs",
-        /// Shortest job first (non-preemptive) among queued sub-transactions.
-        /// Extension: checks the paper's §4 remark (citing Dandamudi & Chow)
-        /// that sub-transaction-level scheduling has "only marginal effect"
-        /// on locking granularity.
-        Sjf => "sjf",
-    }
-}
-
-impl QueueDiscipline {
-    /// The simulation-kernel equivalent.
-    pub fn to_sim(self) -> lockgran_sim::Discipline {
-        match self {
-            QueueDiscipline::Fcfs => lockgran_sim::Discipline::Fcfs,
-            QueueDiscipline::Sjf => lockgran_sim::Discipline::Sjf,
-        }
-    }
-}
 
 named_enum! {
     /// Which lock-conflict computation drives blocking decisions.

@@ -60,13 +60,12 @@ pub mod timeline;
 pub mod trace;
 pub mod transaction;
 
-pub use config::{
-    ConflictMode, HierarchySpec, LockDistribution, ModelConfig, QueueDiscipline, ServiceVariability,
-};
+pub use config::{ConflictMode, HierarchySpec, LockDistribution, ModelConfig, ServiceVariability};
 pub use conflict::{
     build_concurrency_control, AccessSampler, CcStats, ConcurrencyControl, ConflictDecision,
     ProbabilisticConflict,
 };
+pub use lockgran_sim::QueueDiscipline;
 pub use locking::LockingCC;
 pub use metrics::RunMetrics;
 pub use sim::RunArena;

@@ -13,29 +13,17 @@ use crate::system::System;
 use crate::timeline::{TimelineCollector, TimelinePoint};
 use crate::trace::VecTracer;
 
-/// Run one simulation to `cfg.tmax` with the given seed.
+/// Run one simulation to `cfg.tmax` with the given seed, on the calendar
+/// future-event list.
 ///
 /// Deterministic: the same `(cfg, seed)` pair always produces the same
-/// metrics, bit for bit.
+/// metrics, bit for bit. The binary-heap FEL, kept as the reference, gives
+/// the same metrics too: `tests/fel_identity.rs` holds the engine to that.
 ///
 /// # Panics
 /// Panics if `cfg.validate()` fails.
 pub fn run(cfg: &ModelConfig, seed: u64) -> RunMetrics {
-    run_with_fel(cfg, seed, FelKind::Calendar)
-}
-
-/// Run one simulation with an explicit future-event-list choice.
-///
-/// Production paths use the calendar queue (O(1) amortized); the binary
-/// heap remains available as the reference implementation. Both order
-/// events by the same stable `(time, seq)` key, so the returned metrics
-/// are bit-identical across kinds — `tests/fel_identity.rs` holds the
-/// engine to exactly that.
-///
-/// # Panics
-/// Panics if `cfg.validate()` fails.
-pub fn run_with_fel(cfg: &ModelConfig, seed: u64, fel: FelKind) -> RunMetrics {
-    let mut ex = Executor::with_fel(fel);
+    let mut ex = Executor::with_fel(FelKind::Calendar);
     let mut system = System::new(cfg, seed, &mut ex);
     let horizon = system.tmax();
     let end = ex.run(&mut system, horizon);

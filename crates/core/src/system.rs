@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 
 use lockgran_sim::{
     BatchMeans, Class, Completion, CompletionOutcome, Dur, Executor, Histogram, Job, JobId, Model,
-    Server, SimRng, Tally, Time, TimeWeighted, Token,
+    QueueDiscipline, Server, SimRng, Tally, Time, TimeWeighted, Token,
 };
 use lockgran_workload::{FailureSpec, TransactionSpec, WorkloadGenerator};
 
@@ -73,13 +73,13 @@ pub enum Event {
     },
 }
 
-fn mk_server(preemptive: bool, discipline: crate::config::QueueDiscipline) -> Server {
+fn mk_server(preemptive: bool, discipline: QueueDiscipline) -> Server {
     let s = if preemptive {
         Server::new()
     } else {
         Server::non_preemptive()
     };
-    s.with_discipline(discipline.to_sim())
+    s.with_discipline(discipline)
 }
 
 /// Job-id encoding: `slot << 32 | stage << 2 | kind`. `slot` is the
@@ -160,13 +160,13 @@ impl FailureState {
             stalled_io: (0..npros).map(|_| Vec::new()).collect(),
         }
     }
+}
 
-    /// Exponential draw with the given mean, at least one tick.
-    fn draw(&mut self, mean: Dur) -> Dur {
-        let u: f64 = self.rng.uniform01();
-        let ticks = (-(1.0 - u).ln() * mean.ticks() as f64).round() as u64;
-        Dur::from_ticks(ticks.max(1))
-    }
+/// Inverse-CDF exponential draw with the given mean, at least one tick.
+fn exponential(rng: &mut SimRng, mean: Dur) -> Dur {
+    let u: f64 = rng.uniform01();
+    let ticks = (-(1.0 - u).ln() * mean.ticks() as f64).round() as u64;
+    Dur::from_ticks(ticks.max(1))
 }
 
 /// The complete model state (see module docs).
@@ -358,7 +358,7 @@ impl System {
         self.failure = cfg.failure.as_ref().map(|spec| {
             let mut f = FailureState::new(spec, cfg.npros, root.split("failure"));
             for p in 0..cfg.npros {
-                let at = Time::ZERO + f.draw(f.mtbf);
+                let at = Time::ZERO + exponential(&mut f.rng, f.mtbf);
                 ex.schedule(at, Event::Fail { proc: p });
             }
             f
@@ -408,7 +408,7 @@ impl System {
                 mk_server(cfg.lock_preemption, cfg.discipline)
             });
             for s in servers.iter_mut() {
-                s.reset(cfg.lock_preemption, cfg.discipline.to_sim());
+                s.reset(cfg.lock_preemption, cfg.discipline);
             }
         }
         // Drain the admitted transactions into the carcass pool: the reset
@@ -563,16 +563,7 @@ impl System {
         );
         self.admitted += 1;
         let mut txn = self.carcasses.pop().unwrap_or_else(|| {
-            Transaction::new(
-                0,
-                TransactionSpec {
-                    entities: 0,
-                    locks: 0,
-                    processors: Vec::new(),
-                },
-                Vec::new(),
-                arrived,
-            )
+            Transaction::new(0, TransactionSpec::default(), Vec::new(), arrived)
         });
         txn.serial = serial;
         txn.arrived = arrived;
@@ -975,7 +966,7 @@ impl System {
         };
         debug_assert!(!f.down[proc as usize], "Fail event for a down processor");
         f.down[proc as usize] = true;
-        let repair_in = f.draw(f.mttr);
+        let repair_in = exponential(&mut f.rng, f.mttr);
         ex.schedule(now + repair_in, Event::Repair { proc });
         self.trace(now, TraceEvent::Failed { proc });
         if self.measuring(now) {
@@ -1010,7 +1001,7 @@ impl System {
         };
         debug_assert!(f.down[proc as usize], "Repair event for an up processor");
         f.down[proc as usize] = false;
-        let fail_in = f.draw(f.mtbf);
+        let fail_in = exponential(&mut f.rng, f.mtbf);
         ex.schedule(now + fail_in, Event::Fail { proc });
         let stalled_io = std::mem::take(&mut f.stalled_io[proc as usize]);
         let stalled_cpu = std::mem::take(&mut f.stalled_cpu[proc as usize]);
@@ -1213,15 +1204,8 @@ impl System {
         let mean = per_entity.times(entities);
         match self.service {
             ServiceVariability::Deterministic => mean,
-            ServiceVariability::Exponential => {
-                if mean.is_zero() {
-                    return mean;
-                }
-                let u: f64 = self.service_rng.uniform01();
-                // Inverse-CDF exponential with the same mean.
-                let ticks = (-(1.0 - u).ln() * mean.ticks() as f64).round() as u64;
-                Dur::from_ticks(ticks.max(1))
-            }
+            ServiceVariability::Exponential if mean.is_zero() => mean,
+            ServiceVariability::Exponential => exponential(&mut self.service_rng, mean),
         }
     }
 
@@ -1396,18 +1380,18 @@ mod tests {
                         let mut access = root.split("access");
                         let sampler = AccessSampler::from_config(&cfg);
                         let mut granules = Vec::new();
+                        let mut spec = TransactionSpec::default();
                         for _ in 0..drawn {
-                            let spec = generator.next_spec();
+                            generator.next_spec_into(&mut spec);
                             if mode != ConflictMode::Probabilistic {
                                 sampler.sample_into(&mut access, spec.entities, &mut granules);
                             }
                         }
                         assert_eq!(sys.generator.generated(), drawn, "{case}: specs drawn");
-                        assert_eq!(
-                            sys.generator.next_spec(),
-                            generator.next_spec(),
-                            "{case}: workload stream"
-                        );
+                        let mut next = TransactionSpec::default();
+                        sys.generator.next_spec_into(&mut next);
+                        generator.next_spec_into(&mut spec);
+                        assert_eq!(next, spec, "{case}: workload stream");
                         assert_eq!(
                             sys.access_rng.next_u64(),
                             access.next_u64(),

@@ -82,11 +82,6 @@ impl TimelineCollector {
         self.last_cpu_busy = cpu_busy;
         self.last_io_busy = io_busy;
     }
-
-    /// The per-window throughput series (Welch input).
-    pub fn throughput_series(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.throughput).collect()
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,6 @@ mod tests {
         assert!((p.io_utilization - 1.0).abs() < 1e-12);
         assert_eq!(p.active, 4);
         assert_eq!(p.blocked, 1);
-        assert_eq!(c.throughput_series(), vec![0.5, 0.7]);
     }
 
     #[test]

@@ -69,17 +69,6 @@ impl Transaction {
         self.spec.fanout()
     }
 
-    /// Total transaction I/O demand (`NU_i · iotime`), given the per-entity
-    /// cost in ticks.
-    pub fn io_demand(&self, iotime: Dur) -> Dur {
-        iotime.times(self.spec.entities)
-    }
-
-    /// Total transaction CPU demand (`NU_i · cputime`).
-    pub fn cpu_demand(&self, cputime: Dur) -> Dur {
-        cputime.times(self.spec.entities)
-    }
-
     /// Total lock CPU overhead per attempt (`LU_i · lcputime`).
     pub fn lock_cpu_demand(&self, lcputime: Dur) -> Dur {
         lcputime.times(self.spec.locks)
@@ -106,10 +95,6 @@ mod tests {
     #[test]
     fn demand_formulas_match_paper() {
         let t = Transaction::new(1, spec(), vec![], Time::ZERO);
-        // IOtime_i = NU_i * iotime = 250 * 0.2 = 50 units.
-        assert_eq!(t.io_demand(Dur::from_units(0.2)).units(), 50.0);
-        // CPUtime_i = NU_i * cputime = 250 * 0.05 = 12.5 units.
-        assert_eq!(t.cpu_demand(Dur::from_units(0.05)).units(), 12.5);
         // LCPUtime_i = LU_i * lcputime = 5 * 0.01 = 0.05 units.
         assert_eq!(t.lock_cpu_demand(Dur::from_units(0.01)).units(), 0.05);
         // LIOtime_i = LU_i * liotime = 5 * 0.2 = 1.0 units.

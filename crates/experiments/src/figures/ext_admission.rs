@@ -52,11 +52,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn admission_control_rescues_fine_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extA");
         let tput = f.panel("throughput").unwrap();
         let uncapped = tput.series("uncapped").unwrap().at(5000.0).unwrap();
         let capped = tput.series("mpl=20").unwrap().at(5000.0).unwrap();
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn admission_control_slashes_denials() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extA");
         let denial = f.panel("denial_rate").unwrap();
         let uncapped = denial.series("uncapped").unwrap().at(5000.0).unwrap();
         let capped = denial.series("mpl=20").unwrap().at(5000.0).unwrap();
@@ -81,7 +81,7 @@ mod tests {
         // completion wakes ~199 blocked transactions whose retry each
         // burns a full lock-overhead charge. With it, at most mpl-1
         // retry. So capped throughput dominates everywhere.
-        let f = run(&RunOptions::quick());
+        let f = quick("extA");
         let tput = f.panel("throughput").unwrap();
         let uncapped = tput.series("uncapped").unwrap().clone();
         let capped = tput.series("mpl=20").unwrap().clone();

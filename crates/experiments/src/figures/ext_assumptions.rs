@@ -74,11 +74,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn each_assumption_moves_throughput_as_expected() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extJ");
         let tput = f.panel("throughput").unwrap();
         let series = |label: String| tput.series(&label).unwrap();
         for npros in [10, 30] {

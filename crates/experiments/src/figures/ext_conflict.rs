@@ -42,11 +42,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn conflict_models_pair_up() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extB");
         let tput = f.panel("throughput").unwrap();
         let p = tput.series("probabilistic/npros=10").unwrap();
         let e = tput.series("explicit/npros=10").unwrap();
@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn both_models_show_the_convex_optimum() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extB");
         for s in &f.panel("throughput").unwrap().series {
             let peak = s.max_mean().unwrap();
             assert!(s.at(1.0).unwrap() < peak, "{}", s.label);

@@ -1,6 +1,6 @@
 //! Extension C — sub-transaction scheduling discipline.
 //!
-//! The paper's §4 (citing Dandamudi & Chow [3]) asserts that "the actual
+//! The paper's §4 (citing Dandamudi & Chow \[3\]) asserts that "the actual
 //! scheduling policy used at the sub-transaction level has only marginal
 //! effect on locking granularity". This experiment checks that claim in
 //! our model: the Table 1 sweep under FCFS vs shortest-job-first at the
@@ -40,11 +40,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn discipline_effect_is_marginal() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extC");
         let tput = f.panel("throughput").unwrap();
         let fcfs = tput.series("fcfs").unwrap();
         let sjf = tput.series("sjf").unwrap();

@@ -74,11 +74,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn threshold_one_serializes_at_every_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extG");
         let active = f.panel("mean_active").unwrap();
         let s = active.series("threshold=1").unwrap();
         for p in &s.points {
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn never_escalating_reports_zero_escalations() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extG");
         let esc = f.panel("escalations").unwrap();
         let inf = esc.series("threshold=inf").unwrap();
         assert!(inf.points.iter().all(|p| p.mean == 0.0));
@@ -106,7 +106,7 @@ mod tests {
     fn lower_thresholds_cost_throughput_at_fine_granularity() {
         // At ltot = 5000 the flat table admits lots of concurrency;
         // escalating at 1 declared granule throws all of it away.
-        let f = run(&RunOptions::quick());
+        let f = quick("extG");
         let tput = f.panel("throughput").unwrap();
         let eager = tput.series("threshold=1").unwrap().at(5000.0).unwrap();
         let never = tput.series("threshold=inf").unwrap().at(5000.0).unwrap();

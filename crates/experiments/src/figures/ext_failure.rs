@@ -64,15 +64,15 @@ pub fn run(opts: &RunOptions) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::quick;
     use crate::sweep::sweep_ltot;
 
     #[test]
     fn no_failure_series_matches_table1_baseline() {
         // Bit-compare against a direct sweep of the unmodified baseline:
         // the failure extension must not perturb the default model.
-        let opts = RunOptions::quick();
-        let f = run(&opts);
-        let direct = sweep_ltot(&ModelConfig::table1(), &opts);
+        let f = quick("extF");
+        let direct = sweep_ltot(&ModelConfig::table1(), &RunOptions::quick());
         let tput = f.panel("throughput").unwrap();
         let series = tput.series("no failures").unwrap();
         for (p, d) in series.points.iter().zip(direct.iter()) {
@@ -83,8 +83,7 @@ mod tests {
 
     #[test]
     fn failures_cause_aborts_and_cost_throughput() {
-        let opts = RunOptions::quick();
-        let f = run(&opts);
+        let f = quick("extF");
         let aborts = f.panel("aborts").unwrap();
         assert!(
             aborts
@@ -119,8 +118,7 @@ mod tests {
 
     #[test]
     fn failure_rates_are_ordered_in_abort_volume() {
-        let opts = RunOptions::quick();
-        let f = run(&opts);
+        let f = quick("extF");
         let aborts = f.panel("aborts").unwrap();
         let total = |label: &str| -> f64 {
             aborts

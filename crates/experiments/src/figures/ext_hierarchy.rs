@@ -70,13 +70,13 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn hierarchy_without_escalation_matches_explicit_exactly() {
         // Same access draws, same admitted schedules, same event
         // sequence: the curves must be bit-identical, not just close.
-        let f = run(&RunOptions::quick());
+        let f = quick("extH");
         for panel in &f.panels {
             let e = panel.series("explicit/uniform").unwrap();
             let h = panel.series("hierarchical/uniform").unwrap();
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn skew_separates_lock_tables_from_the_probabilistic_draw() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extH");
         let denial = f.panel("denial_rate").unwrap();
         let uniform = denial.series("hierarchical/uniform").unwrap();
         let hot = denial.series("hierarchical/hot 80/20").unwrap();
@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn probabilistic_stays_in_range_of_the_lock_tables() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extH");
         let tput = f.panel("throughput").unwrap();
         let p = tput.series("probabilistic/uniform").unwrap();
         let e = tput.series("explicit/uniform").unwrap();

@@ -54,11 +54,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn skew_increases_contention() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extD");
         let denial = f.panel("denial_rate").unwrap();
         let uniform = denial.series("uniform").unwrap();
         let hot = denial.series("hot 95/5").unwrap();
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn skew_costs_throughput_at_moderate_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extD");
         let tput = f.panel("throughput").unwrap();
         let uniform = tput.series("uniform").unwrap();
         let hot = tput.series("hot 95/5").unwrap();
@@ -89,7 +89,7 @@ mod tests {
     fn single_lock_is_skew_insensitive() {
         // With one database lock everything serializes regardless of
         // which entities are touched: uniform and skewed coincide.
-        let f = run(&RunOptions::quick());
+        let f = quick("extD");
         let tput = f.panel("throughput").unwrap();
         let u = tput.series("uniform").unwrap().at(1.0).unwrap();
         let h = tput.series("hot 80/20").unwrap().at(1.0).unwrap();

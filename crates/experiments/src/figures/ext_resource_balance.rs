@@ -54,11 +54,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn optimum_is_robust_to_resource_balance() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extE");
         for s in &f.panel("throughput").unwrap().series {
             let opt = s.argmax().unwrap();
             assert!(opt > 1.0 && opt < 200.0, "{}: optimum at {opt}", s.label);
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn bottleneck_follows_the_cost_balance() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extE");
         let cpu = f.panel("cpu_utilization").unwrap();
         let io = f.panel("io_utilization").unwrap();
         // At the optimum, the I/O-bound system saturates its disks and
@@ -85,7 +85,7 @@ mod tests {
     fn lock_io_penalty_is_worst_for_the_io_bound_system() {
         // The fine-granularity collapse (lock I/O on the critical
         // resource) is deepest when I/O is already the bottleneck.
-        let f = run(&RunOptions::quick());
+        let f = quick("extE");
         let tput = f.panel("throughput").unwrap();
         let drop = |label: &str| {
             let s = tput.series(label).unwrap();

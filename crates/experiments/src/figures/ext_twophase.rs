@@ -71,11 +71,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn conservative_protocol_never_deadlocks() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extI");
         for panel in ["deadlocks", "aborts"] {
             let s = f
                 .panel(panel)
@@ -94,7 +94,7 @@ mod tests {
         // No failure extension runs here, so every abort is a deadlock
         // victim and every broken cycle aborts exactly one victim: the
         // two panels must coincide point for point.
-        let f = run(&RunOptions::quick());
+        let f = quick("extI");
         let dl = f
             .panel("deadlocks")
             .unwrap()
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn contention_produces_deadlocks_at_coarse_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extI");
         let dl = f
             .panel("deadlocks")
             .unwrap()
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn both_protocols_complete_work_everywhere() {
-        let f = run(&RunOptions::quick());
+        let f = quick("extI");
         for s in &f.panel("throughput").unwrap().series {
             assert!(
                 s.points.iter().all(|p| p.mean > 0.0),

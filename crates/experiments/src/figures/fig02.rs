@@ -37,11 +37,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn throughput_increases_with_processors() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig2");
         let tput = f.panel("throughput").unwrap();
         // At every ltot, 30 processors beat 1.
         let one = tput.series("npros=1").unwrap();
@@ -53,7 +53,7 @@ mod tests {
 
     #[test]
     fn response_time_decreases_with_processors() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig2");
         let resp = f.panel("response_time").unwrap();
         let one = resp.series("npros=1").unwrap();
         let thirty = resp.series("npros=30").unwrap();
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn throughput_optimum_is_interior_and_below_200() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig2");
         for s in &f.panel("throughput").unwrap().series {
             let best = s.argmax().unwrap();
             assert!(best < 200.0, "{}: optimum at {best}", s.label);

@@ -37,7 +37,7 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn useful_time_decreases_with_processors_where_unsaturated() {
@@ -49,7 +49,7 @@ mod tests {
         // saturated middle the work-conserving servers pin useful time at
         // ~100% busy for every npros — a known deviation recorded in
         // EXPERIMENTS.md.
-        let f = run(&RunOptions::quick());
+        let f = quick("fig3");
         for metric in ["useful_io", "useful_cpu"] {
             let panel = f.panel(metric).unwrap();
             let one = panel.series("npros=1").unwrap();
@@ -64,7 +64,7 @@ mod tests {
     #[test]
     fn useful_time_is_convex_in_lock_count() {
         // Rises from ltot = 1 to the optimum, falls toward ltot = dbsize.
-        let f = run(&RunOptions::quick());
+        let f = quick("fig3");
         for s in &f.panel("useful_io").unwrap().series {
             let at_1 = s.at(1.0).unwrap();
             let mid = s.at(10.0).unwrap().max(s.at(100.0).unwrap());
@@ -79,7 +79,7 @@ mod tests {
         // Paper §3.1: past the optimum the gap between processor counts
         // narrows because small systems spend proportionally more time on
         // lock operations; at entity-level locking npros = 1 drops below.
-        let f = run(&RunOptions::quick());
+        let f = quick("fig3");
         let panel = f.panel("useful_io").unwrap();
         let one = panel.series("npros=1").unwrap();
         let thirty = panel.series("npros=30").unwrap();
@@ -90,7 +90,7 @@ mod tests {
     fn io_dominates_cpu_with_table1_costs() {
         // iotime = 0.2 vs cputime = 0.05: useful I/O per processor must
         // exceed useful CPU per processor everywhere.
-        let f = run(&RunOptions::quick());
+        let f = quick("fig3");
         let io = f.panel("useful_io").unwrap();
         let cpu = f.panel("useful_cpu").unwrap();
         for (si, sc) in io.series.iter().zip(cpu.series.iter()) {

@@ -37,11 +37,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn overhead_explodes_at_fine_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig4");
         for s in &f.panel("lock_overhead").unwrap().series {
             let at_100 = s.at(100.0).unwrap();
             let at_5000 = s.at(5000.0).unwrap();
@@ -55,7 +55,7 @@ mod tests {
 
     #[test]
     fn overhead_components_sum() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig4");
         let total = f.panel("lock_overhead").unwrap();
         let cpu = f.panel("lock_cpu").unwrap();
         let io = f.panel("lock_io").unwrap();

@@ -42,14 +42,12 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::figures::fig04;
+    use crate::figures::quick;
 
     #[test]
     fn small_transactions_issue_more_lock_requests_at_coarse_granularity() {
-        let opts = RunOptions::quick();
-        let small = run(&opts);
-        let large = fig04::run(&opts);
+        let small = quick("fig5");
+        let large = quick("fig4");
         // At ltot = 10 (coarse side), the small-transaction system has
         // completed many more transactions, so lock overhead is higher.
         let s = small
@@ -72,7 +70,7 @@ mod tests {
 
     #[test]
     fn denial_rate_falls_as_locks_increase() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig5");
         for s in &f.panel("denial_rate").unwrap().series {
             let coarse = s.at(1.0).unwrap();
             let fine = s.at(5000.0).unwrap();

@@ -49,11 +49,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn smaller_transactions_give_higher_throughput() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig6");
         let tput = f.panel("throughput").unwrap();
         let small = tput.series("maxtransize=50").unwrap();
         let large = tput.series("maxtransize=5000").unwrap();
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn smaller_transactions_give_lower_response_time() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig6");
         let resp = f.panel("response_time").unwrap();
         let small = resp.series("maxtransize=50").unwrap();
         let large = resp.series("maxtransize=5000").unwrap();
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn optimum_shifts_right_for_smaller_transactions() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig6");
         let tput = f.panel("throughput").unwrap();
         let small_opt = tput.series("maxtransize=50").unwrap().argmax().unwrap();
         let large_opt = tput.series("maxtransize=5000").unwrap().argmax().unwrap();

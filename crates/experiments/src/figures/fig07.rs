@@ -43,11 +43,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn cheaper_lock_io_helps_at_fine_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig7");
         let tput = f.panel("throughput").unwrap();
         let costly = tput.series("liotime=0.2").unwrap();
         let free = tput.series("liotime=0").unwrap();
@@ -64,7 +64,7 @@ mod tests {
     fn zero_lock_io_plateaus_instead_of_peaks() {
         // With liotime = 0 the throughput at 5000 locks stays within ~15%
         // of the optimum — fine granularity no longer *hurts* much.
-        let f = run(&RunOptions::quick());
+        let f = quick("fig7");
         let free = f.panel("throughput").unwrap().series("liotime=0").unwrap();
         let best = free.max_mean().unwrap();
         let fine = free.at(5000.0).unwrap();
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn lock_io_metric_tracks_cost_parameter() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig7");
         let lockio = f.panel("lock_io").unwrap();
         let free = lockio.series("liotime=0").unwrap();
         assert!(free.points.iter().all(|p| p.mean == 0.0));

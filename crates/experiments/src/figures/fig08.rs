@@ -44,12 +44,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::figures::fig02;
+    use crate::figures::quick;
 
     #[test]
     fn processor_ordering_is_preserved() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig8");
         let tput = f.panel("throughput").unwrap();
         let one = tput.series("npros=1").unwrap();
         let thirty = tput.series("npros=30").unwrap();
@@ -60,9 +59,8 @@ mod tests {
 
     #[test]
     fn horizontal_partitioning_beats_random() {
-        let opts = RunOptions::quick();
-        let random = run(&opts);
-        let horizontal = fig02::run(&opts);
+        let random = quick("fig8");
+        let horizontal = quick("fig2");
         // Paper §3.4: for the same npros, every horizontal curve lies
         // above the corresponding random curve (npros = 1 is identical
         // by construction, so compare a parallel system).

@@ -58,11 +58,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn worst_placement_dips_then_recovers() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig9");
         let s = f
             .panel("throughput")
             .unwrap()
@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn best_placement_dominates_at_moderate_granularity() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig9");
         let panel = f.panel("throughput").unwrap();
         let best = panel.series("best/npros=30").unwrap();
         let worst = panel.series("worst/npros=30").unwrap();
@@ -96,7 +96,7 @@ mod tests {
         // Paper: with maxtransize = 500, random and worst placement
         // "exhibit similar behaviour" — mean 250 entities over ≤ 250
         // granules touches nearly all of them.
-        let f = run(&RunOptions::quick());
+        let f = quick("fig9");
         let panel = f.panel("throughput").unwrap();
         let worst = panel.series("worst/npros=30").unwrap();
         let random = panel.series("random/npros=30").unwrap();

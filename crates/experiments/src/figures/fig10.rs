@@ -31,11 +31,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn fine_granularity_wins_for_small_random_transactions() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig10");
         let panel = f.panel("throughput").unwrap();
         for label in ["random/npros=30", "worst/npros=30"] {
             let s = panel.series(label).unwrap();
@@ -47,9 +47,8 @@ mod tests {
 
     #[test]
     fn small_transactions_beat_large_under_worst_placement() {
-        let opts = RunOptions::quick();
-        let small = run(&opts);
-        let large = crate::figures::fig09::run(&opts);
+        let small = quick("fig10");
+        let large = quick("fig9");
         let s = small
             .panel("throughput")
             .unwrap()

@@ -46,14 +46,13 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn mix_falls_between_all_small_and_all_large() {
-        let opts = RunOptions::quick();
-        let mixed = run(&opts);
-        let large = crate::figures::fig09::run(&opts);
-        let small = crate::figures::fig10::run(&opts);
+        let mixed = quick("fig11");
+        let large = quick("fig9");
+        let small = quick("fig10");
         for placement in ["worst", "random"] {
             let m = mixed
                 .panel("throughput")
@@ -87,9 +86,8 @@ mod tests {
     fn large_tail_drags_mix_well_below_small_only() {
         // Paper: even 20% large transactions substantially affect
         // throughput — the mix reaches well under half of small-only.
-        let opts = RunOptions::quick();
-        let mixed = run(&opts);
-        let small = crate::figures::fig10::run(&opts);
+        let mixed = quick("fig11");
+        let small = quick("fig10");
         let m = mixed
             .panel("throughput")
             .unwrap()

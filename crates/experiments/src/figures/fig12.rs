@@ -31,11 +31,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn fine_granularity_loses_under_heavy_load() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig12");
         for s in &f.panel("throughput").unwrap().series {
             let coarse = s.at(10.0).unwrap();
             let fine = s.at(5000.0).unwrap();
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn denials_dominate_at_fine_granularity_and_heavy_load() {
-        let f = run(&RunOptions::quick());
+        let f = quick("fig12");
         let best = f
             .panel("denial_rate")
             .unwrap()

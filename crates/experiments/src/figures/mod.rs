@@ -133,3 +133,22 @@ pub const ALL_IDS: [&str; 12] = [
 pub const EXT_IDS: [&str; 10] = [
     "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ",
 ];
+
+/// Each figure's quick-mode run, built once per test binary and shared by
+/// every unit test that reads it. A figure is a pure function of its
+/// options, bit-identical at any worker count, so sharing one cannot
+/// couple the tests.
+#[cfg(test)]
+pub(crate) fn quick(id: &str) -> &'static Figure {
+    use std::sync::OnceLock;
+    static FIGURES: [OnceLock<Figure>; ALL_IDS.len() + EXT_IDS.len()] =
+        [const { OnceLock::new() }; ALL_IDS.len() + EXT_IDS.len()];
+    let slot = ALL_IDS
+        .iter()
+        .chain(&EXT_IDS)
+        .position(|&known| known == id)
+        .unwrap_or_else(|| panic!("unknown figure '{id}'"));
+    FIGURES[slot].get_or_init(|| {
+        run_by_id(id, &RunOptions::quick()).unwrap_or_else(|| panic!("unknown figure '{id}'"))
+    })
+}

@@ -51,11 +51,11 @@ pub fn run(opts: &RunOptions) -> Figure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::figures::quick;
 
     #[test]
     fn baseline_outputs_are_positive() {
-        let f = run(&RunOptions::quick());
+        let f = quick("table1");
         assert_eq!(f.id, "table1");
         assert_eq!(f.panels.len(), 6);
         let tput = f.panel("throughput").unwrap();

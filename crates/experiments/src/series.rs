@@ -1,35 +1,29 @@
 //! Result containers: figures, panels, series, points.
 
-use lockgran_sim::{Json, ToJson};
+use lockgran_sim::json_struct;
 
-/// One data point of a series.
-#[derive(Clone, Copy, Debug)]
-pub struct Point {
-    /// The swept value (number of locks, `ltot`, unless noted).
-    pub x: f64,
-    /// Mean over replications.
-    pub mean: f64,
-    /// 95% confidence half-width over replications (0 for one rep).
-    pub ci95: f64,
-}
-
-impl ToJson for Point {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("x", self.x.to_json()),
-            ("mean", self.mean.to_json()),
-            ("ci95", self.ci95.to_json()),
-        ])
+json_struct! {
+    /// One data point of a series.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Point {
+        /// The swept value (number of locks, `ltot`, unless noted).
+        pub x: f64,
+        /// Mean over replications.
+        pub mean: f64,
+        /// 95% confidence half-width over replications (0 for one rep).
+        pub ci95: f64,
     }
 }
 
-/// A labelled curve.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// Legend label, e.g. `npros=30` or `worst/npros=1`.
-    pub label: String,
-    /// Points in sweep order.
-    pub points: Vec<Point>,
+json_struct! {
+    /// A labelled curve.
+    #[derive(Clone, Debug)]
+    pub struct Series {
+        /// Legend label, e.g. `npros=30` or `worst/npros=1`.
+        pub label: String,
+        /// Points in sweep order.
+        pub points: Vec<Point>,
+    }
 }
 
 impl Series {
@@ -39,14 +33,6 @@ impl Series {
         self.points
             .iter()
             .max_by(|a, b| a.mean.total_cmp(&b.mean))
-            .map(|p| p.x)
-    }
-
-    /// x of the point with the smallest mean.
-    pub fn argmin(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .min_by(|a, b| a.mean.total_cmp(&b.mean))
             .map(|p| p.x)
     }
 
@@ -66,24 +52,17 @@ impl Series {
     }
 }
 
-impl ToJson for Series {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("label", self.label.to_json()),
-            ("points", self.points.to_json()),
-        ])
+json_struct! {
+    /// One plot of a figure (one metric, several curves).
+    #[derive(Clone, Debug)]
+    pub struct Panel {
+        /// Metric short name (see [`crate::Metric::name`]).
+        pub metric: String,
+        /// Axis label for x (usually "ltot").
+        pub x_label: String,
+        /// Curves.
+        pub series: Vec<Series>,
     }
-}
-
-/// One plot of a figure (one metric, several curves).
-#[derive(Clone, Debug)]
-pub struct Panel {
-    /// Metric short name (see [`crate::Metric::name`]).
-    pub metric: String,
-    /// Axis label for x (usually "ltot").
-    pub x_label: String,
-    /// Curves.
-    pub series: Vec<Series>,
 }
 
 impl Panel {
@@ -93,37 +72,18 @@ impl Panel {
     }
 }
 
-impl ToJson for Panel {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("metric", self.metric.to_json()),
-            ("x_label", self.x_label.to_json()),
-            ("series", self.series.to_json()),
-        ])
-    }
-}
-
-/// A reproduced table/figure.
-#[derive(Clone, Debug)]
-pub struct Figure {
-    /// Identifier, e.g. `fig2`.
-    pub id: String,
-    /// Human title quoting the paper's caption.
-    pub title: String,
-    /// Panels (Fig 2 and Fig 6 have two: throughput and response time).
-    pub panels: Vec<Panel>,
-    /// Free-form notes: parameter values, expectations, caveats.
-    pub notes: Vec<String>,
-}
-
-impl ToJson for Figure {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("id", self.id.to_json()),
-            ("title", self.title.to_json()),
-            ("panels", self.panels.to_json()),
-            ("notes", self.notes.to_json()),
-        ])
+json_struct! {
+    /// A reproduced table/figure.
+    #[derive(Clone, Debug)]
+    pub struct Figure {
+        /// Identifier, e.g. `fig2`.
+        pub id: String,
+        /// Human title quoting the paper's caption.
+        pub title: String,
+        /// Panels (Fig 2 and Fig 6 have two: throughput and response time).
+        pub panels: Vec<Panel>,
+        /// Free-form notes: parameter values, expectations, caveats.
+        pub notes: Vec<String>,
     }
 }
 
@@ -165,7 +125,6 @@ mod tests {
     fn argmax_and_at() {
         let s = series();
         assert_eq!(s.argmax(), Some(10.0));
-        assert_eq!(s.argmin(), Some(1.0));
         assert_eq!(s.max_mean(), Some(2.0));
         assert_eq!(s.at(100.0), Some(1.0));
         assert_eq!(s.at(7.0), None);

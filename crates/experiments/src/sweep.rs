@@ -11,7 +11,7 @@ use lockgran_core::{ModelConfig, RunArena, RunMetrics};
 use lockgran_sim::{SimRng, Tally, WorkerPool};
 
 use crate::metric::Metric;
-use crate::series::{Point, Series};
+use crate::series::Point;
 
 /// The paper's log-spaced lock-count sweep, 1 … dbsize = 5000.
 pub const LTOT_SWEEP: [u64; 12] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000];
@@ -198,14 +198,6 @@ pub fn sweep_ltot(base: &ModelConfig, opts: &RunOptions) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Build one labelled series from a sweep.
-pub fn series_from(points: &[SweepPoint], metric: Metric, label: impl Into<String>) -> Series {
-    Series {
-        label: label.into(),
-        points: points.iter().map(|p| p.estimate(metric)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,13 +220,12 @@ mod tests {
         let base = ModelConfig::table1();
         let opts = RunOptions::quick();
         let pts = sweep_ltot(&base, &opts);
-        let s = series_from(&pts, Metric::Throughput, "base");
-        assert_eq!(s.label, "base");
-        let xs: Vec<f64> = s.points.iter().map(|p| p.x).collect();
+        let points: Vec<Point> = pts.iter().map(|p| p.estimate(Metric::Throughput)).collect();
+        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![1.0, 10.0, 100.0, 1000.0, 5000.0]);
-        assert!(s.points.iter().all(|p| p.mean > 0.0));
+        assert!(points.iter().all(|p| p.mean > 0.0));
         // One replication -> no CI.
-        assert!(s.points.iter().all(|p| p.ci95 == 0.0));
+        assert!(points.iter().all(|p| p.ci95 == 0.0));
     }
 
     #[test]

@@ -39,17 +39,18 @@
 //!   in-list, so the search makes no hash lookups, a leaving transaction
 //!   touches only its own edges, and the youngest on a cycle is the
 //!   victim.
-//! * [`reference`] — a naive ordered-map lock table with identical
-//!   semantics, the oracle for the differential property test pinning
-//!   [`table`]'s pooled implementation to an executable specification.
+//! * [`reference`](mod@reference) — a naive ordered-map lock table with
+//!   identical semantics, the oracle for the differential property test
+//!   pinning [`table`]'s pooled implementation to an executable
+//!   specification.
 //!   The waits-for graph's ordered-map oracle lives in its differential
 //!   test (`tests/prop_waitsfor.rs`), not in the library.
 //!
 //! ## Production status
 //!
-//! Every module but [`reference`] is live production code: the two
-//! schedulers are the acquisition disciplines of `lockgran-core`'s single
-//! locking engine (`LockingCC`), which builds its requests through
+//! Every module but [`reference`](mod@reference) is live production code:
+//! the two schedulers are the acquisition disciplines of `lockgran-core`'s
+//! single locking engine (`LockingCC`), which builds its requests through
 //! [`hierarchy`] in hierarchical mode. Together they back the explicit,
 //! hierarchical and incremental-2PL conflict models (extB/extD/extG/extH/
 //! extI sweeps). Nothing in this crate carries a `dead_code` allow.

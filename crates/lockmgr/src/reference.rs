@@ -85,7 +85,7 @@ impl ReferenceLockTable {
     }
 
     /// Request `granule` in `mode` for `txn`; same contract as
-    /// [`crate::table::LockTable::lock`].
+    /// [`crate::table::LockTable::lock_into`].
     pub fn lock(&mut self, txn: TxnId, granule: GranuleId, mode: LockMode) -> LockOutcome {
         let entry = self.entries.entry(granule.0).or_default();
 
@@ -196,7 +196,7 @@ impl ReferenceLockTable {
     }
 
     /// Release `granule` for `txn`; same contract as
-    /// [`crate::table::LockTable::unlock`].
+    /// [`crate::table::LockTable::unlock_into`].
     pub fn unlock(&mut self, txn: TxnId, granule: GranuleId) -> Vec<(TxnId, LockMode)> {
         let mut woken = Vec::new();
         let Some(entry) = self.entries.get_mut(&granule.0) else {
@@ -222,7 +222,7 @@ impl ReferenceLockTable {
     }
 
     /// Release everything `txn` holds and cancel its queued waits; same
-    /// contract as [`crate::table::LockTable::release_all`].
+    /// contract as [`crate::table::LockTable::release_all_into`].
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, GranuleId, LockMode)> {
         let mut woken = Vec::new();
         // Phase 1: release holdings in append order, promoting after each

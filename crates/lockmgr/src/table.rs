@@ -21,8 +21,8 @@
 //! # Layout and determinism
 //!
 //! Granted groups and wait queues are intrusive singly-linked lists of
-//! pooled [`Block`]s (one shared slab, free-list recycled); per-txn
-//! holdings and waited-granule sets are pooled [`Link`] lists, headed
+//! pooled `Block`s (one shared slab, free-list recycled); per-txn
+//! holdings and waited-granule sets are pooled `Link` lists, headed
 //! from a record indexed by [`TxnId`]. Only granule lookup hashes, through
 //! [`DetMap`] — O(1), deterministic by construction (see
 //! `lockgran_sim::detmap`). No code path iterates a

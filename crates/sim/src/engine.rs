@@ -66,13 +66,6 @@ impl<E> Fel<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(Time, E)> {
-        match self {
-            Fel::Heap(q) => q.pop(),
-            Fel::Calendar(q) => q.pop(),
-        }
-    }
-
     /// The earliest event, removed, if it fires no later than `until`.
     fn pop_due(&mut self, until: Time) -> Option<(Time, E)> {
         match self {
@@ -219,24 +212,6 @@ impl<E> Executor<E> {
         }
         self.now
     }
-
-    /// Run a bounded number of events (diagnostic / stepping aid).
-    /// Returns the number actually processed.
-    pub fn step<M: Model<Event = E>>(&mut self, model: &mut M, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events {
-            match self.queue.pop() {
-                Some((at, event)) => {
-                    self.now = at;
-                    self.events_processed += 1;
-                    model.handle(at, event, self);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -300,15 +275,6 @@ mod tests {
         ex.run(&mut m, Time::from_ticks(10));
         // Fires at t = 0, 3, 6, 9; next (12) is beyond the horizon.
         assert_eq!(m.hops, 4);
-    }
-
-    #[test]
-    fn step_bounds_work() {
-        let mut m = Chain { hops: 0 };
-        let mut ex = Executor::new();
-        ex.schedule(Time::ZERO, ());
-        assert_eq!(ex.step(&mut m, 5), 5);
-        assert_eq!(m.hops, 5);
     }
 
     #[test]

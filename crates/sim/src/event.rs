@@ -89,11 +89,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Drop every pending event and restart the sequence counter, keeping
     /// the heap's allocation for reuse. After `clear` the queue is
     /// indistinguishable from a fresh one except for retained capacity.
@@ -152,7 +147,6 @@ mod tests {
         q.pop();
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 0);
         // A cleared queue orders (and FIFO-ties) exactly like a fresh one.
         let t = Time::from_ticks(5);
         for i in 0..10 {

@@ -15,7 +15,7 @@
 //! * integers print without a decimal point.
 //!
 //! Conversion to and from domain types goes through the [`ToJson`] and
-//! [`FromJson`] traits. Config types are declared once through
+//! [`FromJson`] traits. Config and output types are declared once through
 //! [`named_enum!`](crate::named_enum) (fieldless enums) and
 //! [`json_struct!`](crate::json_struct) (structs), which generate both
 //! impls from the declaration; only custom encodings are written by hand.

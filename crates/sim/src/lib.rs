@@ -22,11 +22,12 @@
 //!   sequence of every stream is owned by this repository.
 //! * [`json`] — a minimal JSON document model ([`Json`]) with a writer and
 //!   parser, the [`ToJson`]/[`FromJson`] traits, and the [`named_enum!`]
-//!   and [`json_struct!`] macros that declare config types once and
-//!   generate their JSON, name and parse code (zero-dependency
+//!   and [`json_struct!`] macros that declare config and output types
+//!   once and generate their JSON, name and parse code (zero-dependency
 //!   serialization).
-//! * [`stats`] — busy-time accounting, Welford tallies, time-weighted
-//!   levels, histograms and batch-means confidence intervals.
+//! * [`stats`] — Welford tallies, time-weighted levels, histograms and
+//!   batch-means confidence intervals. Busy time is the servers' own
+//!   per-class accounting ([`Server`]).
 //! * [`pool`] — a fixed-size worker pool ([`WorkerPool`]) with
 //!   deterministic, submission-ordered scatter/gather for running many
 //!   *independent* simulations in parallel.
@@ -85,7 +86,7 @@ pub use json::{FromJson, Json, ToJson};
 pub use pool::{TaskPanic, WorkerPool};
 pub use rng::SimRng;
 pub use server::{
-    CancelOutcome, Class, Completion, CompletionOutcome, Discipline, Job, JobId, Server, Token,
+    CancelOutcome, Class, Completion, CompletionOutcome, Job, JobId, QueueDiscipline, Server, Token,
 };
-pub use stats::{BatchMeans, BusyTime, Histogram, Tally, TimeWeighted};
+pub use stats::{BatchMeans, Histogram, Tally, TimeWeighted};
 pub use time::{Dur, Time, TICKS_PER_UNIT};

@@ -136,35 +136,30 @@ impl SimRng {
         self.uniform01() < p.clamp(0.0, 1.0)
     }
 
-    /// Sample `k` *distinct* values from `0..n` using Floyd's algorithm
-    /// (O(k) expected work, independent of `n`). The result order is the
-    /// insertion order of Floyd's algorithm, which is deterministic for a
-    /// given stream state.
+    /// Sample `k` *distinct* values from `0..n` into `chosen` (cleared
+    /// first) using Floyd's algorithm: O(k) expected work, independent of
+    /// `n`, and no allocation once `chosen` has grown to `k`. The values
+    /// come in Floyd's insertion order, which is deterministic for a given
+    /// stream state, and the draws do not depend on the element type `T`.
     ///
     /// # Panics
-    /// Panics if `k > n`.
-    pub fn sample_distinct(&mut self, n: u64, k: u64) -> Vec<u64> {
-        let mut chosen = Vec::with_capacity(k as usize);
-        self.sample_distinct_into(n, k, &mut chosen);
-        chosen
-    }
-
-    /// [`SimRng::sample_distinct`] into a caller-owned buffer (cleared
-    /// first; identical draw sequence), so steady-state callers reuse
-    /// capacity instead of allocating a fresh `Vec` per sample.
-    ///
-    /// # Panics
-    /// Panics if `k > n`.
-    pub fn sample_distinct_into(&mut self, n: u64, k: u64, chosen: &mut Vec<u64>) {
+    /// Panics if `k > n`, or if `0..n` does not fit `T`.
+    pub fn sample_distinct_into<T>(&mut self, n: u64, k: u64, chosen: &mut Vec<T>)
+    where
+        T: TryFrom<u64> + PartialEq,
+    {
         assert!(k <= n, "cannot sample {k} distinct values from 0..{n}");
+        assert!(
+            n == 0 || T::try_from(n - 1).is_ok(),
+            "0..{n} does not fit the element type"
+        );
+        // Every value drawn is below `n`, so it fits (asserted above).
+        let fit = |x: u64| T::try_from(x).unwrap_or_else(|_| unreachable!("{x} < {n}"));
         chosen.clear();
         for j in (n - k)..n {
-            let t = self.uniform_inclusive(0, j);
-            if chosen.contains(&t) {
-                chosen.push(j);
-            } else {
-                chosen.push(t);
-            }
+            let t = fit(self.uniform_inclusive(0, j));
+            let pick = if chosen.contains(&t) { fit(j) } else { t };
+            chosen.push(pick);
         }
     }
 }
@@ -295,8 +290,9 @@ mod tests {
     #[test]
     fn sample_distinct_is_distinct_and_in_range() {
         let mut rng = SimRng::new(9);
+        let mut v: Vec<u64> = Vec::new();
         for _ in 0..200 {
-            let v = rng.sample_distinct(30, 13);
+            rng.sample_distinct_into(30, 13, &mut v);
             assert_eq!(v.len(), 13);
             let mut s = v.clone();
             s.sort_unstable();
@@ -309,9 +305,35 @@ mod tests {
     #[test]
     fn sample_distinct_full_population() {
         let mut rng = SimRng::new(5);
-        let mut v = rng.sample_distinct(8, 8);
+        let mut v: Vec<u64> = Vec::new();
+        rng.sample_distinct_into(8, 8, &mut v);
         v.sort_unstable();
         assert_eq!(v, (0..8).collect::<Vec<_>>());
+    }
+
+    /// The element type changes only how the values are stored: from one
+    /// stream state, `u32` and `u64` buffers receive the same values, and
+    /// both streams end in the same state.
+    #[test]
+    fn sample_distinct_draws_do_not_depend_on_element_type() {
+        let mut narrow_rng = SimRng::new(77);
+        let mut wide_rng = SimRng::new(77);
+        let mut narrow: Vec<u32> = Vec::new();
+        let mut wide: Vec<u64> = Vec::new();
+        for k in 0..=40 {
+            narrow_rng.sample_distinct_into(40, k, &mut narrow);
+            wide_rng.sample_distinct_into(40, k, &mut wide);
+            let widened: Vec<u64> = narrow.iter().map(|&x| u64::from(x)).collect();
+            assert_eq!(widened, wide, "k = {k}");
+        }
+        assert_eq!(narrow_rng.next_u64(), wide_rng.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the element type")]
+    fn sample_distinct_rejects_a_range_wider_than_the_element_type() {
+        let mut v: Vec<u32> = Vec::new();
+        SimRng::new(1).sample_distinct_into(u64::from(u32::MAX) + 2, 1, &mut v);
     }
 
     #[test]

@@ -26,18 +26,22 @@ use std::collections::VecDeque;
 
 use crate::time::{Dur, Time};
 
-/// Order in which queued Transaction-class jobs are served. Lock-class
-/// work is always FCFS among itself (and ahead of transactions).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Discipline {
-    /// First come, first served (the paper's model).
-    #[default]
-    Fcfs,
-    /// Shortest job first among *queued* jobs (non-preemptive): at each
-    /// service completion the shortest waiting transaction job starts.
-    /// Used to test the paper's §4 remark that sub-transaction-level
-    /// scheduling "has only marginal effect" on locking granularity.
-    Sjf,
+crate::named_enum! {
+    /// Order in which queued Transaction-class jobs (sub-transaction
+    /// work) are served. Lock-class work is always FCFS among itself (and
+    /// ahead of transactions).
+    #[derive(Default)]
+    pub enum QueueDiscipline {
+        /// First come, first served — the paper's model.
+        #[default]
+        Fcfs => "fcfs",
+        /// Shortest job first among *queued* jobs (non-preemptive): at each
+        /// service completion the shortest waiting transaction job starts.
+        /// Extension: checks the paper's §4 remark (citing Dandamudi & Chow)
+        /// that sub-transaction-level scheduling has "only marginal effect"
+        /// on locking granularity.
+        Sjf => "sjf",
+    }
 }
 
 /// Identifies the logical owner of a job (e.g. a transaction id plus a
@@ -148,7 +152,7 @@ pub struct Server {
     /// Whether Lock-class work preempts an in-service Transaction job.
     preemptive: bool,
     /// Queued-transaction service order.
-    discipline: Discipline,
+    discipline: QueueDiscipline,
 }
 
 impl Default for Server {
@@ -169,13 +173,13 @@ impl Server {
             busy: [Dur::ZERO; 2],
             completed: [0; 2],
             preemptive: true,
-            discipline: Discipline::Fcfs,
+            discipline: QueueDiscipline::Fcfs,
         }
     }
 
     /// Set the queued-transaction service discipline.
     #[must_use]
-    pub fn with_discipline(mut self, discipline: Discipline) -> Self {
+    pub fn with_discipline(mut self, discipline: QueueDiscipline) -> Self {
         self.discipline = discipline;
         self
     }
@@ -195,7 +199,7 @@ impl Server {
     /// grown capacity: after this the server is observationally identical
     /// to `Server::new()` (or [`Server::non_preemptive`]) with the given
     /// discipline — idle, zero accounting, token counter restarted.
-    pub fn reset(&mut self, preemptive: bool, discipline: Discipline) {
+    pub fn reset(&mut self, preemptive: bool, discipline: QueueDiscipline) {
         self.lock_queue.clear();
         self.txn_queue.clear();
         self.current = None;
@@ -210,8 +214,8 @@ impl Server {
     #[inline]
     fn pop_txn(&mut self) -> Option<Job> {
         match self.discipline {
-            Discipline::Fcfs => self.txn_queue.pop_front(),
-            Discipline::Sjf => {
+            QueueDiscipline::Fcfs => self.txn_queue.pop_front(),
+            QueueDiscipline::Sjf => {
                 let idx = self
                     .txn_queue
                     .iter()
@@ -411,7 +415,7 @@ mod tests {
         let _ = used.submit(Time::from_ticks(0), job(1, 10, Class::Transaction));
         let _ = used.submit(Time::from_ticks(0), job(2, 7, Class::Lock));
         used.flush(Time::from_ticks(20));
-        used.reset(true, Discipline::Fcfs);
+        used.reset(true, QueueDiscipline::Fcfs);
 
         let mut fresh = Server::new();
         assert_eq!(used.jobs_present(), 0);
@@ -607,7 +611,7 @@ mod tests {
     #[test]
     fn sjf_serves_shortest_queued_job_first() {
         let mut h = Harness::new();
-        h.server = Server::new().with_discipline(Discipline::Sjf);
+        h.server = Server::new().with_discipline(QueueDiscipline::Sjf);
         h.submit(0, job(1, 10, Class::Transaction)); // in service
         h.submit(1, job(2, 8, Class::Transaction));
         h.submit(2, job(3, 2, Class::Transaction));
@@ -628,7 +632,7 @@ mod tests {
     #[test]
     fn sjf_ties_break_by_arrival_order() {
         let mut h = Harness::new();
-        h.server = Server::new().with_discipline(Discipline::Sjf);
+        h.server = Server::new().with_discipline(QueueDiscipline::Sjf);
         h.submit(0, job(1, 4, Class::Transaction));
         h.submit(1, job(2, 3, Class::Transaction));
         h.submit(2, job(3, 3, Class::Transaction));
@@ -642,7 +646,7 @@ mod tests {
     #[test]
     fn sjf_still_conserves_work() {
         let mut h = Harness::new();
-        h.server = Server::new().with_discipline(Discipline::Sjf);
+        h.server = Server::new().with_discipline(QueueDiscipline::Sjf);
         for i in 0..10u64 {
             h.submit(0, job(i, (i % 4) * 3 + 1, Class::Transaction));
         }

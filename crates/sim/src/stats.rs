@@ -1,18 +1,16 @@
 //! Output statistics.
 //!
 //! Small, allocation-free accumulators used both inside the simulation
-//! (busy time, queue populations) and by the experiment harness (response
-//! time tallies, replication confidence intervals).
+//! (queue populations, response times) and by the experiment harness
+//! (replication confidence intervals).
 
 mod batch;
-mod busy;
 mod histogram;
 mod tally;
 mod timeweighted;
 pub mod welch;
 
 pub use batch::BatchMeans;
-pub use busy::BusyTime;
 pub use histogram::Histogram;
 pub use tally::Tally;
 pub use timeweighted::TimeWeighted;

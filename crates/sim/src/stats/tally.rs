@@ -113,26 +113,6 @@ impl Tally {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merge another tally into this one (parallel-friendly combine).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -170,44 +150,6 @@ mod tests {
         assert_eq!(t.mean(), 3.5);
         assert_eq!(t.variance(), 0.0);
         assert_eq!(t.ci95_half_width(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Tally::new();
-        a.record(1.0);
-        a.record(2.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&Tally::new());
-        assert_eq!(before, (a.count(), a.mean(), a.variance()));
-
-        let mut empty = Tally::new();
-        let mut b = Tally::new();
-        b.record(5.0);
-        empty.merge(&b);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 5.0);
     }
 
     #[test]

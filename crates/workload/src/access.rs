@@ -81,27 +81,10 @@ impl AccessPattern {
 
 /// Sample the concrete set of granule ids (each in `0..ltot`) locked by a
 /// transaction that accesses `nu` entities under placement model
-/// `placement`. The set size equals
+/// `placement` into `out` (cleared first), so steady-state callers reuse
+/// one buffer instead of allocating per transaction. The set size equals
 /// [`Placement::locks_required`]`(nu, ltot, dbsize)` so that the explicit
 /// and probabilistic conflict models see identical lock counts.
-///
-/// # Panics
-/// Panics if `ltot == 0`, `dbsize == 0` or `ltot > dbsize`.
-pub fn sample_granules(
-    rng: &mut SimRng,
-    placement: Placement,
-    nu: u64,
-    ltot: u64,
-    dbsize: u64,
-) -> Vec<u64> {
-    let mut out = Vec::new();
-    sample_granules_into(rng, placement, nu, ltot, dbsize, &mut out);
-    out
-}
-
-/// [`sample_granules`] into a caller-owned buffer (cleared first;
-/// identical draw sequence), so steady-state callers reuse capacity
-/// instead of allocating a fresh `Vec` per transaction.
 ///
 /// # Panics
 /// Panics if `ltot == 0`, `dbsize == 0` or `ltot > dbsize`.
@@ -127,31 +110,12 @@ pub fn sample_granules_into(
     }
 }
 
-/// Sample a scattered granule set under hot-spot skew: each pick lands in
-/// the hot region (granules `0..ceil(fraction · ltot)`) with probability
-/// `weight`, uniformly within the chosen region, retrying duplicates.
-/// Degenerates gracefully when the requested count exceeds either
-/// region's capacity. Set size matches [`Placement::locks_required`] like
-/// the uniform sampler.
-///
-/// # Panics
-/// Panics if `skew.validate()` fails, `ltot == 0`, `dbsize == 0` or
-/// `ltot > dbsize`.
-pub fn sample_granules_hot(
-    rng: &mut SimRng,
-    placement: Placement,
-    nu: u64,
-    ltot: u64,
-    dbsize: u64,
-    skew: HotSpot,
-) -> Vec<u64> {
-    let mut out = Vec::new();
-    sample_granules_hot_into(rng, placement, nu, ltot, dbsize, skew, &mut out);
-    out
-}
-
-/// [`sample_granules_hot`] into a caller-owned buffer (cleared first;
-/// identical draw sequence).
+/// Sample a scattered granule set under hot-spot skew into `out` (cleared
+/// first): each pick lands in the hot region (granules
+/// `0..ceil(fraction · ltot)`) with probability `weight`, uniformly within
+/// the chosen region, retrying duplicates. Degenerates gracefully when the
+/// requested count exceeds either region's capacity. Set size matches
+/// [`Placement::locks_required`] like [`sample_granules_into`].
 ///
 /// # Panics
 /// Panics if `skew.validate()` fails, `ltot == 0`, `dbsize == 0` or
@@ -291,9 +255,10 @@ mod tests {
     #[test]
     fn set_size_matches_placement_formula() {
         let mut rng = SimRng::new(1);
+        let mut set = Vec::new();
         for p in Placement::ALL {
             for &(nu, ltot) in &[(250u64, 100u64), (25, 100), (500, DB), (1, 1)] {
-                let set = sample_granules(&mut rng, p, nu, ltot, DB);
+                sample_granules_into(&mut rng, p, nu, ltot, DB, &mut set);
                 assert_eq!(
                     set.len() as u64,
                     p.locks_required(nu, ltot, DB),
@@ -307,8 +272,9 @@ mod tests {
     #[test]
     fn sequential_sets_are_contiguous_runs() {
         let mut rng = SimRng::new(2);
+        let mut set = Vec::new();
         for _ in 0..100 {
-            let set = sample_granules(&mut rng, Placement::Best, 500, 100, DB);
+            sample_granules_into(&mut rng, Placement::Best, 500, 100, DB, &mut set);
             // 500 entities over 100 granules of 50 -> 10 consecutive ids.
             assert_eq!(set.len(), 10);
             for w in set.windows(2) {
@@ -321,8 +287,9 @@ mod tests {
     fn sequential_wraps_around() {
         let mut rng = SimRng::new(3);
         let mut saw_wrap = false;
+        let mut set = Vec::new();
         for _ in 0..1000 {
-            let set = sample_granules(&mut rng, Placement::Best, 500, 100, DB);
+            sample_granules_into(&mut rng, Placement::Best, 500, 100, DB, &mut set);
             if set.windows(2).any(|w| w[1] < w[0]) {
                 saw_wrap = true;
                 break;
@@ -335,8 +302,10 @@ mod tests {
     fn scattered_sets_cover_range() {
         let mut rng = SimRng::new(4);
         let mut seen = [false; 100];
+        let mut set = Vec::new();
         for _ in 0..500 {
-            for &g in &sample_granules(&mut rng, Placement::Random, 50, 100, DB) {
+            sample_granules_into(&mut rng, Placement::Random, 50, 100, DB, &mut set);
+            for &g in &set {
                 seen[g as usize] = true;
             }
         }
@@ -346,7 +315,8 @@ mod tests {
     #[test]
     fn worst_placement_locks_everything_when_ltot_small() {
         let mut rng = SimRng::new(5);
-        let set = sample_granules(&mut rng, Placement::Worst, 250, 100, DB);
+        let mut set = Vec::new();
+        sample_granules_into(&mut rng, Placement::Worst, 250, 100, DB, &mut set);
         assert_eq!(set.len(), 100);
         assert_valid(&set, 100);
     }
@@ -354,7 +324,9 @@ mod tests {
     #[test]
     fn zero_entities_empty_set() {
         let mut rng = SimRng::new(6);
-        assert!(sample_granules(&mut rng, Placement::Best, 0, 100, DB).is_empty());
+        let mut set = vec![7];
+        sample_granules_into(&mut rng, Placement::Best, 0, 100, DB, &mut set);
+        assert!(set.is_empty());
     }
 
     #[test]
@@ -363,8 +335,9 @@ mod tests {
         let skew = HotSpot::eighty_twenty();
         let mut hot_hits = 0u64;
         let mut total = 0u64;
+        let mut set = Vec::new();
         for _ in 0..500 {
-            let set = sample_granules_hot(&mut rng, Placement::Random, 50, 100, DB, skew);
+            sample_granules_hot_into(&mut rng, Placement::Random, 50, 100, DB, skew, &mut set);
             assert_eq!(
                 set.len() as u64,
                 Placement::Random.locks_required(50, 100, DB)
@@ -384,8 +357,9 @@ mod tests {
         let mut rng = SimRng::new(8);
         let skew = HotSpot::eighty_twenty();
         let mut hot_starts = 0;
+        let mut set = Vec::new();
         for _ in 0..1000 {
-            let set = sample_granules_hot(&mut rng, Placement::Best, 50, 100, DB, skew);
+            sample_granules_hot_into(&mut rng, Placement::Best, 50, 100, DB, skew, &mut set);
             assert_eq!(set.len(), 1);
             if set[0] < 20 {
                 hot_starts += 1;
@@ -406,7 +380,8 @@ mod tests {
             fraction: 0.02,
             weight: 0.99,
         };
-        let set = sample_granules_hot(&mut rng, Placement::Worst, 50, 100, DB, skew);
+        let mut set = Vec::new();
+        sample_granules_hot_into(&mut rng, Placement::Worst, 50, 100, DB, skew, &mut set);
         assert_eq!(set.len(), 50);
         assert_valid(&set, 100);
     }

@@ -49,12 +49,6 @@ impl FailureSpec {
         }
         Ok(())
     }
-
-    /// Long-run fraction of time each processor is up:
-    /// `mtbf / (mtbf + mttr)`.
-    pub fn availability(&self) -> f64 {
-        self.mtbf / (self.mtbf + self.mttr)
-    }
 }
 
 #[cfg(test)]
@@ -70,12 +64,6 @@ mod tests {
         assert!(FailureSpec::new(-1.0, 50.0).validate().is_err());
         assert!(FailureSpec::new(f64::NAN, 50.0).validate().is_err());
         assert!(FailureSpec::new(f64::INFINITY, 50.0).validate().is_err());
-    }
-
-    #[test]
-    fn availability_is_mtbf_fraction() {
-        let f = FailureSpec::new(900.0, 100.0);
-        assert!((f.availability() - 0.9).abs() < 1e-12);
     }
 
     #[test]

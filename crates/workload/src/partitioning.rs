@@ -24,54 +24,25 @@ named_enum! {
 }
 
 impl Partitioning {
-    /// Draw the processors a transaction's sub-transactions run on. The
-    /// result has between 1 and `npros` *distinct* processor indices in
-    /// `0..npros` ("no two sub-transactions are assigned to the same
-    /// processor", paper §2).
-    ///
-    /// # Panics
-    /// Panics if `npros == 0`.
-    pub fn assign_processors(self, rng: &mut SimRng, npros: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.assign_processors_into(rng, npros, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Partitioning::assign_processors`]: fills
-    /// `out` (cleared first) so the per-transaction draw reuses one buffer
-    /// across the whole run. Consumes the RNG identically to the
-    /// allocating form — the processor sequence is bit-for-bit the same.
+    /// Draw the processors a transaction's sub-transactions run on into
+    /// `out` (cleared first), so the per-transaction draw reuses one
+    /// buffer across the whole run. The result has between 1 and `npros`
+    /// *distinct* processor indices in `0..npros` ("no two
+    /// sub-transactions are assigned to the same processor", paper §2).
     ///
     /// # Panics
     /// Panics if `npros == 0`.
     pub fn assign_processors_into(self, rng: &mut SimRng, npros: u32, out: &mut Vec<u32>) {
         assert!(npros > 0, "need at least one processor");
-        out.clear();
         match self {
-            Partitioning::Horizontal => out.extend(0..npros),
+            Partitioning::Horizontal => {
+                out.clear();
+                out.extend(0..npros);
+            }
             Partitioning::Random => {
                 let fanout = rng.uniform_inclusive(1, u64::from(npros));
-                // Floyd's algorithm, draw-identical to
-                // `SimRng::sample_distinct` (one `uniform_inclusive(0, j)`
-                // per selected element, in the same j order).
-                let n = u64::from(npros);
-                for j in (n - fanout)..n {
-                    let t = rng.uniform_inclusive(0, j) as u32;
-                    if out.contains(&t) {
-                        out.push(j as u32);
-                    } else {
-                        out.push(t);
-                    }
-                }
+                rng.sample_distinct_into(u64::from(npros), fanout, out);
             }
-        }
-    }
-
-    /// Expected fan-out for a system of `npros` processors.
-    pub fn mean_fanout(self, npros: u32) -> f64 {
-        match self {
-            Partitioning::Horizontal => f64::from(npros),
-            Partitioning::Random => (1.0 + f64::from(npros)) / 2.0,
         }
     }
 }
@@ -83,15 +54,17 @@ mod tests {
     #[test]
     fn horizontal_uses_every_processor() {
         let mut rng = SimRng::new(1);
-        let procs = Partitioning::Horizontal.assign_processors(&mut rng, 10);
+        let mut procs = Vec::new();
+        Partitioning::Horizontal.assign_processors_into(&mut rng, 10, &mut procs);
         assert_eq!(procs, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn random_fanout_is_distinct_and_in_range() {
         let mut rng = SimRng::new(2);
+        let mut procs = Vec::new();
         for _ in 0..500 {
-            let procs = Partitioning::Random.assign_processors(&mut rng, 10);
+            Partitioning::Random.assign_processors_into(&mut rng, 10, &mut procs);
             assert!(!procs.is_empty() && procs.len() <= 10);
             let mut sorted = procs.clone();
             sorted.sort_unstable();
@@ -108,40 +81,24 @@ mod tests {
     #[test]
     fn random_fanout_mean_matches() {
         let mut rng = SimRng::new(3);
+        let mut procs = Vec::new();
         let n = 20_000;
         let total: usize = (0..n)
-            .map(|_| Partitioning::Random.assign_processors(&mut rng, 10).len())
+            .map(|_| {
+                Partitioning::Random.assign_processors_into(&mut rng, 10, &mut procs);
+                procs.len()
+            })
             .sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 5.5).abs() < 0.1, "mean fan-out {mean}");
-        assert_eq!(Partitioning::Random.mean_fanout(10), 5.5);
-    }
-
-    #[test]
-    fn random_assignment_matches_sample_distinct_draws() {
-        // The in-place Floyd loop must consume the RNG exactly like the
-        // historical `sample_distinct`-based implementation — this is what
-        // keeps every committed artifact bit-identical.
-        let mut a = SimRng::new(77);
-        let mut b = SimRng::new(77);
-        let mut buf = Vec::new();
-        for _ in 0..500 {
-            Partitioning::Random.assign_processors_into(&mut a, 10, &mut buf);
-            let fanout = b.uniform_inclusive(1, 10);
-            let reference: Vec<u32> = b
-                .sample_distinct(10, fanout)
-                .into_iter()
-                .map(|p| p as u32)
-                .collect();
-            assert_eq!(buf, reference);
-        }
     }
 
     #[test]
     fn uniprocessor_degenerates_to_single_subtransaction() {
         let mut rng = SimRng::new(4);
+        let mut procs = Vec::new();
         for p in Partitioning::ALL {
-            let procs = p.assign_processors(&mut rng, 1);
+            p.assign_processors_into(&mut rng, 1, &mut procs);
             assert_eq!(procs, vec![0]);
         }
     }

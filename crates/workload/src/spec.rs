@@ -60,7 +60,7 @@ impl WorkloadParams {
 }
 
 /// The realized stochastic attributes of one transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransactionSpec {
     /// `NU_i`: database entities accessed.
     pub entities: u64,
@@ -162,20 +162,8 @@ impl WorkloadGenerator {
         self.generated
     }
 
-    /// Draw the next transaction.
-    pub fn next_spec(&mut self) -> TransactionSpec {
-        let mut spec = TransactionSpec {
-            entities: 0,
-            locks: 0,
-            processors: Vec::new(),
-        };
-        self.next_spec_into(&mut spec);
-        spec
-    }
-
-    /// Allocation-free form of [`WorkloadGenerator::next_spec`]: overwrites
-    /// `spec` in place, reusing its `processors` buffer. Consumes the RNG
-    /// streams identically to the allocating form.
+    /// Draw the next transaction into `spec`, overwriting it in place and
+    /// reusing its `processors` buffer.
     pub fn next_spec_into(&mut self, spec: &mut TransactionSpec) {
         self.generated += 1;
         spec.entities = self.params.size.sample(&mut self.size_rng);
@@ -207,8 +195,9 @@ mod tests {
     fn generates_consistent_specs() {
         let rng = SimRng::new(7);
         let mut g = WorkloadGenerator::new(params(), &rng);
+        let mut s = TransactionSpec::default();
         for _ in 0..1000 {
-            let s = g.next_spec();
+            g.next_spec_into(&mut s);
             assert!((1..=500).contains(&s.entities));
             assert_eq!(
                 s.locks,
@@ -225,8 +214,11 @@ mod tests {
         let rng = SimRng::new(99);
         let mut a = WorkloadGenerator::new(params(), &rng);
         let mut b = WorkloadGenerator::new(params(), &rng);
+        let (mut sa, mut sb) = (TransactionSpec::default(), TransactionSpec::default());
         for _ in 0..200 {
-            assert_eq!(a.next_spec(), b.next_spec());
+            a.next_spec_into(&mut sa);
+            b.next_spec_into(&mut sb);
+            assert_eq!(sa, sb);
         }
     }
 
@@ -243,8 +235,11 @@ mod tests {
             },
             &rng,
         );
+        let (mut sh, mut sr) = (TransactionSpec::default(), TransactionSpec::default());
         for _ in 0..500 {
-            assert_eq!(horizontal.next_spec().entities, random.next_spec().entities);
+            horizontal.next_spec_into(&mut sh);
+            random.next_spec_into(&mut sr);
+            assert_eq!(sh.entities, sr.entities);
         }
     }
 
@@ -261,9 +256,10 @@ mod tests {
             ..params()
         };
 
+        let (mut sr, mut sf) = (TransactionSpec::default(), TransactionSpec::default());
         let mut recycled = WorkloadGenerator::new(params(), &rng_a);
         for _ in 0..300 {
-            let _ = recycled.next_spec();
+            recycled.next_spec_into(&mut sr);
         }
 
         // Memo-retained path: same geometry, new seed.
@@ -271,14 +267,18 @@ mod tests {
         assert_eq!(recycled.generated(), 0);
         let mut fresh = WorkloadGenerator::new(params(), &rng_b);
         for _ in 0..300 {
-            assert_eq!(recycled.next_spec(), fresh.next_spec());
+            recycled.next_spec_into(&mut sr);
+            fresh.next_spec_into(&mut sf);
+            assert_eq!(sr, sf);
         }
 
         // Memo-rebuilt path: geometry changes with the reset.
         recycled.reset(altered.clone(), &rng_a);
         let mut fresh = WorkloadGenerator::new(altered, &rng_a);
         for _ in 0..300 {
-            assert_eq!(recycled.next_spec(), fresh.next_spec());
+            recycled.next_spec_into(&mut sr);
+            fresh.next_spec_into(&mut sf);
+            assert_eq!(sr, sf);
         }
     }
 

@@ -51,6 +51,11 @@ echo "== simbench clippy, binaries (library-code lints)"
 cargo clippy --offline --manifest-path simbench/Cargo.toml --bins -- \
     -D warnings "${simbench_allow[@]}" "${library_lints[@]}"
 
+echo "== cargo doc (rustdoc warnings denied: broken, ambiguous or private intra-doc links)"
+# --lib: the root library and the lockgran binary would both write
+# doc/lockgran/index.html, and the binary's docs are not read.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

@@ -7,15 +7,20 @@
 //! every committed artifact (regenerated with the heap in earlier PRs)
 //! stays bit-for-bit unchanged.
 
-use lockgran_core::sim::run_with_fel;
+use lockgran_core::system::System;
 use lockgran_core::{ConflictMode, LockDistribution, ModelConfig, ServiceVariability};
-use lockgran_sim::{FelKind, ToJson};
+use lockgran_sim::{Executor, FelKind, ToJson};
 use lockgran_workload::{FailureSpec, HotSpot, Partitioning, Placement};
 
-/// Serialize one run to JSON text — byte-identical serialized output is
-/// exactly the claim the committed figure artifacts rest on.
+/// Run one simulation on the given FEL kind and serialize it to JSON text —
+/// byte-identical serialized output is exactly the claim the committed
+/// figure artifacts rest on.
 fn fingerprint(cfg: &ModelConfig, seed: u64, fel: FelKind) -> String {
-    run_with_fel(cfg, seed, fel).to_json().to_string()
+    let mut ex = Executor::with_fel(fel);
+    let mut system = System::new(cfg, seed, &mut ex);
+    let horizon = system.tmax();
+    let end = ex.run(&mut system, horizon);
+    system.finish(end).to_json().to_string()
 }
 
 fn assert_identical(label: &str, cfg: &ModelConfig) {

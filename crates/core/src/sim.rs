@@ -36,9 +36,9 @@ pub fn run(cfg: &ModelConfig, seed: u64) -> RunMetrics {
 /// [`RunArena::run`] is bit-identical to [`run`] — the reset paths
 /// ([`Executor::reset`], [`System::reset`]) restore fresh-construction
 /// semantics — but keeps every grown allocation: the future-event list's
-/// slabs, the transaction slab's buffers (drained into the carcass
-/// pool), the conflict model's tables, and the workload generator's lock
-/// memo. At capacity scale (10⁵ resident transactions, 10⁷-entity
+/// slabs, the transaction slab's buffers (every slot vacated and redrawn
+/// in place), the conflict model's tables, and the workload generator's
+/// lock memo. At capacity scale (10⁵ resident transactions, 10⁷-entity
 /// databases) rebuilding that state dominates short sweep points, so the
 /// experiment harness gives each worker thread one arena and streams its
 /// share of the sweep through it.

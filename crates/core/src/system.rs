@@ -24,12 +24,13 @@
 //!    transactions in the system.
 
 use std::collections::VecDeque;
+use std::ops::Sub;
 
 use lockgran_sim::{
-    BatchMeans, Class, Completion, CompletionOutcome, Dur, Executor, Histogram, Job, JobId, Model,
-    QueueDiscipline, Server, SimRng, Tally, Time, TimeWeighted, Token,
+    BatchMeans, CancelOutcome, Class, Completion, CompletionOutcome, Dur, Executor, Histogram, Job,
+    JobId, Model, QueueDiscipline, Server, SimRng, Tally, Time, TimeWeighted, Token,
 };
-use lockgran_workload::{FailureSpec, TransactionSpec, WorkloadGenerator};
+use lockgran_workload::{FailureSpec, WorkloadGenerator};
 
 use crate::config::{LockDistribution, ModelConfig, ServiceVariability};
 use crate::conflict::{build_concurrency_control, CcStats, ConcurrencyControl, ConflictDecision};
@@ -71,6 +72,15 @@ pub enum Event {
         /// Processor index.
         proc: u32,
     },
+}
+
+/// A processor's two servers: its CPU and its disk. Indexes
+/// `System::servers`, the failure stall buffers and the busy times of
+/// [`Counters`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Res {
+    Cpu,
+    Io,
 }
 
 fn mk_server(preemptive: bool, discipline: QueueDiscipline) -> Server {
@@ -116,18 +126,50 @@ fn decode(id: JobId) -> (u32, u32, u64) {
     )
 }
 
-/// Counter snapshot used to subtract warm-up activity from final totals.
+/// Everything a run counts, from time zero. The counts over a window
+/// are the difference of two values: the run's metrics take
+/// `counters(horizon) − counters(warm-up)`, a timeline point
+/// `counters(now) − counters(previous sample)`.
 #[derive(Clone, Copy, Debug, Default)]
-struct CounterSnapshot {
-    cpu_busy_all: Dur,
-    cpu_busy_lock: Dur,
-    io_busy_all: Dur,
-    io_busy_lock: Dur,
-    lock_attempts: u64,
-    lock_denials: u64,
-    aborts: u64,
-    failures: u64,
-    cc: CcStats,
+pub(crate) struct Counters {
+    /// Transactions completed.
+    pub(crate) completions: u64,
+    /// Lock request attempts, each charged the lock overhead.
+    pub(crate) lock_attempts: u64,
+    /// Attempts the conflict model denied.
+    pub(crate) lock_denials: u64,
+    /// Transactions aborted: failure victims and deadlock victims.
+    pub(crate) aborts: u64,
+    /// Processor failures.
+    pub(crate) failures: u64,
+    /// Busy time of each resource over both classes, indexed by [`Res`].
+    pub(crate) busy: [Dur; 2],
+    /// Lock-class busy time of each resource, indexed by [`Res`].
+    pub(crate) lock_busy: [Dur; 2],
+    /// The conflict model's protocol counters.
+    pub(crate) cc: CcStats,
+}
+
+impl Sub for Counters {
+    type Output = Counters;
+
+    fn sub(self, earlier: Counters) -> Counters {
+        let by_res = |now: [Dur; 2], then: [Dur; 2]| [now[0] - then[0], now[1] - then[1]];
+        Counters {
+            completions: self.completions - earlier.completions,
+            lock_attempts: self.lock_attempts - earlier.lock_attempts,
+            lock_denials: self.lock_denials - earlier.lock_denials,
+            aborts: self.aborts - earlier.aborts,
+            failures: self.failures - earlier.failures,
+            busy: by_res(self.busy, earlier.busy),
+            lock_busy: by_res(self.lock_busy, earlier.lock_busy),
+            cc: CcStats {
+                escalations: self.cc.escalations - earlier.cc.escalations,
+                intent_locks: self.cc.intent_locks - earlier.cc.intent_locks,
+                deadlocks: self.cc.deadlocks - earlier.cc.deadlocks,
+            },
+        }
+    }
 }
 
 /// Live state of the optional processor fail/repair process. Exists only
@@ -142,11 +184,9 @@ struct FailureState {
     rng: SimRng,
     /// Per-processor down flag.
     down: Vec<bool>,
-    /// Jobs submitted to a down processor's CPU, replayed at repair in
-    /// submission order.
-    stalled_cpu: Vec<Vec<Job>>,
-    /// Jobs submitted to a down processor's disk, replayed at repair.
-    stalled_io: Vec<Vec<Job>>,
+    /// Jobs submitted to a down processor, by [`Res`] and processor,
+    /// replayed at repair in submission order.
+    stalled: [Vec<Vec<Job>>; 2],
 }
 
 impl FailureState {
@@ -156,8 +196,7 @@ impl FailureState {
             mttr: Dur::from_units(spec.mttr),
             rng,
             down: vec![false; npros as usize],
-            stalled_cpu: (0..npros).map(|_| Vec::new()).collect(),
-            stalled_io: (0..npros).map(|_| Vec::new()).collect(),
+            stalled: std::array::from_fn(|_| (0..npros).map(|_| Vec::new()).collect()),
         }
     }
 }
@@ -168,6 +207,62 @@ fn exponential(rng: &mut SimRng, mean: Dur) -> Dur {
     let ticks = (-(1.0 - u).ln() * mean.ticks() as f64).round() as u64;
     Dur::from_ticks(ticks.max(1))
 }
+
+/// One attempt's lock work of one resource, `locks × cost`, dealt to the
+/// `npros` processors, as each processor's share in processor order.
+///
+/// Every [`LockDistribution`] is one rule: `units` indivisible units go
+/// round-robin from processor `from`, so processor `p` gets
+/// `units / npros` of them, plus one if it lies in the cyclic range
+/// `[from, from + units % npros)`. The distributions differ only in what
+/// a unit is (DESIGN.md §6):
+///
+/// | distribution | units | unit size | from |
+/// |---|---|---|---|
+/// | per-operation | `locks` | `cost` | `offset` |
+/// | even split | every tick of the total | one tick | processor 0 |
+/// | single processor | 1 | the whole total | `offset` |
+fn deal(
+    distribution: LockDistribution,
+    npros: u32,
+    offset: u64,
+    locks: u64,
+    cost: Dur,
+) -> impl Iterator<Item = Dur> {
+    let (units, unit, from) = match distribution {
+        LockDistribution::PerOperation => (locks, cost, offset),
+        LockDistribution::EvenSplit => (cost.times(locks).ticks(), Dur::from_ticks(1), 0),
+        LockDistribution::SingleProcessor => (1, cost.times(locks), offset),
+    };
+    let npros = u64::from(npros);
+    let base = units / npros;
+    let start = from % npros;
+    // The range as one or two slices: [start, first) and, when it wraps
+    // past the last processor, [0, wrapped).
+    let end = start + units % npros;
+    let (first, wrapped) = (end.min(npros), end.saturating_sub(npros));
+    let (short, long) = (unit.times(base), unit.times(base + 1));
+    (0..npros).map(move |p| {
+        if (start..first).contains(&p) || p < wrapped {
+            long
+        } else {
+            short
+        }
+    })
+}
+
+/// How far one attempt of `locks` lock operations moves the rotating
+/// offset that [`deal`] starts from.
+fn rotation(distribution: LockDistribution, locks: u64) -> u64 {
+    match distribution {
+        LockDistribution::PerOperation => locks.max(1),
+        LockDistribution::EvenSplit => 0,
+        LockDistribution::SingleProcessor => 1,
+    }
+}
+
+/// The message of a lookup that finds a vacated slab slot.
+const DEPARTED: &str = "event refers to a departed transaction";
 
 /// The complete model state (see module docs).
 pub struct System {
@@ -192,23 +287,21 @@ pub struct System {
     conflict: Box<dyn ConcurrencyControl>,
 
     // --- resources ---
-    cpu: Vec<Server>,
-    io: Vec<Server>,
+    /// Each processor's CPU and disk, by [`Res`] and processor.
+    servers: [Vec<Server>; 2],
 
     // --- transactions ---
     /// Slot-recycling slab of admitted transactions. At most
     /// `min(ntrans, mpl_limit)` are admitted at once, so the slab never
     /// grows past that; events address transactions by slot (see
-    /// `job_id`).
-    slab: Vec<Option<Transaction>>,
+    /// `job_id`). A completed transaction stays in its slot as
+    /// [`TxnPhase::Done`], and the next admission redraws it in place,
+    /// reusing its heap buffers (`spec.processors`, `granules`,
+    /// `cpu_shares`): the closed-model replacement allocates nothing,
+    /// and neither does a reused arena's.
+    slab: Vec<Transaction>,
     /// LIFO free list of vacated slab slots.
     free_slots: Vec<u32>,
-    /// Carcasses of completed transactions; the next admission reuses
-    /// their heap buffers (`spec.processors`, `granules`, `cpu_shares`)
-    /// so the closed-model replacement allocates nothing.
-    /// [`System::reset`] also drains the slab here, so a reused arena
-    /// re-admits transactions without touching the allocator.
-    carcasses: Vec<Transaction>,
     next_serial: u64,
     blocked_count: u32,
     /// Admission control (`mpl_limit`): transactions holding a slot.
@@ -224,11 +317,11 @@ pub struct System {
     failure: Option<FailureState>,
 
     // --- measurement ---
-    lock_attempts: u64,
-    lock_denials: u64,
-    totcom: u64,
-    aborts: u64,
-    failures: u64,
+    /// What the model counts itself, from time zero; [`System::counters`]
+    /// adds the servers' busy time and the conflict model's counters.
+    counts: Counters,
+    /// [`System::counters`] at the warm-up boundary (zero without one).
+    warm: Counters,
     /// Reusable wake-list buffer: filled by `ConcurrencyControl::release` at
     /// each completion, so the hot loop never allocates for waking.
     /// Entries are slab slots (the conflict models key by slot).
@@ -238,12 +331,6 @@ pub struct System {
     /// after every admission attempt. Entries are slab slots.
     dl_aborted_buf: Vec<u64>,
     dl_woken_buf: Vec<u64>,
-    /// Reusable per-processor lock-overhead share buffers (CPU, I/O).
-    lock_cpu_buf: Vec<Dur>,
-    lock_io_buf: Vec<Dur>,
-    /// Reusable sub-transaction stage-demand buffers.
-    io_share_buf: Vec<Dur>,
-    cpu_share_buf: Vec<Dur>,
     response: Tally,
     response_hist: Histogram,
     /// Batch-means estimator over the same response stream as `response`:
@@ -254,7 +341,6 @@ pub struct System {
     attempts_per_txn: Tally,
     active_tw: TimeWeighted,
     blocked_tw: TimeWeighted,
-    snapshot: CounterSnapshot,
     /// Optional protocol trace (None = tracing off, zero overhead).
     tracer: Option<VecTracer>,
     /// Optional windowed time-series sampler.
@@ -297,15 +383,13 @@ impl System {
             access_rng: root.split("access"),
             service_rng: root.split("service"),
             conflict,
-            cpu: (0..cfg.npros)
-                .map(|_| mk_server(cfg.lock_preemption, cfg.discipline))
-                .collect(),
-            io: (0..cfg.npros)
-                .map(|_| mk_server(cfg.lock_preemption, cfg.discipline))
-                .collect(),
+            servers: std::array::from_fn(|_| {
+                (0..cfg.npros)
+                    .map(|_| mk_server(cfg.lock_preemption, cfg.discipline))
+                    .collect()
+            }),
             slab: Vec::new(),
             free_slots: Vec::new(),
-            carcasses: Vec::new(),
             next_serial: 0,
             blocked_count: 0,
             admitted: 0,
@@ -313,25 +397,17 @@ impl System {
             pending: VecDeque::new(),
             pending_tw: TimeWeighted::new(),
             failure: None,
-            lock_attempts: 0,
-            lock_denials: 0,
-            totcom: 0,
-            aborts: 0,
-            failures: 0,
+            counts: Counters::default(),
+            warm: Counters::default(),
             wake_buf: Vec::new(),
             dl_aborted_buf: Vec::new(),
             dl_woken_buf: Vec::new(),
-            lock_cpu_buf: Vec::new(),
-            lock_io_buf: Vec::new(),
-            io_share_buf: Vec::new(),
-            cpu_share_buf: Vec::new(),
             response: Tally::new(),
             response_hist: Histogram::new(cfg.tmax, 2_000),
             response_batch: BatchMeans::with_doubling(RESPONSE_BATCH_SIZE, RESPONSE_BATCH_CAP),
             attempts_per_txn: Tally::new(),
             active_tw: TimeWeighted::new(),
             blocked_tw: TimeWeighted::new(),
-            snapshot: CounterSnapshot::default(),
             tracer: None,
             timeline: None,
         };
@@ -368,9 +444,9 @@ impl System {
     /// Re-initialize this system in place for a fresh `(cfg, seed)` run,
     /// as if it had just been built with [`System::new`]`(cfg, seed, ex)`
     /// — same panics, same RNG stream derivation, bit-identical behavior.
-    /// What reuse keeps is *capacity*: the transaction slab (drained into
-    /// the carcass pool so every buffer a transaction ever grew survives),
-    /// the conflict model's tables when the mode allows
+    /// What reuse keeps is *capacity*: the transaction slab (every slot
+    /// vacated, so every buffer a transaction ever grew survives), the
+    /// conflict model's tables when the mode allows
     /// ([`ConcurrencyControl::reset`]), the workload generator's lock
     /// memo, and every scratch buffer. The caller must reset the executor
     /// first ([`Executor::reset`]) so event sequence numbers restart.
@@ -403,7 +479,7 @@ impl System {
         }
         // Servers reset in place (queues keep their grown capacity); the
         // vectors only grow or shrink when the processor count changes.
-        for servers in [&mut self.cpu, &mut self.io] {
+        for servers in &mut self.servers {
             servers.resize_with(cfg.npros as usize, || {
                 mk_server(cfg.lock_preemption, cfg.discipline)
             });
@@ -411,38 +487,32 @@ impl System {
                 s.reset(cfg.lock_preemption, cfg.discipline);
             }
         }
-        // Drain the admitted transactions into the carcass pool: the reset
-        // run's admissions reuse their buffers instead of allocating.
-        // Queued arrivals are bare (serial, arrival) pairs; they just go.
-        self.carcasses
-            .extend(self.slab.iter_mut().filter_map(Option::take));
-        self.slab.clear();
+        // Vacate every slot: the reset run's admissions redraw them in
+        // place instead of allocating. The lowest slot goes on top of the
+        // free list, so slots are taken in a fresh run's order. Queued
+        // arrivals are bare (serial, arrival) pairs; they just go.
+        for txn in &mut self.slab {
+            txn.phase = TxnPhase::Done;
+        }
         self.free_slots.clear();
+        self.free_slots.extend((0..self.slab.len() as u32).rev());
         self.next_serial = 0;
         self.blocked_count = 0;
         self.admitted = 0;
         self.mpl_limit = cfg.mpl_limit;
         self.pending.clear();
         self.pending_tw = TimeWeighted::new();
-        self.lock_attempts = 0;
-        self.lock_denials = 0;
-        self.totcom = 0;
-        self.aborts = 0;
-        self.failures = 0;
+        self.counts = Counters::default();
+        self.warm = Counters::default();
         self.wake_buf.clear();
         self.dl_aborted_buf.clear();
         self.dl_woken_buf.clear();
-        self.lock_cpu_buf.clear();
-        self.lock_io_buf.clear();
-        self.io_share_buf.clear();
-        self.cpu_share_buf.clear();
         self.response = Tally::new();
         self.response_hist.reset(cfg.tmax, 2_000);
         self.response_batch = BatchMeans::with_doubling(RESPONSE_BATCH_SIZE, RESPONSE_BATCH_CAP);
         self.attempts_per_txn = Tally::new();
         self.active_tw = TimeWeighted::new();
         self.blocked_tw = TimeWeighted::new();
-        self.snapshot = CounterSnapshot::default();
         self.tracer = None;
         self.timeline = None;
         self.schedule_initial(cfg, &root, ex);
@@ -462,17 +532,13 @@ impl System {
     }
 
     fn sample_tick(&mut self, now: Time, ex: &mut Executor<Event>) {
-        for srv in self.cpu.iter_mut().chain(self.io.iter_mut()) {
-            srv.flush(now);
-        }
-        let cpu_busy: Dur = self.cpu.iter().map(Server::total_busy).sum();
-        let io_busy: Dur = self.io.iter().map(Server::total_busy).sum();
+        let counters = self.counters(now);
         let active = self.conflict.active_count() as u32;
-        let (totcom, blocked, npros) = (self.totcom, self.blocked_count, self.npros);
+        let (blocked, npros) = (self.blocked_count, self.npros);
         let Some(tl) = &mut self.timeline else {
             return;
         };
-        tl.record(now, totcom, cpu_busy, io_busy, npros, active, blocked);
+        tl.record(now, counters, npros, active, blocked);
         let interval = tl.interval;
         if now + interval <= self.tmax {
             ex.schedule(now + interval, Event::SampleTick);
@@ -493,27 +559,19 @@ impl System {
     ///
     /// Every event carries the slot of a transaction the system itself
     /// scheduled, and slots are vacated only at completion — after which
-    /// no further events for them exist. A miss is therefore a simulator
-    /// logic error, not a recoverable condition.
-    #[expect(
-        clippy::expect_used,
-        reason = "invariant — events never outlive their transaction"
-    )]
+    /// no further events for them exist. A vacated slot is therefore a
+    /// simulator logic error, not a recoverable condition.
     fn txn(&self, slot: u32) -> &Transaction {
-        self.slab[slot as usize]
-            .as_ref()
-            .expect("event refers to a departed transaction")
+        let txn = &self.slab[slot as usize];
+        assert_ne!(txn.phase, TxnPhase::Done, "{DEPARTED}");
+        txn
     }
 
     /// Mutable counterpart of [`Self::txn`].
-    #[expect(
-        clippy::expect_used,
-        reason = "invariant — events never outlive their transaction"
-    )]
     fn txn_mut(&mut self, slot: u32) -> &mut Transaction {
-        self.slab[slot as usize]
-            .as_mut()
-            .expect("event refers to a departed transaction")
+        let txn = &mut self.slab[slot as usize];
+        assert_ne!(txn.phase, TxnPhase::Done, "{DEPARTED}");
+        txn
     }
 
     #[inline]
@@ -523,8 +581,26 @@ impl System {
         }
     }
 
+    /// Whether a completion at `now` enters the response-time
+    /// distributions, which cannot be subtracted like [`Counters`].
     fn measuring(&self, now: Time) -> bool {
         now >= self.warmup
+    }
+
+    /// [`Counters`] from time zero to `now`, the servers' open service
+    /// segments included.
+    fn counters(&mut self, now: Time) -> Counters {
+        let mut c = self.counts;
+        for (res, servers) in self.servers.iter_mut().enumerate() {
+            for s in servers {
+                s.flush(now);
+                let lock = s.busy_time(Class::Lock);
+                c.lock_busy[res] += lock;
+                c.busy[res] += lock + s.busy_time(Class::Transaction);
+            }
+        }
+        c.cc = self.conflict.stats();
+        c
     }
 
     /// A transaction arrives (initial arrival or closed-model
@@ -546,9 +622,9 @@ impl System {
         }
     }
 
-    /// Admit transaction `serial`: draw it, give it a slab slot and start
-    /// its lock phase. Reuses a retired carcass's buffers when one is
-    /// available, so the steady-state replacement performs no heap
+    /// Admit transaction `serial`: give it a slab slot, draw it there and
+    /// start its lock phase. A vacated slot is redrawn in place, reusing
+    /// its buffers, so the steady-state replacement performs no heap
     /// allocation.
     fn admit(&mut self, now: Time, serial: u64, arrived: Time, ex: &mut Executor<Event>) {
         // The size, partitioning and access streams are consumed only
@@ -562,16 +638,16 @@ impl System {
             "transactions must be drawn in serial order"
         );
         self.admitted += 1;
-        let mut txn = self.carcasses.pop().unwrap_or_else(|| {
-            Transaction::new(0, TransactionSpec::default(), Vec::new(), arrived)
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slab.push(Transaction::default());
+            (self.slab.len() - 1) as u32
         });
+        let txn = &mut self.slab[slot as usize];
+        debug_assert_eq!(txn.phase, TxnPhase::Done, "admitted into a held slot");
         txn.serial = serial;
         txn.arrived = arrived;
         txn.attempts = 0;
         txn.phase = TxnPhase::LockPhase;
-        txn.lock_shares_outstanding = 0;
-        txn.subtxns_outstanding = 0;
-        txn.cpu_shares.clear();
         // Spec first, then granules. The conflict model decides what
         // "declared access" means — the probabilistic model clears the
         // set without touching the access stream; the lock-table models
@@ -579,128 +655,102 @@ impl System {
         self.generator.next_spec_into(&mut txn.spec);
         self.conflict
             .register_access(&mut self.access_rng, txn.spec.entities, &mut txn.granules);
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slab[s as usize] = Some(txn);
-                s
-            }
-            None => {
-                self.slab.push(Some(txn));
-                (self.slab.len() - 1) as u32
-            }
-        };
         self.begin_lock_phase(now, slot, ex);
     }
 
     /// Issue a lock request attempt: charge the lock overhead across all
-    /// processors as preemptive high-priority work; the admission decision
-    /// happens when the last share completes.
+    /// processors as preemptive high-priority work, CPU shares before I/O
+    /// shares; the admission decision happens when the last share
+    /// completes.
     fn begin_lock_phase(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
-        let (lcputime, liotime) = (self.lcputime, self.liotime);
-        let (cpu_total, io_total, serial, attempt) = {
+        let (locks, serial, attempt) = {
             let txn = self.txn_mut(slot);
             txn.phase = TxnPhase::LockPhase;
             txn.attempts += 1;
-            (
-                txn.lock_cpu_demand(lcputime),
-                txn.lock_io_demand(liotime),
-                txn.serial,
-                txn.attempts,
-            )
+            (txn.spec.locks, txn.serial, txn.attempts)
         };
-        if self.measuring(now) {
-            self.lock_attempts += 1;
-        }
+        self.counts.lock_attempts += 1;
         self.trace(now, TraceEvent::LockRequested { serial, attempt });
 
-        // Fill the reusable share buffers (taken out of `self` so the
-        // submission loop below can borrow `self` mutably).
-        let mut cpu_shares = std::mem::take(&mut self.lock_cpu_buf);
-        let mut io_shares = std::mem::take(&mut self.lock_io_buf);
-        self.lock_shares_into(slot, cpu_total, io_total, &mut cpu_shares, &mut io_shares);
-        let outstanding = cpu_shares.iter().filter(|d| !d.is_zero()).count()
-            + io_shares.iter().filter(|d| !d.is_zero()).count();
-        self.txn_mut(slot).lock_shares_outstanding = outstanding as u32;
-
+        let offset = self.lock_rr;
+        self.lock_rr += rotation(self.lock_distribution, locks);
+        let mut outstanding = 0;
+        for (res, cost, kind) in [
+            (Res::Cpu, self.lcputime, KIND_LOCK_CPU),
+            (Res::Io, self.liotime, KIND_LOCK_IO),
+        ] {
+            let shares = deal(self.lock_distribution, self.npros, offset, locks, cost);
+            for (p, demand) in (0..).zip(shares) {
+                if demand.is_zero() {
+                    continue;
+                }
+                outstanding += 1;
+                let job = Job {
+                    id: job_id(slot, 0, kind),
+                    demand,
+                    class: Class::Lock,
+                };
+                self.submit(now, res, p, job, ex);
+            }
+        }
+        self.txn_mut(slot).lock_shares_outstanding = outstanding;
         if outstanding == 0 {
             // Zero-cost locking (lcputime = liotime = 0, or LU = 0): the
             // decision is immediate.
-            self.lock_cpu_buf = cpu_shares;
-            self.lock_io_buf = io_shares;
             self.decide(now, slot, ex);
+        }
+    }
+
+    /// Submit a job to processor `proc`'s `res`, unless the processor is
+    /// down — then the job waits in the stall buffer until repair.
+    fn submit(&mut self, now: Time, res: Res, proc: u32, job: Job, ex: &mut Executor<Event>) {
+        if let Some(f) = &mut self.failure {
+            if f.down[proc as usize] {
+                f.stalled[res as usize][proc as usize].push(job);
+                return;
+            }
+        }
+        if let Some(c) = self.servers[res as usize][proc as usize].submit(now, job) {
+            Self::schedule(ex, res, proc, c);
+        }
+    }
+
+    fn schedule(ex: &mut Executor<Event>, res: Res, proc: u32, c: Completion) {
+        let token = c.token;
+        let event = match res {
+            Res::Cpu => Event::CpuDone { proc, token },
+            Res::Io => Event::IoDone { proc, token },
+        };
+        ex.schedule(c.at, event);
+    }
+
+    /// A completion fired on processor `proc`'s `res`: the finished job's
+    /// owner moves on, and the server's next job, if any, is scheduled.
+    fn server_done(
+        &mut self,
+        now: Time,
+        res: Res,
+        proc: u32,
+        token: Token,
+        ex: &mut Executor<Event>,
+    ) {
+        let CompletionOutcome::Finished { job, next } =
+            self.servers[res as usize][proc as usize].on_completion(now, token)
+        else {
             return;
+        };
+        if let Some(c) = next {
+            Self::schedule(ex, res, proc, c);
         }
-        for (p, &d) in cpu_shares.iter().enumerate() {
-            if d.is_zero() {
-                continue;
+        let (slot, stage, kind) = decode(job.id);
+        match (res, kind) {
+            (Res::Cpu, KIND_LOCK_CPU) | (Res::Io, KIND_LOCK_IO) => {
+                self.lock_share_done(now, slot, ex);
             }
-            let job = Job {
-                id: job_id(slot, 0, KIND_LOCK_CPU),
-                demand: d,
-                class: Class::Lock,
-            };
-            self.submit_cpu(now, p as u32, job, ex);
+            (Res::Io, KIND_SUB_IO) => self.subtxn_io_done(now, slot, stage, proc, ex),
+            (Res::Cpu, KIND_SUB_CPU) => self.subtxn_cpu_done(now, slot, proc, ex),
+            (res, kind) => unreachable!("{res:?} server finished job kind {kind}"),
         }
-        for (p, &d) in io_shares.iter().enumerate() {
-            if d.is_zero() {
-                continue;
-            }
-            let job = Job {
-                id: job_id(slot, 0, KIND_LOCK_IO),
-                demand: d,
-                class: Class::Lock,
-            };
-            self.submit_io(now, p as u32, job, ex);
-        }
-        self.lock_cpu_buf = cpu_shares;
-        self.lock_io_buf = io_shares;
-    }
-
-    /// Submit a job to processor `proc`'s CPU, unless the processor is
-    /// down — then the job waits in the stall buffer until repair.
-    fn submit_cpu(&mut self, now: Time, proc: u32, job: Job, ex: &mut Executor<Event>) {
-        if let Some(f) = &mut self.failure {
-            if f.down[proc as usize] {
-                f.stalled_cpu[proc as usize].push(job);
-                return;
-            }
-        }
-        if let Some(c) = self.cpu[proc as usize].submit(now, job) {
-            Self::schedule_cpu(ex, proc, c);
-        }
-    }
-
-    /// Submit a job to processor `proc`'s disk, unless the processor is
-    /// down — then the job waits in the stall buffer until repair.
-    fn submit_io(&mut self, now: Time, proc: u32, job: Job, ex: &mut Executor<Event>) {
-        if let Some(f) = &mut self.failure {
-            if f.down[proc as usize] {
-                f.stalled_io[proc as usize].push(job);
-                return;
-            }
-        }
-        if let Some(c) = self.io[proc as usize].submit(now, job) {
-            Self::schedule_io(ex, proc, c);
-        }
-    }
-
-    fn schedule_cpu(ex: &mut Executor<Event>, proc: u32, c: Completion) {
-        ex.schedule(
-            c.at,
-            Event::CpuDone {
-                proc,
-                token: c.token,
-            },
-        );
-    }
-    fn schedule_io(ex: &mut Executor<Event>, proc: u32, c: Completion) {
-        ex.schedule(
-            c.at,
-            Event::IoDone {
-                proc,
-                token: c.token,
-            },
-        );
     }
 
     /// The lock overhead is paid: ask the conflict model for a verdict.
@@ -708,13 +758,8 @@ impl System {
         // Disjoint field borrows: the conflict model reads the granule set
         // straight out of the slab (no clone) while drawing from the
         // conflict stream. The model keys holders and waiters by slot.
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant — events never outlive their transaction"
-        )]
-        let txn = self.slab[slot as usize]
-            .as_ref()
-            .expect("event refers to a departed transaction");
+        let txn = &self.slab[slot as usize];
+        assert_ne!(txn.phase, TxnPhase::Done, "{DEPARTED}");
         let decision = self.conflict.try_acquire(
             u64::from(slot),
             txn.spec.locks,
@@ -732,9 +777,7 @@ impl System {
             ConflictDecision::BlockedBy(blocker_slot) => {
                 let blocker = self.txn(blocker_slot as u32).serial;
                 self.trace(now, TraceEvent::Denied { serial, blocker });
-                if self.measuring(now) {
-                    self.lock_denials += 1;
-                }
+                self.counts.lock_denials += 1;
                 let txn = self.txn_mut(slot);
                 txn.phase = TxnPhase::Blocked;
                 self.blocked_count += 1;
@@ -747,9 +790,7 @@ impl System {
                 // replays the lock phase as a fresh attempt (the repeated
                 // lock overhead is charged again).
                 self.trace(now, TraceEvent::DeadlockAborted { serial });
-                if self.measuring(now) {
-                    self.aborts += 1;
-                }
+                self.counts.aborts += 1;
                 self.begin_lock_phase(now, slot, ex);
             }
         }
@@ -775,9 +816,7 @@ impl System {
         self.conflict
             .drain_deadlock_effects(&mut aborted, &mut woken);
         for &v in &aborted {
-            if self.measuring(now) {
-                self.aborts += 1;
-            }
+            self.counts.aborts += 1;
             self.unblock(
                 now,
                 v as u32,
@@ -841,43 +880,29 @@ impl System {
         let (fanout, entities) = {
             let txn = self.txn_mut(slot);
             txn.phase = TxnPhase::Running;
-            (u64::from(txn.fanout()), txn.spec.entities)
-        };
-        let base = entities / fanout;
-        let extra = entities % fanout;
-        let entities_at = |i: u64| base + u64::from((i + rot) % fanout < extra);
-        // Fill the reusable stage buffers; same draw order as ever (all
-        // I/O shares, then all CPU shares).
-        let mut io_shares = std::mem::take(&mut self.io_share_buf);
-        io_shares.clear();
-        for i in 0..fanout {
-            let d = self.stage_demand(self.iotime, entities_at(i));
-            io_shares.push(d);
-        }
-        let mut cpu_shares = std::mem::take(&mut self.cpu_share_buf);
-        cpu_shares.clear();
-        for i in 0..fanout {
-            let d = self.stage_demand(self.cputime, entities_at(i));
-            cpu_shares.push(d);
-        }
-        {
-            let txn = self.txn_mut(slot);
             txn.subtxns_outstanding = txn.fanout();
-            // Swap the filled buffer in; the transaction's previous
-            // (cleared) vector becomes the next reusable buffer.
-            std::mem::swap(&mut txn.cpu_shares, &mut cpu_shares);
-        }
-        self.cpu_share_buf = cpu_shares;
-        for (stage, &demand) in (0..).zip(&io_shares) {
+            txn.cpu_shares.clear();
+            (txn.fanout(), txn.spec.entities)
+        };
+        let n = u64::from(fanout);
+        let (base, extra) = (entities / n, entities % n);
+        let entities_at = |stage: u32| base + u64::from((u64::from(stage) + rot) % n < extra);
+        // The service stream's order: every I/O demand, stage by stage,
+        // then every CPU demand.
+        for stage in 0..fanout {
+            let demand = self.stage_demand(self.iotime, entities_at(stage));
             let p = self.txn(slot).spec.processors[stage as usize];
             let job = Job {
                 id: job_id(slot, stage, KIND_SUB_IO),
                 demand,
                 class: Class::Transaction,
             };
-            self.submit_io(now, p, job, ex);
+            self.submit(now, Res::Io, p, job, ex);
         }
-        self.io_share_buf = io_shares;
+        for stage in 0..fanout {
+            let demand = self.stage_demand(self.cputime, entities_at(stage));
+            self.slab[slot as usize].cpu_shares.push(demand);
+        }
     }
 
     /// Sub-transaction `stage` finished its I/O stage on `proc`: submit its
@@ -901,7 +926,7 @@ impl System {
             demand,
             class: Class::Transaction,
         };
-        self.submit_cpu(now, proc, job, ex);
+        self.submit(now, Res::Cpu, proc, job, ex);
     }
 
     /// A sub-transaction finished its CPU stage: join, and complete the
@@ -922,27 +947,23 @@ impl System {
     /// record statistics, admit the head of the pending queue, and let
     /// the closed-model replacement arrive.
     fn complete(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant — a transaction completes exactly once"
-        )]
-        let txn = self.slab[slot as usize]
-            .take()
-            .expect("completion for a departed transaction");
+        let (serial, arrived, attempts) = {
+            let txn = self.txn_mut(slot);
+            debug_assert_eq!(txn.phase, TxnPhase::Running);
+            // The slot is vacated; the admission below may redraw it.
+            txn.phase = TxnPhase::Done;
+            (txn.serial, txn.arrived, txn.attempts)
+        };
         self.free_slots.push(slot);
-        debug_assert_eq!(txn.phase, TxnPhase::Running);
-        self.trace(now, TraceEvent::Completed { serial: txn.serial });
+        self.trace(now, TraceEvent::Completed { serial });
+        self.counts.completions += 1;
         if self.measuring(now) {
-            self.totcom += 1;
-            let resp = now.since(txn.arrived).units();
+            let resp = now.since(arrived).units();
             self.response.record(resp);
             self.response_hist.record(resp);
             self.response_batch.record(resp);
-            self.attempts_per_txn.record(f64::from(txn.attempts));
+            self.attempts_per_txn.record(f64::from(attempts));
         }
-        // Retire the carcass: the admission below reuses its heap buffers
-        // instead of allocating.
-        self.carcasses.push(txn);
         self.release_and_wake(now, slot, ex);
         // The finished transaction gives up its admission slot; the head
         // of the pending queue takes it, before the replacement arrives.
@@ -969,9 +990,7 @@ impl System {
         let repair_in = exponential(&mut f.rng, f.mttr);
         ex.schedule(now + repair_in, Event::Repair { proc });
         self.trace(now, TraceEvent::Failed { proc });
-        if self.measuring(now) {
-            self.failures += 1;
-        }
+        self.counts.failures += 1;
         // Collect victims before mutating: the wake-ups triggered by each
         // abort move transactions Blocked → LockPhase, never into Running,
         // so the victim set cannot grow under our feet. Abort in *serial*
@@ -982,7 +1001,6 @@ impl System {
             .slab
             .iter()
             .enumerate()
-            .filter_map(|(slot, t)| t.as_ref().map(|t| (slot, t)))
             .filter(|(_, t)| t.phase == TxnPhase::Running && t.spec.processors.contains(&proc))
             .map(|(slot, t)| (t.serial, slot as u32))
             .collect();
@@ -1003,16 +1021,13 @@ impl System {
         f.down[proc as usize] = false;
         let fail_in = exponential(&mut f.rng, f.mtbf);
         ex.schedule(now + fail_in, Event::Fail { proc });
-        let stalled_io = std::mem::take(&mut f.stalled_io[proc as usize]);
-        let stalled_cpu = std::mem::take(&mut f.stalled_cpu[proc as usize]);
-        for job in stalled_io {
-            if let Some(c) = self.io[proc as usize].submit(now, job) {
-                Self::schedule_io(ex, proc, c);
-            }
-        }
-        for job in stalled_cpu {
-            if let Some(c) = self.cpu[proc as usize].submit(now, job) {
-                Self::schedule_cpu(ex, proc, c);
+        let stalled = f
+            .stalled
+            .each_mut()
+            .map(|stalled| std::mem::take(&mut stalled[proc as usize]));
+        for res in [Res::Io, Res::Cpu] {
+            for &job in &stalled[res as usize] {
+                self.submit(now, res, proc, job, ex);
             }
         }
     }
@@ -1026,35 +1041,27 @@ impl System {
     fn abort(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
         let serial = self.txn(slot).serial;
         self.trace(now, TraceEvent::Aborted { serial });
-        if self.measuring(now) {
-            self.aborts += 1;
-        }
+        self.counts.aborts += 1;
         for stage in 0..self.txn(slot).fanout() {
             let p = self.txn(slot).spec.processors[stage as usize];
-            let io_id = job_id(slot, stage, KIND_SUB_IO);
-            let cpu_id = job_id(slot, stage, KIND_SUB_CPU);
-            if let lockgran_sim::CancelOutcome::InService { next: Some(c), .. } =
-                self.io[p as usize].cancel(now, io_id)
-            {
-                Self::schedule_io(ex, p, c);
-            }
-            if let lockgran_sim::CancelOutcome::InService { next: Some(c), .. } =
-                self.cpu[p as usize].cancel(now, cpu_id)
-            {
-                Self::schedule_cpu(ex, p, c);
-            }
-            // A stage parked behind its (down) processor must not
-            // resurface at the repair.
-            if let Some(f) = &mut self.failure {
-                f.stalled_io[p as usize].retain(|j| j.id != io_id);
-                f.stalled_cpu[p as usize].retain(|j| j.id != cpu_id);
+            for (res, kind) in [(Res::Io, KIND_SUB_IO), (Res::Cpu, KIND_SUB_CPU)] {
+                let id = job_id(slot, stage, kind);
+                if let CancelOutcome::InService { next: Some(c), .. } =
+                    self.servers[res as usize][p as usize].cancel(now, id)
+                {
+                    Self::schedule(ex, res, p, c);
+                }
+                // A stage parked behind its (down) processor must not
+                // resurface at the repair.
+                if let Some(f) = &mut self.failure {
+                    f.stalled[res as usize][p as usize].retain(|j| j.id != id);
+                }
             }
         }
         {
             let txn = self.txn_mut(slot);
             debug_assert_eq!(txn.phase, TxnPhase::Running);
             txn.subtxns_outstanding = 0;
-            txn.cpu_shares.clear();
         }
         // Release locks and wake waiters — the same dance as `complete`.
         self.release_and_wake(now, slot, ex);
@@ -1063,23 +1070,9 @@ impl System {
         self.begin_lock_phase(now, slot, ex);
     }
 
-    fn take_snapshot(&mut self, now: Time) {
-        for s in self.cpu.iter_mut().chain(self.io.iter_mut()) {
-            s.flush(now);
-        }
-        let sum =
-            |servers: &[Server], f: &dyn Fn(&Server) -> Dur| servers.iter().map(f).sum::<Dur>();
-        self.snapshot = CounterSnapshot {
-            cpu_busy_all: sum(&self.cpu, &Server::total_busy),
-            cpu_busy_lock: sum(&self.cpu, &|s| s.busy_time(Class::Lock)),
-            io_busy_all: sum(&self.io, &Server::total_busy),
-            io_busy_lock: sum(&self.io, &|s| s.busy_time(Class::Lock)),
-            lock_attempts: self.lock_attempts,
-            lock_denials: self.lock_denials,
-            aborts: self.aborts,
-            failures: self.failures,
-            cc: self.conflict.stats(),
-        };
+    /// The warm-up boundary: the measured window starts here.
+    fn warmup_reached(&mut self, now: Time) {
+        self.warm = self.counters(now);
         self.active_tw.reset(now);
         self.blocked_tw.reset(now);
         self.pending_tw.reset(now);
@@ -1089,21 +1082,13 @@ impl System {
     /// `&mut self` (it flushes the servers) so an arena can
     /// [`System::reset`] the same state for the next run.
     pub fn finish(&mut self, end: Time) -> RunMetrics {
-        for s in self.cpu.iter_mut().chain(self.io.iter_mut()) {
-            s.flush(end);
-        }
-        let sum =
-            |servers: &[Server], f: &dyn Fn(&Server) -> Dur| servers.iter().map(f).sum::<Dur>();
-        let totcpus = (sum(&self.cpu, &Server::total_busy) - self.snapshot.cpu_busy_all).units();
-        let lockcpus =
-            (sum(&self.cpu, &|s| s.busy_time(Class::Lock)) - self.snapshot.cpu_busy_lock).units();
-        let totios = (sum(&self.io, &Server::total_busy) - self.snapshot.io_busy_all).units();
-        let lockios =
-            (sum(&self.io, &|s| s.busy_time(Class::Lock)) - self.snapshot.io_busy_lock).units();
+        let w = self.counters(end) - self.warm;
+        let (cpu, io) = (Res::Cpu as usize, Res::Io as usize);
+        let (totcpus, lockcpus) = (w.busy[cpu].units(), w.lock_busy[cpu].units());
+        let (totios, lockios) = (w.busy[io].units(), w.lock_busy[io].units());
         let npros = f64::from(self.npros);
         let measured_time = end.since(self.warmup).units();
-        let lock_attempts = self.lock_attempts - self.snapshot.lock_attempts;
-        let lock_denials = self.lock_denials - self.snapshot.lock_denials;
+        let (lock_attempts, lock_denials) = (w.lock_attempts, w.lock_denials);
         let span = measured_time.max(f64::MIN_POSITIVE);
 
         let metrics = RunMetrics {
@@ -1113,8 +1098,8 @@ impl System {
             lockios,
             usefulcpus: (totcpus - lockcpus) / npros,
             usefulios: (totios - lockios) / npros,
-            totcom: self.totcom,
-            throughput: self.totcom as f64 / span,
+            totcom: w.completions,
+            throughput: w.completions as f64 / span,
             response_time: self.response.mean(),
             measured_time,
             lock_attempts,
@@ -1132,11 +1117,11 @@ impl System {
             response_time_std: self.response.std_dev(),
             response_time_p95: self.response_hist.quantile(0.95).unwrap_or(0.0),
             attempts_per_txn: self.attempts_per_txn.mean(),
-            aborts: self.aborts - self.snapshot.aborts,
-            failures: self.failures - self.snapshot.failures,
-            escalations: self.conflict.stats().escalations - self.snapshot.cc.escalations,
-            intent_locks: self.conflict.stats().intent_locks - self.snapshot.cc.intent_locks,
-            deadlocks: self.conflict.stats().deadlocks - self.snapshot.cc.deadlocks,
+            aborts: w.aborts,
+            failures: w.failures,
+            escalations: w.cc.escalations,
+            intent_locks: w.cc.intent_locks,
+            deadlocks: w.cc.deadlocks,
             response_ci95_batch: self.response_batch.ci95_half_width(),
             response_batches: self.response_batch.batches(),
         };
@@ -1157,42 +1142,12 @@ impl Model for System {
     fn handle(&mut self, now: Time, event: Event, ex: &mut Executor<Event>) {
         match event {
             Event::Arrive => self.arrive(now, ex),
-            Event::WarmupReached => self.take_snapshot(now),
+            Event::WarmupReached => self.warmup_reached(now),
             Event::SampleTick => self.sample_tick(now, ex),
             Event::Fail { proc } => self.fail_processor(now, proc, ex),
             Event::Repair { proc } => self.repair_processor(now, proc, ex),
-            Event::CpuDone { proc, token } => {
-                match self.cpu[proc as usize].on_completion(now, token) {
-                    CompletionOutcome::Stale => {}
-                    CompletionOutcome::Finished { job, next } => {
-                        if let Some(c) = next {
-                            Self::schedule_cpu(ex, proc, c);
-                        }
-                        let (slot, _, kind) = decode(job.id);
-                        match kind {
-                            KIND_LOCK_CPU => self.lock_share_done(now, slot, ex),
-                            KIND_SUB_CPU => self.subtxn_cpu_done(now, slot, proc, ex),
-                            other => unreachable!("CPU server finished job kind {other}"),
-                        }
-                    }
-                }
-            }
-            Event::IoDone { proc, token } => {
-                match self.io[proc as usize].on_completion(now, token) {
-                    CompletionOutcome::Stale => {}
-                    CompletionOutcome::Finished { job, next } => {
-                        if let Some(c) = next {
-                            Self::schedule_io(ex, proc, c);
-                        }
-                        let (slot, stage, kind) = decode(job.id);
-                        match kind {
-                            KIND_LOCK_IO => self.lock_share_done(now, slot, ex),
-                            KIND_SUB_IO => self.subtxn_io_done(now, slot, stage, proc, ex),
-                            other => unreachable!("I/O server finished job kind {other}"),
-                        }
-                    }
-                }
-            }
+            Event::CpuDone { proc, token } => self.server_done(now, Res::Cpu, proc, token, ex),
+            Event::IoDone { proc, token } => self.server_done(now, Res::Io, proc, token, ex),
         }
     }
 }
@@ -1206,61 +1161,6 @@ impl System {
             ServiceVariability::Deterministic => mean,
             ServiceVariability::Exponential if mean.is_zero() => mean,
             ServiceVariability::Exponential => exponential(&mut self.service_rng, mean),
-        }
-    }
-
-    /// Distribute one request's lock overhead over the processors
-    /// according to the configured [`LockDistribution`], filling the
-    /// caller's per-processor (CPU, I/O) demand buffers (cleared first);
-    /// totals are conserved exactly.
-    fn lock_shares_into(
-        &mut self,
-        slot: u32,
-        cpu_total: Dur,
-        io_total: Dur,
-        cpu: &mut Vec<Dur>,
-        io: &mut Vec<Dur>,
-    ) {
-        cpu.clear();
-        io.clear();
-        let npros = u64::from(self.npros);
-        match self.lock_distribution {
-            LockDistribution::EvenSplit => {
-                cpu.extend(cpu_total.split_even(npros));
-                io.extend(io_total.split_even(npros));
-            }
-            LockDistribution::SingleProcessor => {
-                let target = (self.lock_rr % npros) as usize;
-                self.lock_rr += 1;
-                cpu.resize(npros as usize, Dur::ZERO);
-                io.resize(npros as usize, Dur::ZERO);
-                cpu[target] = cpu_total;
-                io[target] = io_total;
-            }
-            LockDistribution::PerOperation => {
-                // LU indivisible lock operations land round-robin on the
-                // processors holding the granules, starting at a rotating
-                // offset: every processor gets `base` of them and the
-                // `extra` processors of the cyclic range
-                // [start, start + extra) one more, hence ops_p * lcputime
-                // CPU and ops_p * liotime I/O.
-                let lu = self.txn(slot).spec.locks;
-                let start = self.lock_rr % npros;
-                self.lock_rr += lu.max(1);
-                let base = lu.checked_div(npros).unwrap_or(0);
-                let extra = lu % npros;
-                // The range as one or two slices: [start, first) and, when
-                // it wraps past the last processor, [0, wrapped).
-                let end = start + extra;
-                let first = end.min(npros) as usize;
-                let wrapped = end.saturating_sub(npros) as usize;
-                for (shares, per_op) in [(cpu, self.lcputime), (io, self.liotime)] {
-                    shares.resize(npros as usize, per_op.times(base));
-                    let more = per_op.times(base + 1);
-                    shares[start as usize..first].fill(more);
-                    shares[..wrapped].fill(more);
-                }
-            }
         }
     }
 
@@ -1302,9 +1202,63 @@ mod tests {
         );
     }
 
+    /// Every distribution deals by one rule, and it reproduces the three
+    /// formulas each distribution had of its own: the even split's first
+    /// `ticks % npros` shares are one tick longer, the single processor
+    /// takes the whole total at `offset % npros`, and per-operation
+    /// dealing gives the cyclic range from the offset one more operation.
+    /// The shares always sum to `locks × cost`.
+    #[test]
+    fn lock_work_is_dealt_by_one_rule() {
+        use LockDistribution::{EvenSplit, PerOperation, SingleProcessor};
+        let costs = [
+            Dur::ZERO,
+            Dur::from_ticks(1),
+            Dur::from_units(0.01),
+            Dur::from_units(0.2),
+        ];
+        for npros in [1u32, 2, 3, 10, 30] {
+            let n = u64::from(npros);
+            for locks in [0u64, 1, 7, 25, 500] {
+                for offset in [0u64, 1, 2, 9, 29, 1_000_003] {
+                    for cost in costs {
+                        let total = cost.times(locks);
+                        let shares = |d| deal(d, npros, offset, locks, cost).collect::<Vec<_>>();
+                        let case =
+                            format!("npros {npros}, {locks} locks, offset {offset}, {cost:?}");
+
+                        let (base, extra) = (total.ticks() / n, total.ticks() % n);
+                        let even: Vec<Dur> = (0..n)
+                            .map(|p| Dur::from_ticks(base + u64::from(p < extra)))
+                            .collect();
+                        assert_eq!(shares(EvenSplit), even, "even split, {case}");
+
+                        let single: Vec<Dur> = (0..n)
+                            .map(|p| if p == offset % n { total } else { Dur::ZERO })
+                            .collect();
+                        assert_eq!(shares(SingleProcessor), single, "single, {case}");
+
+                        let per_op: Vec<Dur> = (0..n)
+                            .map(|p| {
+                                let in_range = (p + n - offset % n) % n < locks % n;
+                                cost.times(locks / n + u64::from(in_range))
+                            })
+                            .collect();
+                        assert_eq!(shares(PerOperation), per_op, "per-op, {case}");
+
+                        for d in LockDistribution::ALL {
+                            let sum: Dur = shares(d).into_iter().sum();
+                            assert_eq!(sum, total, "{d}, {case}: shares must sum to the total");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Under an MPL cap only admitted transactions are drawn: 5 000
-    /// terminals behind MPL 16 never hold more than 16 slab slots or
-    /// carcasses, although arrivals queue for the whole run.
+    /// terminals behind MPL 16 never hold more than 16 slab slots,
+    /// although arrivals queue for the whole run.
     #[test]
     fn queued_arrivals_hold_no_slab_slot_and_no_transaction() {
         let cfg = ModelConfig::table1()
@@ -1317,11 +1271,6 @@ mod tests {
         let end = ex.run(&mut sys, horizon);
         let m = sys.finish(end);
         assert!(sys.slab.len() <= 16, "slab has {} slots", sys.slab.len());
-        assert!(
-            sys.carcasses.len() <= 16,
-            "carcass pool holds {} transactions",
-            sys.carcasses.len()
-        );
         assert!(m.mean_pending > 0.0, "no arrival ever queued");
     }
 
@@ -1336,7 +1285,7 @@ mod tests {
     fn shared_streams_advance_once_per_admission() {
         use crate::config::{ConflictMode, HierarchySpec};
         use crate::conflict::AccessSampler;
-        use lockgran_workload::{HotSpot, Placement};
+        use lockgran_workload::{HotSpot, Placement, TransactionSpec};
 
         let table1 = ModelConfig::table1().with_tmax(1_000.0);
         // simbench's `lock_contention` shape: the 80/20 hot spot.

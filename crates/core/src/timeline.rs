@@ -11,6 +11,8 @@
 
 use lockgran_sim::{Dur, Time};
 
+use crate::system::{Counters, Res};
+
 /// One sampling window's measurements.
 #[derive(Clone, Copy, Debug)]
 pub struct TimelinePoint {
@@ -35,9 +37,8 @@ pub struct TimelinePoint {
 pub struct TimelineCollector {
     /// Sampling interval.
     pub interval: Dur,
-    pub(crate) last_totcom: u64,
-    pub(crate) last_cpu_busy: Dur,
-    pub(crate) last_io_busy: Dur,
+    /// The system's counters at the previous sample.
+    last: Counters,
     /// Collected points, in time order.
     pub points: Vec<TimelinePoint>,
 }
@@ -48,39 +49,34 @@ impl TimelineCollector {
         assert!(!interval.is_zero(), "sampling interval must be positive");
         TimelineCollector {
             interval,
-            last_totcom: 0,
-            last_cpu_busy: Dur::ZERO,
-            last_io_busy: Dur::ZERO,
+            last: Counters::default(),
             points: Vec::new(),
         }
     }
 
-    /// Record one window (called by the system at each sample tick).
-    #[allow(clippy::too_many_arguments)]
+    /// Record the window that ends at `now`, given the system's counters
+    /// then (called by the system at each sample tick).
     pub(crate) fn record(
         &mut self,
         now: Time,
-        totcom: u64,
-        cpu_busy: Dur,
-        io_busy: Dur,
+        counters: Counters,
         npros: u32,
         active: u32,
         blocked: u32,
     ) {
+        let window = counters - self.last;
+        self.last = counters;
         let span = self.interval.units() * f64::from(npros);
-        let completions = totcom - self.last_totcom;
+        let utilization = |res: Res| window.busy[res as usize].units() / span;
         self.points.push(TimelinePoint {
             t: now.units(),
-            completions,
-            throughput: completions as f64 / self.interval.units(),
+            completions: window.completions,
+            throughput: window.completions as f64 / self.interval.units(),
             active,
             blocked,
-            cpu_utilization: (cpu_busy - self.last_cpu_busy).units() / span,
-            io_utilization: (io_busy - self.last_io_busy).units() / span,
+            cpu_utilization: utilization(Res::Cpu),
+            io_utilization: utilization(Res::Io),
         });
-        self.last_totcom = totcom;
-        self.last_cpu_busy = cpu_busy;
-        self.last_io_busy = io_busy;
     }
 }
 
@@ -90,25 +86,14 @@ mod tests {
 
     #[test]
     fn record_computes_window_deltas() {
+        let counters = |completions, cpu, io| Counters {
+            completions,
+            busy: [Dur::from_units(cpu), Dur::from_units(io)],
+            ..Counters::default()
+        };
         let mut c = TimelineCollector::new(Dur::from_units(10.0));
-        c.record(
-            Time::from_units(10.0),
-            5,
-            Dur::from_units(40.0),
-            Dur::from_units(80.0),
-            10,
-            3,
-            2,
-        );
-        c.record(
-            Time::from_units(20.0),
-            12,
-            Dur::from_units(90.0),
-            Dur::from_units(180.0),
-            10,
-            4,
-            1,
-        );
+        c.record(Time::from_units(10.0), counters(5, 40.0, 80.0), 10, 3, 2);
+        c.record(Time::from_units(20.0), counters(12, 90.0, 180.0), 10, 4, 1);
         assert_eq!(c.points.len(), 2);
         let p = &c.points[1];
         assert_eq!(p.completions, 7);

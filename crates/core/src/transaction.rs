@@ -10,7 +10,7 @@ use lockgran_sim::{Dur, Time};
 use lockgran_workload::TransactionSpec;
 
 /// Lifecycle phase of a transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TxnPhase {
     /// Lock-overhead shares are being processed at the resources.
     LockPhase,
@@ -18,12 +18,15 @@ pub enum TxnPhase {
     Blocked,
     /// Locks held; sub-transactions running (I/O then CPU per processor).
     Running,
-    /// All sub-transactions complete; the transaction has left the system.
+    /// All sub-transactions complete; the transaction has left the system
+    /// and its slab slot is free for the next admission.
+    #[default]
     Done,
 }
 
-/// Runtime state of one transaction instance.
-#[derive(Clone, Debug)]
+/// Runtime state of one transaction instance. The default is a vacated
+/// slab slot.
+#[derive(Clone, Debug, Default)]
 pub struct Transaction {
     /// Monotone serial, unique within a run.
     pub serial: u64,
@@ -43,40 +46,15 @@ pub struct Transaction {
     pub lock_shares_outstanding: u32,
     /// Outstanding sub-transactions (each finishes after its CPU stage).
     pub subtxns_outstanding: u32,
-    /// Per-processor CPU-stage demand, filled in when the transaction is
-    /// admitted (index-aligned with `spec.processors`).
+    /// Per-processor CPU-stage demand, filled in when the sub-transactions
+    /// start (index-aligned with `spec.processors`).
     pub cpu_shares: Vec<Dur>,
 }
 
 impl Transaction {
-    /// A freshly arrived transaction.
-    pub fn new(serial: u64, spec: TransactionSpec, granules: Vec<u64>, arrived: Time) -> Self {
-        Transaction {
-            serial,
-            spec,
-            granules,
-            arrived,
-            attempts: 0,
-            phase: TxnPhase::LockPhase,
-            lock_shares_outstanding: 0,
-            subtxns_outstanding: 0,
-            cpu_shares: Vec::new(),
-        }
-    }
-
     /// `PU_i`: the sub-transaction fan-out.
     pub fn fanout(&self) -> u32 {
         self.spec.fanout()
-    }
-
-    /// Total lock CPU overhead per attempt (`LU_i · lcputime`).
-    pub fn lock_cpu_demand(&self, lcputime: Dur) -> Dur {
-        lcputime.times(self.spec.locks)
-    }
-
-    /// Total lock I/O overhead per attempt (`LU_i · liotime`).
-    pub fn lock_io_demand(&self, liotime: Dur) -> Dur {
-        liotime.times(self.spec.locks)
     }
 }
 
@@ -84,31 +62,17 @@ impl Transaction {
 mod tests {
     use super::*;
 
-    fn spec() -> TransactionSpec {
-        TransactionSpec {
-            entities: 250,
-            locks: 5,
-            processors: vec![0, 1, 2, 3],
-        }
-    }
-
-    #[test]
-    fn demand_formulas_match_paper() {
-        let t = Transaction::new(1, spec(), vec![], Time::ZERO);
-        // LCPUtime_i = LU_i * lcputime = 5 * 0.01 = 0.05 units.
-        assert_eq!(t.lock_cpu_demand(Dur::from_units(0.01)).units(), 0.05);
-        // LIOtime_i = LU_i * liotime = 5 * 0.2 = 1.0 units.
-        assert_eq!(t.lock_io_demand(Dur::from_units(0.2)).units(), 1.0);
-    }
-
     #[test]
     fn initial_state() {
-        let t = Transaction::new(9, spec(), vec![1, 2], Time::from_units(3.0));
-        assert_eq!(t.serial, 9);
-        assert_eq!(t.phase, TxnPhase::LockPhase);
+        let t = Transaction::default();
+        assert_eq!(
+            t.phase,
+            TxnPhase::Done,
+            "a default transaction is a vacated slot"
+        );
         assert_eq!(t.attempts, 0);
-        assert_eq!(t.fanout(), 4);
-        assert_eq!(t.granules, vec![1, 2]);
-        assert_eq!(t.arrived, Time::from_units(3.0));
+        assert_eq!(t.fanout(), 0);
+        assert!(t.granules.is_empty() && t.cpu_shares.is_empty());
+        assert_eq!(t.arrived, Time::ZERO);
     }
 }

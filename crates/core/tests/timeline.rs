@@ -25,6 +25,36 @@ fn window_completions_sum_to_totcom() {
     assert_eq!(sum, m.totcom);
 }
 
+/// A warm-up changes what the run measures, not what the timeline
+/// shows: every window reports the same completions, throughput and
+/// utilizations with and without one, and the measured completions are
+/// those of the windows after the warm-up.
+#[test]
+fn warmup_does_not_change_the_timeline() {
+    let warmup = 500.0;
+    let (_, plain) = run_timeline(&base(), 1, 100.0);
+    let (m, warm) = run_timeline(&base().with_warmup(warmup), 1, 100.0);
+    assert_eq!(plain.len(), warm.len());
+    for (p, w) in plain.iter().zip(&warm) {
+        assert_eq!(p.t.to_bits(), w.t.to_bits());
+        assert_eq!(p.completions, w.completions, "window ending at {}", p.t);
+        assert_eq!(p.throughput.to_bits(), w.throughput.to_bits());
+        assert_eq!(p.cpu_utilization.to_bits(), w.cpu_utilization.to_bits());
+        assert_eq!(p.io_utilization.to_bits(), w.io_utilization.to_bits());
+        assert_eq!((p.active, p.blocked), (w.active, w.blocked));
+    }
+    assert!(
+        warm[0].completions > 0,
+        "the first window completed nothing"
+    );
+    let after: u64 = warm
+        .iter()
+        .filter(|p| p.t > warmup)
+        .map(|p| p.completions)
+        .sum();
+    assert_eq!(m.totcom, after);
+}
+
 #[test]
 fn utilizations_stay_in_range() {
     let (_, points) = run_timeline(&base(), 3, 50.0);

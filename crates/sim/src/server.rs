@@ -369,11 +369,6 @@ impl Server {
         self.busy[class.index()]
     }
 
-    /// Total busy time across both classes (closed segments).
-    pub fn total_busy(&self) -> Dur {
-        self.busy[0] + self.busy[1]
-    }
-
     /// Completed job count for a class.
     pub fn completed(&self, class: Class) -> u64 {
         self.completed[class.index()]
@@ -420,7 +415,9 @@ mod tests {
         let mut fresh = Server::new();
         assert_eq!(used.jobs_present(), 0);
         assert!(used.is_idle());
-        assert_eq!(used.total_busy(), Dur::ZERO);
+        for class in [Class::Lock, Class::Transaction] {
+            assert_eq!(used.busy_time(class), Dur::ZERO);
+        }
         for (now, j) in [
             (0u64, job(3, 5, Class::Transaction)),
             (2, job(4, 3, Class::Lock)),
@@ -435,7 +432,9 @@ mod tests {
         }
         used.flush(Time::from_ticks(10));
         fresh.flush(Time::from_ticks(10));
-        assert_eq!(used.total_busy(), fresh.total_busy());
+        for class in [Class::Lock, Class::Transaction] {
+            assert_eq!(used.busy_time(class), fresh.busy_time(class));
+        }
         assert_eq!(used.jobs_present(), fresh.jobs_present());
     }
 

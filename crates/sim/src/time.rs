@@ -117,22 +117,6 @@ impl Dur {
         Dur(self.0 * n)
     }
 
-    /// Split this span into `n` near-equal shares that sum exactly to the
-    /// whole: the first `ticks % n` shares are one tick longer.
-    ///
-    /// Used to spread lock-processing work across all processors without
-    /// losing or inventing ticks ("we assume that processors share the work
-    /// for locking mechanism", paper §2).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn split_even(self, n: u64) -> impl Iterator<Item = Dur> {
-        assert!(n > 0, "cannot split into zero shares");
-        let base = self.0 / n;
-        let extra = self.0 % n;
-        (0..n).map(move |i| Dur(base + u64::from(i < extra)))
-    }
-
     /// Checked subtraction; `None` if `other` is longer.
     #[inline]
     pub fn checked_sub(self, other: Dur) -> Option<Dur> {
@@ -268,27 +252,6 @@ mod tests {
         // IOtime_i = NU_i * iotime with NU_i = 250, iotime = 0.2 -> 50 units.
         let io = Dur::from_units(0.2).times(250);
         assert_eq!(io.units(), 50.0);
-    }
-
-    #[test]
-    fn split_even_conserves_total() {
-        for total in [0u64, 1, 7, 100, 12_345] {
-            for n in [1u64, 2, 3, 7, 30] {
-                let d = Dur::from_ticks(total);
-                let shares: Vec<Dur> = d.split_even(n).collect();
-                assert_eq!(shares.len(), n as usize);
-                assert_eq!(shares.iter().copied().sum::<Dur>(), d);
-                let max = shares.iter().max().unwrap().ticks();
-                let min = shares.iter().min().unwrap().ticks();
-                assert!(max - min <= 1, "shares must differ by at most one tick");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "zero shares")]
-    fn split_even_rejects_zero() {
-        let _ = Dur::from_ticks(10).split_even(0).count();
     }
 
     #[test]

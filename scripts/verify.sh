@@ -15,7 +15,8 @@ cd "$(dirname "$0")/.."
 export RUST_TEST_THREADS=4
 
 # Lints for library code only (DESIGN.md §7): no panics, exact float
-# compares or wildcard arms over enums. `--lib --bins` compiles no
+# compares, wildcard arms over enums or `#[allow]` (a suppression is an
+# `#[expect]` with a reason). `--lib --bins` compiles no
 # `#[cfg(test)]` module, `tests/`, `benches/` or `examples/`, so test code
 # stays free to unwrap and assert exactly. This array is the one place
 # the list is kept: the root tests/rule_fixtures.rs reads it to check the
@@ -26,6 +27,7 @@ library_lints=(
     -D clippy::float_cmp
     -D clippy::wildcard_enum_match_arm
     -D clippy::match_wildcard_for_single_variants
+    -D clippy::allow_attributes
 )
 
 echo "== cargo fmt --check"
@@ -34,7 +36,7 @@ cargo fmt --check
 echo "== cargo clippy, all targets (warnings denied; clippy.toml bans hash containers, wall clocks, raw threads)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy, library code (no panics, exact float compares or enum wildcards)"
+echo "== cargo clippy, library code (no panics, exact float compares, enum wildcards or #[allow])"
 cargo clippy --offline --workspace --lib --bins -- -D warnings "${library_lints[@]}"
 
 echo "== rule fixtures (clippy and the source-policy scan flag exactly each fixture's VIOLATION lines)"

@@ -135,6 +135,11 @@ fn e001_sees_enums_declared_in_named_enum_blocks() {
 }
 
 #[test]
+fn allow_attributes_suppression_needs_expect() {
+    assert_library_pass_flags_violations("allow_attributes.rs");
+}
+
+#[test]
 fn test_scope_exempts_panics_but_not_containers() {
     // The all-targets pass compiles test code under clippy.toml's bans
     // but without the library lints.

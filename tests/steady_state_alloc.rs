@@ -2,14 +2,18 @@
 //! transient, the event loop must touch the heap **zero** times — no
 //! per-event, per-transaction, or per-request allocation at all.
 //!
-//! Every hot-path buffer is recycled: the slab reuses transaction slots
-//! and one retired carcass, `TransactionSpec::processors` is drawn
-//! in-place, lock/stage share vectors are taken and restored around each
-//! submission, conflict waiter lists are recycled through a spare pool,
-//! and both FELs reuse their backing storage once capacities settle.
-//! This test is the proof: a `#[global_allocator]` wrapper counts every
-//! `alloc`/`realloc`, and the count must not move across the measured
-//! half of the run.
+//! Every hot-path buffer is recycled: a completed transaction's slab
+//! slot is redrawn in place by the next admission, reusing its buffers
+//! (`TransactionSpec::processors`, the granule set, the CPU stage
+//! demands); lock shares are submitted as they are dealt and I/O stage
+//! demands as they are drawn, through no buffer; conflict waiter lists
+//! are recycled through a spare pool; and both FELs reuse their backing
+//! storage once capacities settle. This test is the proof: a
+//! `#[global_allocator]` wrapper counts every `alloc`/`realloc`, and the
+//! count must not move across the measured half of the run.
+//!
+//! The same wrapper pins what `System::new` allocates for each benchmark
+//! shape: acquisitions, bytes and the sequence of sizes.
 //!
 //! The count is kept per thread. libtest runs the tests of this binary
 //! on parallel threads, and a process-wide counter would charge each test
@@ -19,36 +23,71 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use lockgran_core::system::System;
-use lockgran_core::{ConflictMode, ModelConfig};
+use lockgran_core::{ConflictMode, HierarchySpec, ModelConfig};
 use lockgran_sim::{Executor, FelKind, Time};
-use lockgran_workload::{HotSpot, Placement};
+use lockgran_workload::{HotSpot, Placement, SizeDistribution};
 
 /// Passthrough allocator that counts the calling thread's heap
-/// acquisitions (`alloc` and `realloc`; `dealloc` is free to run —
-/// returning memory is not the failure mode this test polices).
+/// acquisitions and their sizes (`alloc` and `realloc`; `dealloc` is free
+/// to run — returning memory is not the failure mode this test polices).
 struct CountingAlloc;
+
+/// What the calling thread has taken from the heap.
+#[derive(Clone, Copy)]
+struct Heap {
+    /// `alloc` and `realloc` calls.
+    acquisitions: u64,
+    /// Bytes they asked for (a `realloc` counts its new size).
+    bytes: u64,
+    /// FNV-1a hash of the requested sizes, in call order.
+    sizes_hash: u64,
+}
+
+impl Heap {
+    const EMPTY: Heap = Heap {
+        acquisitions: 0,
+        bytes: 0,
+        sizes_hash: 0xcbf2_9ce4_8422_2325,
+    };
+
+    fn record(self, size: usize) -> Heap {
+        Heap {
+            acquisitions: self.acquisitions + 1,
+            bytes: self.bytes + size as u64,
+            sizes_hash: (self.sizes_hash ^ size as u64).wrapping_mul(0x0100_0000_01b3),
+        }
+    }
+}
 
 thread_local! {
     // `const` initialization: no lazy-init allocation inside the
     // allocator itself.
-    static HEAP_ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
+    static HEAP: Cell<Heap> = const { Cell::new(Heap::EMPTY) };
 }
 
-/// Count one heap acquisition on the calling thread. During thread
-/// teardown the slot may already be gone; such allocations belong to no
-/// test and are not counted.
-fn count_acquisition() {
-    let _ = HEAP_ACQUISITIONS.try_with(|n| n.set(n.get() + 1));
+/// Count one heap acquisition of `size` bytes on the calling thread.
+/// During thread teardown the slot may already be gone; such allocations
+/// belong to no test and are not counted.
+fn count_acquisition(size: usize) {
+    let _ = HEAP.try_with(|h| h.set(h.get().record(size)));
 }
 
 /// Heap acquisitions made so far by the calling thread.
 fn heap_acquisitions() -> u64 {
-    HEAP_ACQUISITIONS.with(Cell::get)
+    HEAP.with(Cell::get).acquisitions
+}
+
+/// Run `f` and return what it took from the heap on this thread (the
+/// thread's count restarts from zero).
+fn heap_taken_by<T>(f: impl FnOnce() -> T) -> (T, Heap) {
+    HEAP.with(|h| h.set(Heap::EMPTY));
+    let out = f();
+    (out, HEAP.with(Cell::get))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_acquisition();
+        count_acquisition(layout.size());
         SystemAlloc.alloc(layout)
     }
 
@@ -57,7 +96,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_acquisition();
+        count_acquisition(new_size);
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -184,4 +223,84 @@ fn arena_second_run_allocates_a_small_fraction_of_the_first() {
         warm * 10 <= cold,
         "arena reuse saved too little: cold run {cold} acquisitions, warm run {warm}"
     );
+}
+
+/// What one `System::new` takes from the heap, for each shape simbench
+/// runs: acquisitions, bytes and the hash of the size sequence. A change
+/// to any of them moves where the allocator's heap ends after set-up, and
+/// with it the set-up time of the runs that follow, so a refactor that
+/// means to keep set-up as it is keeps these three numbers.
+#[test]
+fn system_new_allocations_are_pinned() {
+    let contention = |mode, ltot| {
+        ModelConfig::table1()
+            .with_npros(10)
+            .with_ntrans(50)
+            .with_maxtransize(50)
+            .with_placement(Placement::Random)
+            .with_hot_spot(Some(HotSpot::eighty_twenty()))
+            .with_tmax(50_000.0)
+            .with_conflict(mode)
+            .with_ltot(ltot)
+    };
+    let capacity = |max, mode| ModelConfig {
+        dbsize: 10_000_000,
+        ..ModelConfig::table1()
+            .with_ltot(10_000)
+            .with_ntrans(100_000)
+            .with_mpl_limit(Some(64))
+            .with_tmax(110_000.0)
+            .with_size(SizeDistribution::Uniform { max })
+            .with_conflict(mode)
+    };
+    let fig10 = ModelConfig::table1()
+        .with_npros(30)
+        .with_maxtransize(50)
+        .with_placement(Placement::Random);
+    let hierarchy = HierarchySpec::default()
+        .with_areas(100)
+        .with_escalation_threshold(Some(64));
+    let (explicit, twophase) = (ConflictMode::Explicit, ConflictMode::Twophase);
+    let shapes = [
+        (
+            "table1",
+            ModelConfig::table1(),
+            (9, 24_720, 0x1e58_e701_9a41_e7df),
+        ),
+        ("fig10 corner", fig10, (9, 27_520, 0x9049_c6c1_0f9c_f8af)),
+        (
+            "explicit",
+            contention(explicit, 10),
+            (13, 24_832, 0xec90_2137_cb31_521f),
+        ),
+        (
+            "twophase 10",
+            contention(twophase, 10),
+            (34, 82_160, 0x79a4_1a1a_c841_d4ad),
+        ),
+        (
+            "twophase 100",
+            contention(twophase, 100),
+            (34, 254_448, 0x1d99_fdeb_a7a3_2fad),
+        ),
+        (
+            "capacity probabilistic",
+            capacity(100_000, ConflictMode::Probabilistic).with_placement(Placement::Random),
+            (22, 8_932_592, 0x73c2_8c34_30f2_b97d),
+        ),
+        (
+            "capacity hierarchical",
+            capacity(2_000, ConflictMode::Hierarchical).with_hierarchy(Some(hierarchy)),
+            (28, 8_425_024, 0xb0a9_793f_706c_7c65),
+        ),
+    ];
+    for (what, cfg, pinned) in shapes {
+        let mut ex = Executor::with_fel(FelKind::Calendar);
+        let (_, heap) = heap_taken_by(|| System::new(&cfg, 0, &mut ex));
+        assert_eq!(
+            (heap.acquisitions, heap.bytes, heap.sizes_hash),
+            pinned,
+            "{what}"
+        );
+    }
 }

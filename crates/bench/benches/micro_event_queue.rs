@@ -2,10 +2,10 @@
 //!
 //! Push/pop throughput at the queue sizes the model actually reaches
 //! (tens to a few thousands of pending events) — the simulator's hottest
-//! data structure — plus two traffic shapes of the model: a lock
-//! request's fan-out onto shared ticks, and the capacity point's
-//! start-up pattern (10⁵ staggered arrivals appended in time order, then
-//! drained).
+//! data structure — plus three traffic shapes of the model: a lock
+//! request's fan-out onto shared ticks, tie-free traffic with one event
+//! per tick, and the capacity point's start-up pattern (10⁵ staggered
+//! arrivals, then drained).
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -15,28 +15,31 @@ use lockgran_sim::{CalendarQueue, Dur, EventQueue, Time};
 /// Initial arrivals per start-up, as at the capacity point (`ntrans`).
 const ARRIVALS: u64 = 100_000;
 
-/// Clear `q`, append [`ARRIVALS`] events one time unit apart — through
-/// the sorted lane or as plain pushes — then drain the queue under
-/// push/pop churn: every popped event with id below `3 * ARRIVALS`
-/// schedules a follow-on up to 20 units ahead, the way a spawned
-/// transaction's server completions follow its arrival. Returns the
-/// number of events popped.
-fn append_and_drain(q: &mut CalendarQueue<u64>, sorted: bool) -> u64 {
+/// One time unit, the arrivals' spacing.
+const UNIT: Dur = Dur::from_ticks(1_000);
+
+/// Clear `q`, schedule [`ARRIVALS`] events one time unit apart — as one
+/// series or as plain pushes — then drain the queue under push/pop
+/// churn: every popped event of generation below 3 schedules one of the
+/// next generation up to 20 units ahead, the way a spawned transaction's
+/// server completions follow its arrival. The delay is drawn from the
+/// pop count, which both arms share. Returns the number of events
+/// popped.
+fn append_and_drain(q: &mut CalendarQueue<u64>, series: bool) -> u64 {
     q.clear();
-    for i in 0..ARRIVALS {
-        let at = Time::from_ticks(i * 1_000);
-        if sorted {
-            q.push_sorted(at, i);
-        } else {
-            q.push(at, i);
+    if series {
+        q.push_series(Time::ZERO, UNIT, ARRIVALS, 0);
+    } else {
+        for i in 0..ARRIVALS {
+            q.push(Time::ZERO + UNIT.times(i), 0);
         }
     }
-    let mut popped = 0;
-    while let Some((at, v)) = q.pop() {
+    let mut popped = 0u64;
+    while let Some((at, generation)) = q.pop() {
         popped += 1;
-        if v < 3 * ARRIVALS {
-            let delay = Dur::from_ticks(1 + v.wrapping_mul(7_919) % 20_000);
-            q.push(at + delay, v + ARRIVALS);
+        if generation < 3 {
+            let delay = Dur::from_ticks(1 + popped.wrapping_mul(7_919) % 20_000);
+            q.push(at + delay, generation + 1);
         }
     }
     popped
@@ -105,6 +108,29 @@ fn fanout_steps(q: &mut impl Fel, k: u64) -> Time {
     now
 }
 
+/// Pending events in the tie-free case.
+const TIE_FREE: u64 = 1_024;
+
+/// Clear `q`, push [`TIE_FREE`] events 10 ticks apart, then take as many
+/// steps, each popping the earliest event and pushing one on a fresh tick
+/// past every pending one. No two events share a tick, so every calendar
+/// push misses the push memo and opens a group. Returns the time of the
+/// last pop.
+fn tie_free_steps(q: &mut impl Fel) -> Time {
+    const STRIDE: Dur = Dur::from_ticks(10);
+    q.clear();
+    for i in 0..TIE_FREE {
+        q.push(Time::ZERO + STRIDE.times(i), i);
+    }
+    let mut now = Time::ZERO;
+    for _ in 0..TIE_FREE {
+        let Some((at, v)) = q.pop() else { break };
+        now = at;
+        q.push(at + STRIDE.times(TIE_FREE), v);
+    }
+    now
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     for &n in &[64usize, 1024, 16384] {
@@ -152,15 +178,23 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(fanout_steps(&mut q, k)));
         });
     }
-    for (label, sorted) in [("push", false), ("sorted", true)] {
+    group.bench_function("tie_free/heap", |b| {
+        let mut q = EventQueue::new();
+        b.iter(|| black_box(tie_free_steps(&mut q)));
+    });
+    group.bench_function("tie_free/calendar", |b| {
+        let mut q = CalendarQueue::new();
+        b.iter(|| black_box(tie_free_steps(&mut q)));
+    });
+    for (label, series) in [("push", false), ("series", true)] {
         group.bench_with_input(
             BenchmarkId::new("calendar_append_drain", label),
-            &sorted,
-            |b, &sorted| {
+            &series,
+            |b, &series| {
                 // One queue across iterations, cleared each time, as a
                 // `RunArena` reuses its executor.
                 let mut q = CalendarQueue::new();
-                b.iter(|| black_box(append_and_drain(&mut q, sorted)));
+                b.iter(|| black_box(append_and_drain(&mut q, series)));
             },
         );
     }

@@ -221,11 +221,16 @@ impl LockingCC {
     /// supremum here, once, in ascending granule order (the predeclared
     /// discipline's probe order): the list is then exactly what the
     /// transaction holds once granted, and its intention locks are
-    /// counted from it.
+    /// counted from it. A flat list is sorted here too under the
+    /// predeclared discipline, so its retries probe it as it is; the
+    /// incremental discipline claims it in the sampled order.
     fn declare(&mut self, granules: &[u64], out: &mut Vec<Request>) -> Declared {
         out.clear();
         let Some(h) = &mut self.hierarchy else {
             out.extend(granules.iter().map(|&g| (GranuleId(g), LockMode::X)));
+            if let Discipline::Predeclared(_) = self.discipline {
+                merge_by_supremum(out);
+            }
             return Declared::default();
         };
         let level = h.tree.leaf_level();
@@ -620,6 +625,23 @@ mod tests {
             assert_eq!(retry(&mut m, 2), Granted, "{mode:?}");
             // The replayed set is [4, 5], not the empty retry slice.
             assert_eq!(acquire(&mut m, 3, &[5]), BlockedBy(2), "{mode:?}");
+        }
+    }
+
+    /// The flat predeclared record is sorted once, at the first attempt,
+    /// so the scheduler probes it as it is on every retry; the incremental
+    /// record keeps the sampled order, which is its claim order.
+    #[test]
+    fn flat_predeclared_record_is_sorted_at_the_first_attempt() {
+        let sampled = [7, 3, 9, 1, 5];
+        for (mode, expected) in [(Explicit, [1, 3, 5, 7, 9]), (Twophase, sampled)] {
+            let mut m = engine(mode);
+            assert_eq!(acquire(&mut m, 1, &[9]), Granted);
+            assert_eq!(acquire(&mut m, 2, &sampled), BlockedBy(1), "{mode:?}");
+            let request = &record(&mut m.txns, 2).request;
+            let order: Vec<u64> = request.iter().map(|&(g, _)| g.0).collect();
+            assert_eq!(order, expected, "{mode:?}");
+            assert!(request.iter().all(|&(_, lm)| lm == LockMode::X), "{mode:?}");
         }
     }
 

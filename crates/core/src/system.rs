@@ -40,7 +40,7 @@ use crate::trace::{TraceEvent, VecTracer};
 use crate::transaction::{Transaction, TxnPhase};
 
 /// Events of the system model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Event {
     /// A transaction arrives into the pending queue (initial staggering).
     Arrive,
@@ -419,13 +419,16 @@ impl System {
     /// unit apart (paper §2), the warm-up boundary, and (when the failure
     /// extension is on) every processor's first failure. Shared by
     /// [`System::new`] and [`System::reset`] so the event sequence numbers
-    /// of a reset run match a fresh run exactly. The arrivals are in time
-    /// order, so they go to the FEL's sorted lane: `ntrans` of them (10⁵
-    /// at capacity) never enter the calendar's tick groups.
+    /// of a reset run match a fresh run exactly. The arrivals are one
+    /// series, which the calendar FEL holds as a single entry however
+    /// large `ntrans` is (10⁵ at capacity).
     fn schedule_initial(&mut self, cfg: &ModelConfig, root: &SimRng, ex: &mut Executor<Event>) {
-        for i in 0..cfg.ntrans {
-            ex.schedule_sorted(Time::from_units(f64::from(i)), Event::Arrive);
-        }
+        ex.schedule_series(
+            Time::ZERO,
+            Dur::from_units(1.0),
+            u64::from(cfg.ntrans),
+            Event::Arrive,
+        );
         if self.warmup > Time::ZERO {
             ex.schedule(self.warmup, Event::WarmupReached);
         }

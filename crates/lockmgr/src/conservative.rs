@@ -45,7 +45,7 @@ pub enum ConservativeOutcome {
 
 /// Sort a request list by granule and merge each granule's requests into
 /// one, in the supremum of their modes: the form
-/// [`ConservativeScheduler::request_all`] takes as it comes.
+/// [`ConservativeScheduler::request_all`] takes.
 pub fn merge_by_supremum(requests: &mut Vec<(GranuleId, LockMode)>) {
     // Unstable is enough: duplicates merge by `supremum`, a lattice join,
     // so their order cannot change the result; the stable sort would
@@ -88,9 +88,6 @@ pub struct ConservativeScheduler {
     table: LockTable,
     /// The blocked-on relation, by transaction slot.
     waits: Vec<Waits>,
-    /// Scratch: the caller's request set sorted and merged, when it does
-    /// not come that way.
-    merge_scratch: Vec<(GranuleId, LockMode)>,
     /// Scratch: the entry slot each request's probe found.
     probe_scratch: Vec<FreshSlot>,
     /// Scratch: promotion sink for release (asserted empty).
@@ -108,23 +105,22 @@ impl ConservativeScheduler {
     pub fn reset(&mut self) {
         self.table.reset();
         self.waits.clear();
-        self.merge_scratch.clear();
         self.probe_scratch.clear();
         self.promote_scratch.clear();
     }
 
-    /// Atomically request the full lock set for `txn`. The set must be
-    /// duplicate-free per granule (duplicates are merged by supremum; a
-    /// set already strictly ascending by granule is used as it is).
+    /// Atomically request the full lock set for `txn`, strictly ascending
+    /// by granule (one request per granule, as [`merge_by_supremum`]
+    /// leaves a list).
     ///
     /// On conflict nothing is acquired and `txn` is recorded as blocked by
     /// the first conflicting holder (deterministic: smallest granule id
     /// first, grant-group order within it).
     ///
     /// # Panics
-    /// Panics if `txn` already holds locks or is already blocked —
-    /// conservative transactions declare their set exactly once per
-    /// attempt.
+    /// Panics if the set is not strictly ascending, or if `txn` already
+    /// holds locks or is already blocked — conservative transactions
+    /// declare their set exactly once per attempt.
     pub fn request_all(
         &mut self,
         txn: TxnId,
@@ -135,33 +131,22 @@ impl ConservativeScheduler {
             "{txn:?} already holds locks"
         );
         assert!(self.blocker_of(txn).is_none(), "{txn:?} is already blocked");
-
-        // Sort and merge duplicates deterministically, in a pooled
-        // scratch buffer, unless the caller already did.
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        let request: &[(GranuleId, LockMode)] = if locks.windows(2).all(|w| w[0].0 < w[1].0) {
-            locks
-        } else {
-            merged.clear();
-            merged.extend_from_slice(locks);
-            merge_by_supremum(&mut merged);
-            &merged
-        };
+        assert!(
+            locks.windows(2).all(|w| w[0].0 < w[1].0),
+            "{txn:?}'s lock set is not strictly ascending by granule"
+        );
 
         // Probe phase: one index lookup per granule finds the first
-        // conflict without acquiring anything. The slots found are kept;
-        // sized from the caller's list, the buffer grows exactly when the
-        // sorting scratch would have.
+        // conflict without acquiring anything. The slots found are kept.
         let mut probed = std::mem::take(&mut self.probe_scratch);
         probed.clear();
         probed.reserve(locks.len());
-        for &(g, m) in request {
+        for &(g, m) in locks {
             match self.table.probe_fresh(g, m) {
                 Ok(at) => probed.push(at),
                 Err(blocker) => {
                     self.block(txn, blocker);
                     self.probe_scratch = probed;
-                    self.merge_scratch = merged;
                     return ConservativeOutcome::Blocked { blocker };
                 }
             }
@@ -171,11 +156,10 @@ impl ConservativeScheduler {
         // means nothing changed since the probe, so each is granted from
         // the slot its probe found without a second look (debug builds
         // re-check).
-        for (&(g, m), &at) in request.iter().zip(&probed) {
+        for (&(g, m), &at) in locks.iter().zip(&probed) {
             self.table.grant_fresh(txn, g, m, at);
         }
         self.probe_scratch = probed;
-        self.merge_scratch = merged;
         ConservativeOutcome::Granted
     }
 
@@ -293,8 +277,11 @@ mod tests {
     fn g(n: u64) -> GranuleId {
         GranuleId(n)
     }
+    /// Exclusive requests on `ids`, in the form `request_all` takes.
     fn xs(ids: &[u64]) -> Vec<(GranuleId, LockMode)> {
-        ids.iter().map(|&i| (g(i), X)).collect()
+        let mut locks = ids.iter().map(|&i| (g(i), X)).collect();
+        merge_by_supremum(&mut locks);
+        locks
     }
     fn release(s: &mut ConservativeScheduler, txn: TxnId) -> Vec<TxnId> {
         let mut woken = vec![t(99)];
@@ -381,7 +368,9 @@ mod tests {
     #[test]
     fn duplicate_granules_in_request_are_merged() {
         let mut s = ConservativeScheduler::new();
-        let locks = vec![(g(0), LockMode::S), (g(0), LockMode::X), (g(1), X)];
+        let mut locks = vec![(g(1), X), (g(0), LockMode::S), (g(0), LockMode::X)];
+        merge_by_supremum(&mut locks);
+        assert_eq!(locks, vec![(g(0), X), (g(1), X)]);
         assert_eq!(s.request_all(t(1), &locks), ConservativeOutcome::Granted);
         assert_eq!(s.table().held_mode(t(1), g(0)), Some(X));
         s.check_invariants().unwrap();
@@ -435,6 +424,20 @@ mod tests {
         assert_eq!(s.blocked_count(), 0);
         assert_eq!(s.request_all(t(2), &xs(&[1])), ConservativeOutcome::Granted);
         s.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn unsorted_request_panics() {
+        let mut s = ConservativeScheduler::new();
+        let _ = s.request_all(t(1), &[(g(1), X), (g(0), X)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn duplicate_granule_request_panics() {
+        let mut s = ConservativeScheduler::new();
+        let _ = s.request_all(t(1), &[(g(0), LockMode::S), (g(0), X)]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! hardware counter is available.
 
 use lockgran_lockmgr::{
-    ConservativeOutcome, ConservativeScheduler, GranuleId, GranuleTree, HierarchyLevel, LockMode,
-    NodeId, TxnId,
+    merge_by_supremum, ConservativeOutcome, ConservativeScheduler, GranuleId, GranuleTree,
+    HierarchyLevel, LockMode, NodeId, TxnId,
 };
 
 /// `capacity`'s hierarchical tree: 10 000 granules in 100 areas of 100.
@@ -24,7 +24,8 @@ fn tree() -> GranuleTree {
 const RESIDENTS: u64 = 64;
 
 /// The request that writes the first two granules of `area`: an `IX`
-/// intent chain per granule, as the hierarchical preset builds it.
+/// intent chain per granule, merged by supremum, as the hierarchical
+/// preset builds it.
 fn request(tree: &GranuleTree, area: u64) -> Vec<(GranuleId, LockMode)> {
     let mut out = Vec::new();
     for index in [area * 100, area * 100 + 1] {
@@ -34,6 +35,7 @@ fn request(tree: &GranuleTree, area: u64) -> Vec<(GranuleId, LockMode)> {
         };
         tree.intent_chain_into(leaf, LockMode::X, &mut out);
     }
+    merge_by_supremum(&mut out);
     out
 }
 

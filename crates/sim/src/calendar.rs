@@ -7,35 +7,45 @@
 //! The simulator's traffic is tie-heavy. The paper spreads each lock
 //! request's overhead across all processors in multiples of 0.01 time
 //! units, so one request schedules up to 2·min(LU, npros) server
-//! completions on the same two ticks. The queue therefore orders
-//! distinct ticks, not events:
+//! completions on the same two ticks. The queue therefore orders groups
+//! of events, not events:
 //!
-//! * every pending event at tick t waits in one FIFO **group**, an
-//!   intrusive singly linked list of nodes in one pooled slab;
-//! * a [`DetMap`] maps each pending tick to its group;
-//! * a binary min-heap orders the distinct pending ticks.
+//! * pending events at one tick wait in a FIFO **group**, an intrusive
+//!   singly linked list of nodes in one pooled slab;
+//! * a binary min-heap orders the pending groups by `(tick, first seq)`;
+//! * a fixed 64-slot **recent-tick cache**, indexed by a hash of the tick,
+//!   names the group a push at that tick appends to. Each group records
+//!   its tick, which validates the entry.
 //!
-//! A push appends to its tick's group; a new tick adds one group and one
-//! heap entry. A pop takes the head of the earliest group, and a group
-//! that drains leaves the heap and the index. Appends happen in push
-//! order, which is `seq` order, so each group is sorted by `seq` and the
-//! pop sequence is the heap FEL's by construction.
+//! A push whose cache slot names no group, or a group of another tick,
+//! opens a new group and takes the slot, even when its tick has a pending
+//! group already. That older group can no longer be reached, so it gets
+//! no more events: the groups of one tick hold disjoint runs of `seq`,
+//! each later than the one before, and each group is sorted by `seq`
+//! because appends happen in push order. Ordering the heap by
+//! `(tick, first seq)` therefore pops the groups of a tick in push order,
+//! and the pop sequence is the heap FEL's by construction. A group that
+//! drains leaves the heap and its cache slot.
 //!
 //! Most pushes land on the tick of the push before them (a lock request's
 //! shares fan out onto one tick), so the queue remembers the tick and
-//! group of its last grouped push and appends there without probing the
-//! index. The memo is forgotten when that group drains (its slot may then
-//! serve another tick) and on [`CalendarQueue::clear`]; it only picks the
-//! group a push appends to, never the order of the groups.
+//! group of its last grouped push and appends there without looking at
+//! the cache. The memo is forgotten when that group drains (its slot may
+//! then serve another tick) and on [`CalendarQueue::clear`]. Only a memo
+//! miss leaves the inlined push; that path counts the groups it opens and
+//! its cache hits ([`CalendarQueue::groups_opened`],
+//! [`CalendarQueue::recent_hits`]).
 //!
-//! Beside the groups sits a **sorted lane**: a FIFO for events the caller
-//! appends in non-decreasing time order ([`CalendarQueue::push_sorted`]),
-//! such as a closed model's staggered initial arrivals. Lane entries draw
-//! their sequence number from the same counter as grouped ones, and a pop
-//! takes whichever head has the smaller `(time, seq)`, so the lane changes
-//! where an event waits, never when it fires.
+//! Beside the groups the queue holds at most one **series**: `count`
+//! copies of one event at `first`, `first + step`, …
+//! ([`CalendarQueue::push_series`]), such as a closed model's staggered
+//! initial arrivals. The series reserves `count` consecutive sequence
+//! numbers when it is pushed and hands its entries out one pop at a time,
+//! and a pop takes whichever of the series head and the earliest group's
+//! head has the smaller `(time, seq)`, so the series changes where its
+//! events wait, never when they fire.
 //!
-//! The group slab, the index and the heap grow with the node slab, and
+//! The group slab and the tick heap grow with the node slab, and
 //! [`CalendarQueue::clear`] keeps every capacity, so the steady state is
 //! allocation-free (`tests/steady_state_alloc.rs` enforces this).
 //! [`CalendarQueue::new`] allocates nothing.
@@ -43,10 +53,9 @@
 //! The type keeps the name of the calendar queue (Brown, CACM 1988) it
 //! replaced; simbench and `core::sim` construct it by that name.
 
-use crate::detmap::DetMap;
-use crate::time::Time;
+use crate::time::{Dur, Time};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Sentinel for "no node" and "no group" in the pooled lists.
 const NIL: u32 = u32::MAX;
@@ -54,11 +63,15 @@ const NIL: u32 = u32::MAX;
 /// Node-slab capacity after the first growth.
 const MIN_CAPACITY: usize = 16;
 
-/// One entry of the sorted lane.
-struct Entry<E> {
-    at: Time,
-    seq: u64,
-    event: E,
+/// log₂ of the recent-tick cache's slot count.
+const RECENT_BITS: u32 = 6;
+
+/// The recent-tick cache slot of `at`: Fibonacci hashing, so ticks a
+/// fixed stride apart (0.01 time units is 10 ticks) spread over every
+/// slot.
+#[inline]
+fn recent_slot(at: Time) -> usize {
+    (at.ticks().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT_BITS)) as usize
 }
 
 /// One grouped entry in the slab; its time is its group's tick.
@@ -70,16 +83,33 @@ struct Node<E> {
     event: Option<E>,
 }
 
-/// The FIFO of one pending tick, as indices into the node slab. While the
-/// group is vacant, `head` links the group free list.
+/// A FIFO of pending events at one tick, as indices into the node slab.
+/// While the group is vacant, `head` links the group free list.
 struct Group {
+    /// The tick of every node in the group; a cache entry naming the group
+    /// is valid for this tick only.
+    at: Time,
     head: u32,
     tail: u32,
 }
 
+/// The pending rest of a series (see [`CalendarQueue::push_series`]).
+struct Series<E> {
+    /// Time and sequence number of the next entry.
+    at: Time,
+    seq: u64,
+    step: Dur,
+    /// Entries still pending, the next one included (at least one).
+    left: u64,
+    event: E,
+    /// `E::clone`, captured by `push_series`, so that only scheduling a
+    /// series asks for `Clone`.
+    copy: fn(&E) -> E,
+}
+
 /// Where the earliest pending event waits.
 enum Head {
-    Lane,
+    Series,
     Group(u32),
 }
 
@@ -89,25 +119,28 @@ pub struct CalendarQueue<E> {
     nodes: Vec<Node<E>>,
     /// Head of the vacant-node list threaded through `Node::next`.
     free_node: u32,
-    /// One FIFO per pending tick, pooled like the nodes.
+    /// Pending groups, pooled like the nodes.
     groups: Vec<Group>,
     /// Head of the vacant-group list threaded through `Group::head`.
     free_group: u32,
-    /// Pending tick → its group. Built by the first growth of the node
-    /// slab, so an unused queue holds no index.
-    index: Option<DetMap<u32>>,
-    /// Min-heap of the distinct pending ticks, each with its group.
-    ticks: BinaryHeap<Reverse<(Time, u32)>>,
+    /// Recent-tick cache: by [`recent_slot`], the group a push at a tick
+    /// of that slot appends to, if the group's tick is the push's. Every
+    /// entry is `NIL` or a pending group.
+    recent: [u32; 1 << RECENT_BITS],
+    /// Min-heap of the pending groups, keyed `(tick, first seq)`.
+    ticks: BinaryHeap<Reverse<(Time, u64, u32)>>,
     /// Tick and group of the last grouped push, while that group is
-    /// pending: a push onto the same tick appends there unprobed.
+    /// pending: a push onto the same tick appends there directly.
     last_push: Option<(Time, u32)>,
-    /// Entries in the groups (the lane is counted by `lane.len()`).
+    /// Entries in the groups (the series counts its own).
     grouped: usize,
-    /// Sorted FIFO of in-order appends (see [`CalendarQueue::push_sorted`]).
-    lane: VecDeque<Entry<E>>,
+    series: Option<Series<E>>,
     next_seq: u64,
     /// Smallest event time ever admissible (monotone pop guarantee).
     last_popped: Time,
+    /// Groups opened and recent-cache hits since the last clear.
+    groups_opened: u64,
+    recent_hits: u64,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -124,13 +157,15 @@ impl<E> CalendarQueue<E> {
             free_node: NIL,
             groups: Vec::new(),
             free_group: NIL,
-            index: None,
+            recent: [NIL; 1 << RECENT_BITS],
             ticks: BinaryHeap::new(),
             last_push: None,
             grouped: 0,
-            lane: VecDeque::new(),
+            series: None,
             next_seq: 0,
             last_popped: Time::ZERO,
+            groups_opened: 0,
+            recent_hits: 0,
         }
     }
 
@@ -171,17 +206,31 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Group `node`, pushed at `at`, when `at` is not the tick of the last
-    /// grouped push: append to `at`'s pending group if the index has one,
-    /// otherwise open a group for `at`. Either way `at` becomes the
-    /// remembered tick.
+    /// grouped push: append to the group the recent-tick cache names for
+    /// `at`'s slot if that group is `at`'s, or else open a new group for
+    /// `at` in that slot, even if `at` has an older pending group that
+    /// lost it. Either way `at` becomes the remembered tick.
     fn push_new_tick(&mut self, at: Time, node: u32) {
-        let index = self.index.get_or_insert_with(DetMap::new);
-        if let Some(&g) = index.get(at.ticks()) {
-            self.append(g, node);
-            self.last_push = Some((at, g));
-            return;
-        }
+        let slot = recent_slot(at);
+        let cached = self.recent[slot];
+        let g = if cached != NIL && self.groups[cached as usize].at == at {
+            self.recent_hits += 1;
+            self.append(cached, node);
+            cached
+        } else {
+            let g = self.open_group(at, node);
+            self.recent[slot] = g;
+            g
+        };
+        self.last_push = Some((at, g));
+    }
+
+    /// Open a group at `at` whose only node is `node`, and enter it in the
+    /// tick heap.
+    fn open_group(&mut self, at: Time, node: u32) -> u32 {
+        self.groups_opened += 1;
         let group = Group {
+            at,
             head: node,
             tail: node,
         };
@@ -194,26 +243,41 @@ impl<E> CalendarQueue<E> {
             self.groups[g as usize] = group;
             g
         };
-        index.insert(at.ticks(), g);
-        self.ticks.push(Reverse((at, g)));
-        self.last_push = Some((at, g));
+        let first = self.nodes[node as usize].seq;
+        self.ticks.push(Reverse((at, first, g)));
+        g
     }
 
-    /// Schedule `event` at `at`, which the caller promises is no earlier
-    /// than any time it appended this way before (since the last
-    /// [`CalendarQueue::clear`]). Such events wait in the sorted lane
-    /// instead of the groups: O(1) each, with no index or heap work. Pop
-    /// order is the same `(time, seq)` order as for
-    /// [`CalendarQueue::push`]; an append that breaks the promise is
-    /// grouped like a plain push.
-    pub fn push_sorted(&mut self, at: Time, event: E) {
-        if self.lane.back().is_some_and(|e| e.at > at) {
-            self.push(at, event);
+    /// Schedule `count` copies of `event`, at `first`, `first + step`, …,
+    /// `first + (count − 1)·step`, with the sequence numbers `count`
+    /// consecutive pushes would take now: the same pops, in the same
+    /// order, as those pushes. The series takes no node, group or heap
+    /// entry; its entries are handed out one pop at a time, each a clone
+    /// of `event`. The queue holds one series at a time, so while one is
+    /// pending another is pushed entry by entry.
+    pub fn push_series(&mut self, first: Time, step: Dur, count: u64, event: E)
+    where
+        E: Clone,
+    {
+        if self.series.is_some() {
+            for k in 0..count {
+                self.push(first + step.times(k), event.clone());
+            }
             return;
         }
-        debug_assert!(at >= self.last_popped, "scheduling into the past");
-        let seq = self.take_seq();
-        self.lane.push_back(Entry { at, seq, event });
+        if count == 0 {
+            return;
+        }
+        debug_assert!(first >= self.last_popped, "scheduling into the past");
+        self.series = Some(Series {
+            at: first,
+            seq: self.next_seq,
+            step,
+            left: count,
+            event,
+            copy: E::clone,
+        });
+        self.next_seq += count;
     }
 
     /// Store a new node in a vacant slot, or at the end of the slab, and
@@ -245,34 +309,32 @@ impl<E> CalendarQueue<E> {
         (self.nodes.len() - 1) as u32
     }
 
-    /// Double the node slab and size the group slab, the tick heap and the
-    /// index to match. A pending tick holds at least one pending node, so
-    /// none of them can outgrow the node slab: once the number of pending
-    /// events has peaked, no spread of those events over ticks calls the
-    /// allocator again.
+    /// Double the node slab and size the group slab and the tick heap to
+    /// match. A pending group holds at least one pending node, so neither
+    /// can outgrow the node slab: once the number of pending events has
+    /// peaked, no spread of those events over groups calls the allocator
+    /// again.
     fn grow(&mut self) {
         let cap = (2 * self.nodes.capacity()).max(MIN_CAPACITY);
         self.nodes.reserve_exact(cap - self.nodes.len());
         self.groups.reserve_exact(cap - self.groups.len());
         self.ticks.reserve_exact(cap - self.ticks.len());
-        match &mut self.index {
-            Some(index) => index.reserve(cap),
-            None => self.index = Some(DetMap::with_capacity(cap)),
-        }
     }
 
     /// The earliest pending event's time and place: the earliest group's
-    /// head or the lane head, whichever has the smaller `(time, seq)`.
+    /// head or the series head, whichever has the smaller `(time, seq)`.
     fn head(&self) -> Option<(Time, Head)> {
-        let group = self.ticks.peek().map(|&Reverse(tick)| tick);
-        let Some(lane) = self.lane.front() else {
+        let group = self.ticks.peek().map(|&Reverse((at, _, g))| (at, g));
+        let Some(series) = &self.series else {
             return group.map(|(at, g)| (at, Head::Group(g)));
         };
         match group {
-            Some((at, g)) if (at, self.head_seq(g)) < (lane.at, lane.seq) => {
+            Some((at, g))
+                if at < series.at || (at == series.at && self.head_seq(g) < series.seq) =>
+            {
                 Some((at, Head::Group(g)))
             }
-            _ => Some((lane.at, Head::Lane)),
+            _ => Some((series.at, Head::Series)),
         }
     }
 
@@ -299,11 +361,24 @@ impl<E> CalendarQueue<E> {
             return None;
         }
         let event = match head {
-            Head::Lane => self.lane.pop_front()?.event,
+            Head::Series => self.pop_series()?,
             Head::Group(g) => self.pop_group(at, g),
         };
         self.last_popped = at;
         Some((at, event))
+    }
+
+    /// Hand out the series' next entry: a clone of its event, or the event
+    /// itself for the last entry.
+    fn pop_series(&mut self) -> Option<E> {
+        let series = self.series.as_mut()?;
+        if series.left == 1 {
+            return self.series.take().map(|s| s.event);
+        }
+        series.left -= 1;
+        series.seq += 1;
+        series.at += series.step;
+        Some((series.copy)(&series.event))
     }
 
     /// Unlink the head of group `g` (pending at `at`), return its node to
@@ -322,10 +397,11 @@ impl<E> CalendarQueue<E> {
         self.free_node = slot;
         self.grouped -= 1;
         if group.head == NIL {
-            // The tick drained: a later push at `at` opens a fresh group.
+            // The group drained: a later push at `at` opens a fresh one.
             self.ticks.pop();
-            if let Some(index) = &mut self.index {
-                index.remove(at.ticks());
+            let cached = &mut self.recent[recent_slot(at)];
+            if *cached == g {
+                *cached = NIL;
             }
             if self.last_push.is_some_and(|(_, last)| last == g) {
                 self.last_push = None;
@@ -336,9 +412,9 @@ impl<E> CalendarQueue<E> {
         node.event.take().expect("a grouped node holds its event")
     }
 
-    /// Number of pending events, the sorted lane included.
+    /// Number of pending events, the series' remaining entries included.
     pub fn len(&self) -> usize {
-        self.grouped + self.lane.len()
+        self.grouped + self.series.as_ref().map_or(0, |s| s.left as usize)
     }
 
     /// True if no events are pending.
@@ -346,26 +422,38 @@ impl<E> CalendarQueue<E> {
         self.len() == 0
     }
 
-    /// Drop every pending event and rewind the clock to [`Time::ZERO`],
-    /// keeping the capacity of the node and group slabs, the index, the
-    /// tick heap and the lane for reuse. Pop order is the total
-    /// `(time, seq)` order whatever the slab layout, so a recycled queue
-    /// drives a model through the identical event sequence a fresh one
-    /// would.
+    /// Groups opened since the last [`CalendarQueue::clear`]: one per push
+    /// that found neither the push memo's tick nor a recent-cache entry
+    /// for its tick.
+    pub fn groups_opened(&self) -> u64 {
+        self.groups_opened
+    }
+
+    /// Pushes since the last [`CalendarQueue::clear`] that missed the push
+    /// memo and appended to the group the recent-tick cache named.
+    pub fn recent_hits(&self) -> u64 {
+        self.recent_hits
+    }
+
+    /// Drop every pending event, rewind the clock to [`Time::ZERO`] and
+    /// zero the counters, keeping the capacity of the node and group slabs
+    /// and the tick heap for reuse. Pop order is the total `(time, seq)`
+    /// order whatever the slab layout, so a recycled queue drives a model
+    /// through the identical event sequence a fresh one would.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.free_node = NIL;
         self.groups.clear();
         self.free_group = NIL;
-        if let Some(index) = &mut self.index {
-            index.clear();
-        }
+        self.recent = [NIL; 1 << RECENT_BITS];
         self.ticks.clear();
         self.last_push = None;
         self.grouped = 0;
-        self.lane.clear();
+        self.series = None;
         self.next_seq = 0;
         self.last_popped = Time::ZERO;
+        self.groups_opened = 0;
+        self.recent_hits = 0;
     }
 }
 
@@ -390,6 +478,30 @@ mod tests {
     fn drain_both(cal: &mut CalendarQueue<u64>, heap: &mut EventQueue<u64>, what: &str) {
         while pop_both(cal, heap, what).is_some() {}
         assert!(cal.is_empty(), "{what}");
+    }
+
+    /// Push a series onto the calendar, and its entries one by one onto
+    /// the heap, the way the heap FEL expands one.
+    fn push_series_both(
+        cal: &mut CalendarQueue<u64>,
+        heap: &mut EventQueue<u64>,
+        first: u64,
+        step: u64,
+        count: u64,
+        id: u64,
+    ) {
+        cal.push_series(Time::from_ticks(first), Dur::from_ticks(step), count, id);
+        for k in 0..count {
+            heap.push(Time::from_ticks(first + k * step), id);
+        }
+    }
+
+    /// The first tick after `at` that shares its recent-cache slot.
+    fn slot_mate(at: u64) -> u64 {
+        let slot = recent_slot(Time::from_ticks(at));
+        (at + 1..)
+            .find(|&t| recent_slot(Time::from_ticks(t)) == slot)
+            .unwrap_or(at)
     }
 
     #[test]
@@ -469,7 +581,7 @@ mod tests {
     fn pop_due_stops_at_the_horizon() {
         let mut q = CalendarQueue::new();
         q.push(Time::from_ticks(20), 1);
-        q.push_sorted(Time::from_ticks(20), 2);
+        q.push_series(Time::from_ticks(20), Dur::from_ticks(100), 1, 2);
         q.push(Time::from_ticks(30), 3);
         let horizon = Time::from_ticks(20);
         assert_eq!(q.pop_due(horizon), Some((horizon, 1)));
@@ -483,15 +595,14 @@ mod tests {
     }
 
     /// A fresh queue owns no heap memory; the first push sizes the group
-    /// slab, the tick heap and the index with the node slab, and they
-    /// keep pace with it as it doubles.
+    /// slab and the tick heap with the node slab, and they keep pace with
+    /// it as it doubles.
     #[test]
     fn storage_grows_with_the_node_slab() {
         let mut q = CalendarQueue::new();
         assert_eq!(q.nodes.capacity(), 0);
         assert_eq!(q.groups.capacity(), 0);
         assert_eq!(q.ticks.capacity(), 0);
-        assert!(q.index.is_none());
         // Every event on its own tick: as many groups as nodes.
         for i in 0..1_000u64 {
             q.push(Time::from_ticks(i), i);
@@ -499,12 +610,13 @@ mod tests {
             assert!(q.groups.capacity() >= cap && q.ticks.capacity() >= cap);
         }
         assert_eq!(q.groups.len(), 1_000);
-        assert_eq!(q.index.as_ref().map(DetMap::len), Some(1_000));
+        assert_eq!(q.ticks.len(), 1_000);
+        assert_eq!(q.groups_opened(), 1_000);
     }
 
-    /// A drained tick leaves the heap and the index, and its group is
-    /// recycled for the next new tick: pushing the same tick again opens
-    /// a fresh FIFO rather than appending to a retired one.
+    /// A drained tick leaves the heap and the recent-tick cache, and its
+    /// group is recycled for the next new tick: pushing the same tick
+    /// again opens a fresh FIFO rather than appending to a retired one.
     #[test]
     fn drained_tick_is_recycled() {
         let mut q = CalendarQueue::new();
@@ -514,7 +626,7 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 0)));
         assert_eq!(q.pop(), Some((t, 1)));
         assert_eq!(q.ticks.len(), 0);
-        assert_eq!(q.index.as_ref().map(DetMap::len), Some(0));
+        assert!(q.recent.iter().all(|&g| g == NIL));
         for id in 2..5 {
             q.push(t, id);
         }
@@ -525,22 +637,63 @@ mod tests {
         assert_eq!(order, vec![(7, 2), (7, 3), (7, 4), (9, 5)]);
     }
 
-    /// Every pending tick sits in the tick heap and in the index with the
-    /// same group, and the push memo, when set, names one of them.
-    fn assert_index_matches_heap(q: &CalendarQueue<u64>) {
-        let index = q.index.as_ref();
-        assert_eq!(index.map_or(0, DetMap::len), q.ticks.len());
-        for &Reverse((at, g)) in q.ticks.iter() {
-            assert_eq!(index.and_then(|i| i.get(at.ticks())), Some(&g));
+    /// The groups, the tick heap, the recent-tick cache and the push memo
+    /// agree:
+    ///
+    /// * every heap entry names a distinct pending group of its tick,
+    ///   whose nodes carry increasing sequence numbers from its first
+    ///   one on, and the groups hold `grouped` nodes in all;
+    /// * every cache entry names a pending group of a tick of its slot,
+    ///   and the push memo, when set, names its tick's cache entry;
+    /// * among the groups of one tick only the latest opened can be in the
+    ///   cache, and the ranges of sequence numbers of those groups do not
+    ///   overlap, so their heap order is their push order.
+    fn assert_groups_consistent(q: &CalendarQueue<u64>) {
+        let mut pending: Vec<(Time, u64, u32, u64)> = Vec::new();
+        let mut nodes = 0;
+        for &Reverse((at, first, g)) in q.ticks.iter() {
+            let group = &q.groups[g as usize];
+            assert_eq!(group.at, at);
+            let mut seq = first;
+            let mut cur = group.head;
+            assert!(q.nodes[cur as usize].seq >= first);
+            while cur != NIL {
+                let node = &q.nodes[cur as usize];
+                assert!(node.seq >= seq && node.event.is_some());
+                seq = node.seq;
+                nodes += 1;
+                if node.next == NIL {
+                    assert_eq!(cur, group.tail);
+                }
+                cur = node.next;
+            }
+            pending.push((at, first, g, seq));
+        }
+        assert_eq!(nodes, q.grouped);
+        pending.sort_unstable();
+        for w in pending.windows(2) {
+            assert_ne!(w[0].2, w[1].2, "one heap entry per group");
+            if w[0].0 == w[1].0 {
+                assert!(w[0].3 < w[1].1, "groups of one tick overlap in seq");
+                assert_ne!(q.recent[recent_slot(w[0].0)], w[0].2, "older group cached");
+            }
+        }
+        for (slot, &g) in q.recent.iter().enumerate() {
+            if g != NIL {
+                let at = q.groups[g as usize].at;
+                assert_eq!(recent_slot(at), slot);
+                assert!(pending.iter().any(|p| p.2 == g), "cached group not pending");
+            }
         }
         if let Some((at, g)) = q.last_push {
-            assert_eq!(index.and_then(|i| i.get(at.ticks())), Some(&g));
+            assert_eq!(q.recent[recent_slot(at)], g);
+            assert_eq!(q.groups[g as usize].at, at);
         }
     }
 
     /// The push memo forgets a group when it drains. Two pushes at t, a
     /// drain of t, then a push at t again: the last push opens a fresh
-    /// group in the index and the tick heap instead of appending to the
+    /// group in the cache and the tick heap instead of appending to the
     /// retired one, and the FIFO order matches the heap FEL's. `clear`
     /// forgets the memo too.
     #[test]
@@ -558,25 +711,25 @@ mod tests {
         pop_both(&mut cal, &mut heap, "t drains");
         assert_eq!(cal.last_push, None);
         assert!(cal.ticks.is_empty());
-        assert_index_matches_heap(&cal);
+        assert_groups_consistent(&cal);
 
         cal.push(t, 2);
         heap.push(t, 2);
         assert_eq!(cal.ticks.len(), 1, "the push at t opened a group");
         assert_eq!(cal.last_push, Some((t, 0)), "on the recycled group slot");
-        assert_index_matches_heap(&cal);
+        assert_groups_consistent(&cal);
         for id in 3..5 {
             cal.push(Time::from_ticks(9), id);
             heap.push(Time::from_ticks(9), id);
             cal.push(t, id + 10);
             heap.push(t, id + 10);
         }
-        assert_index_matches_heap(&cal);
+        assert_groups_consistent(&cal);
         let order: Vec<u64> = std::iter::from_fn(|| pop_both(&mut cal, &mut heap, "refill"))
             .map(|(_, id)| id)
             .collect();
         assert_eq!(order, vec![2, 13, 14, 3, 4]);
-        assert_index_matches_heap(&cal);
+        assert_groups_consistent(&cal);
 
         cal.clear();
         cal.push(t, 5);
@@ -585,9 +738,35 @@ mod tests {
         cal.clear();
         assert_eq!(cal.last_push, None);
         cal.push(t, 7);
-        assert_index_matches_heap(&cal);
+        assert_groups_consistent(&cal);
         assert_eq!(cal.pop(), Some((t, 7)));
         assert!(cal.is_empty());
+    }
+
+    /// The miss path's counters: a memo miss on a cached tick is a cache
+    /// hit; a memo miss on a tick whose slot another tick took opens a
+    /// second group for the tick, which then pops after the first.
+    /// `clear` zeroes both counts.
+    #[test]
+    fn miss_path_counts_groups_and_cache_hits() {
+        let mut q = CalendarQueue::new();
+        let (a, b) = (Time::from_ticks(100), Time::from_ticks(101));
+        q.push(a, 0);
+        q.push(a, 1); // memo hit: counted nowhere
+        q.push(b, 2);
+        q.push(a, 3); // memo miss, cache hit
+        assert_eq!((q.groups_opened(), q.recent_hits()), (2, 1));
+        let mate = Time::from_ticks(slot_mate(100));
+        q.push(mate, 4); // takes a's slot
+        q.push(a, 5); // opens a second group for a
+        q.push(a, 6);
+        assert_eq!((q.groups_opened(), q.recent_hits()), (4, 1));
+        assert_eq!(q.ticks.len(), 4);
+        assert_groups_consistent(&q);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, id)| id)).collect();
+        assert_eq!(order, vec![0, 1, 3, 5, 6, 2, 4]);
+        q.clear();
+        assert_eq!((q.groups_opened(), q.recent_hits()), (0, 0));
     }
 
     /// Growth through many slab doublings and a drain back to empty, twice
@@ -645,17 +824,20 @@ mod tests {
     /// * pushes at the last popped tick while its group drains;
     /// * pushes at a tick whose group already drained, so the tick opens
     ///   a recycled group;
-    /// * sorted-lane appends that tie with grouped events on one tick,
-    ///   pushed both before and after them, and now and then an append
-    ///   that breaks the order (the heap takes all of them as plain
-    ///   pushes);
+    /// * series that tie with grouped events on their ticks, pushed both
+    ///   before and after them, and now and then a series pushed while
+    ///   another is pending (the calendar then groups it entry by entry;
+    ///   the heap takes every entry as a plain push);
     /// * runs that alternate between two ticks, so each push misses the
     ///   push memo;
+    /// * runs that alternate between two pending ticks sharing one
+    ///   recent-cache slot, so each push opens a duplicate group of its
+    ///   tick, and the duplicates drain and reopen;
     /// * a push at the memo's tick right after its group drains;
     /// * scattered pushes with plateaus, as before.
     ///
-    /// The index and the tick heap are checked against each other once per
-    /// round.
+    /// The groups, the heap and the cache are checked against each other
+    /// once per round.
     #[test]
     fn prop_agrees_with_heap_on_tick_groups() {
         for case in 0..40u64 {
@@ -665,25 +847,17 @@ mod tests {
             let what = format!("diverged in case {case}");
             let mut clock = 0u64;
             let mut id = 0u64;
-            let mut push = |cal: &mut CalendarQueue<u64>, heap: &mut EventQueue<u64>, at, lane| {
-                let at = Time::from_ticks(at);
-                if lane {
-                    cal.push_sorted(at, id);
-                } else {
-                    cal.push(at, id);
-                }
-                heap.push(at, id);
+            let mut push = |cal: &mut CalendarQueue<u64>, heap: &mut EventQueue<u64>, at| {
+                cal.push(Time::from_ticks(at), id);
+                heap.push(Time::from_ticks(at), id);
                 id += 1;
             };
             let step = 1 + case % 5;
-            let mut lane_at = 0u64;
-            for i in 0..rng.uniform_inclusive(0, 400) {
-                lane_at = i * step;
-                push(&mut cal, &mut heap, lane_at, true);
-            }
+            let count = rng.uniform_inclusive(0, 400);
+            push_series_both(&mut cal, &mut heap, 0, step, count, 1 << 40);
             // The last tick whose events all popped.
             let mut drained = None;
-            for _ in 0..600 {
+            for round in 0..600u64 {
                 if rng.bernoulli(0.15) {
                     // Fan-out: 10–60 events onto 1–3 ticks ahead.
                     let ticks: Vec<u64> = (0..rng.uniform_inclusive(1, 3))
@@ -691,36 +865,37 @@ mod tests {
                         .collect();
                     for k in 0..rng.uniform_inclusive(10, 60) {
                         let at = ticks[k as usize % ticks.len()];
-                        push(&mut cal, &mut heap, at, false);
+                        push(&mut cal, &mut heap, at);
                     }
                 }
-                if rng.bernoulli(0.2) {
-                    lane_at = if rng.bernoulli(0.1) {
-                        clock + rng.uniform_inclusive(0, 20)
-                    } else {
-                        lane_at.max(clock) + rng.uniform_inclusive(0, 3) * step
-                    };
-                    push(&mut cal, &mut heap, lane_at, true);
-                    if rng.bernoulli(0.5) {
-                        // A grouped event after the lane one, same tick.
-                        push(&mut cal, &mut heap, lane_at, false);
-                    }
+                if rng.bernoulli(0.05) {
+                    // A series tied with grouped events on both sides.
+                    let first = clock + rng.uniform_inclusive(0, 20);
+                    let step = rng.uniform_inclusive(0, 3) * 5;
+                    push(&mut cal, &mut heap, first + step);
+                    let count = rng.uniform_inclusive(0, 30);
+                    push_series_both(&mut cal, &mut heap, first, step, count, (1 << 40) + round);
+                    push(&mut cal, &mut heap, first + step);
+                    push(&mut cal, &mut heap, first);
                 }
                 if rng.bernoulli(0.1) {
                     // Alternate between two ticks ahead.
                     let near = clock + rng.uniform_inclusive(0, 3) * 10;
                     let far = clock + rng.uniform_inclusive(4, 6) * 10;
                     for k in 0..rng.uniform_inclusive(4, 20) {
-                        push(
-                            &mut cal,
-                            &mut heap,
-                            if k % 2 == 0 { near } else { far },
-                            false,
-                        );
+                        push(&mut cal, &mut heap, if k % 2 == 0 { near } else { far });
+                    }
+                }
+                if rng.bernoulli(0.1) {
+                    // Alternate between two ticks of one cache slot.
+                    let near = clock + rng.uniform_inclusive(0, 30);
+                    let mate = slot_mate(near);
+                    for k in 0..rng.uniform_inclusive(2, 12) {
+                        push(&mut cal, &mut heap, if k % 2 == 0 { near } else { mate });
                     }
                 }
                 if drained == Some(clock) && rng.bernoulli(0.3) {
-                    push(&mut cal, &mut heap, clock, false);
+                    push(&mut cal, &mut heap, clock);
                 }
                 for _ in 0..rng.uniform_inclusive(0, 2) {
                     let dt = if rng.bernoulli(0.3) {
@@ -728,10 +903,11 @@ mod tests {
                     } else {
                         rng.uniform_inclusive(0, 200)
                     };
-                    push(&mut cal, &mut heap, clock + dt, false);
+                    push(&mut cal, &mut heap, clock + dt);
                 }
                 for _ in 0..rng.uniform_inclusive(0, 12) {
                     assert_eq!(cal.peek_time(), heap.peek_time(), "{what}");
+                    assert_eq!(cal.len(), heap.len(), "{what}");
                     let until = Time::from_ticks(clock + rng.uniform_inclusive(0, 30));
                     let expected = match heap.peek_time() {
                         Some(at) if at <= until => heap.pop(),
@@ -745,13 +921,13 @@ mod tests {
                             drained = Some(t.ticks());
                             if memo == Some(t) && rng.bernoulli(0.5) {
                                 // The memo's group just drained.
-                                push(&mut cal, &mut heap, t.ticks(), false);
+                                push(&mut cal, &mut heap, t.ticks());
                             }
                         }
                         clock = t.ticks();
                     }
                 }
-                assert_index_matches_heap(&cal);
+                assert_groups_consistent(&cal);
             }
             drain_both(&mut cal, &mut heap, &what);
         }
@@ -773,14 +949,15 @@ mod tests {
     }
 
     /// A cleared queue — even one whose slabs grew and whose clock
-    /// advanced far past zero, with groups still pending — must drain a
-    /// fresh workload in exactly the order a brand-new queue would.
+    /// advanced far past zero, with groups and a series still pending —
+    /// must drain a fresh workload in exactly the order a brand-new queue
+    /// would.
     #[test]
     fn clear_matches_fresh_queue_after_growth() {
         let mut grown = CalendarQueue::new();
+        grown.push_series(Time::ZERO, Dur::from_ticks(3), 5_000, u64::MAX);
         for i in 0..5_000u64 {
             grown.push(Time::from_ticks((i / 4) * 7), i);
-            grown.push_sorted(Time::from_ticks(i * 3), i);
         }
         for _ in 0..3_000 {
             grown.pop();
@@ -816,6 +993,118 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// A series ties with grouped events pushed before it and after it,
+    /// at its first tick and at a later one, and each tie breaks by push
+    /// order: the series' sequence numbers are reserved when it is pushed.
+    #[test]
+    fn series_ties_with_grouped_events_in_push_order() {
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        for (at, id) in [(10, 1), (30, 2)] {
+            cal.push(Time::from_ticks(at), id);
+            heap.push(Time::from_ticks(at), id);
+        }
+        push_series_both(&mut cal, &mut heap, 10, 10, 4, 100);
+        for (at, id) in [(30, 3), (10, 4), (40, 5)] {
+            cal.push(Time::from_ticks(at), id);
+            heap.push(Time::from_ticks(at), id);
+        }
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| pop_both(&mut cal, &mut heap, "ties"))
+            .map(|(at, id)| (at.ticks(), id))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (10, 1),
+                (10, 100),
+                (10, 4),
+                (20, 100),
+                (30, 2),
+                (30, 100),
+                (30, 3),
+                (40, 100),
+                (40, 5),
+            ]
+        );
+    }
+
+    /// A series of no entries schedules nothing and reserves no sequence
+    /// number; a series of one entry pops once and leaves no series
+    /// behind, so the next series is a series again.
+    #[test]
+    fn series_of_zero_and_one_entries() {
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        push_series_both(&mut cal, &mut heap, 5, 1, 0, 7);
+        assert!(cal.is_empty() && cal.series.is_none());
+        assert_eq!(cal.next_seq, 0);
+        push_series_both(&mut cal, &mut heap, 5, 1, 1, 8);
+        cal.push(Time::from_ticks(5), 9);
+        heap.push(Time::from_ticks(5), 9);
+        assert_eq!(cal.len(), 2);
+        assert_eq!(
+            pop_both(&mut cal, &mut heap, "one"),
+            Some((Time::from_ticks(5), 8))
+        );
+        assert!(cal.series.is_none());
+        push_series_both(&mut cal, &mut heap, 6, 0, 2, 10);
+        assert!(cal.series.is_some(), "the queue holds a series again");
+        drain_both(&mut cal, &mut heap, "zero and one");
+    }
+
+    /// `len` counts the entries a series has still to hand out, and a
+    /// second series pushed while one is pending is grouped entry by
+    /// entry, in the same order.
+    #[test]
+    fn len_counts_the_remaining_series_entries() {
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        push_series_both(&mut cal, &mut heap, 0, 5, 6, 1);
+        cal.push(Time::from_ticks(12), 2);
+        heap.push(Time::from_ticks(12), 2);
+        assert_eq!(cal.len(), 7);
+        push_series_both(&mut cal, &mut heap, 10, 5, 3, 3);
+        assert_eq!(cal.len(), 10);
+        assert_eq!(cal.grouped, 4, "the second series was grouped");
+        for left in (0..10).rev() {
+            assert!(pop_both(&mut cal, &mut heap, "len").is_some());
+            assert_eq!(cal.len(), left);
+            assert_eq!(heap.len(), left);
+        }
+        assert!(cal.is_empty());
+    }
+
+    /// `clear` in mid-series drops the rest of it: the cleared queue holds
+    /// nothing, and a new series on it numbers and pops exactly as on a
+    /// fresh queue.
+    #[test]
+    fn clear_in_mid_series_matches_a_fresh_queue() {
+        let mut q = CalendarQueue::new();
+        q.push_series(Time::ZERO, Dur::from_ticks(10), 10, 1);
+        q.push(Time::from_ticks(15), 2);
+        for _ in 0..3 {
+            q.pop();
+        }
+        assert_eq!(q.len(), 8);
+        q.clear();
+        assert!(q.is_empty() && q.series.is_none());
+        assert_eq!(q.pop(), None);
+
+        let mut fresh = CalendarQueue::new();
+        for cal in [&mut q, &mut fresh] {
+            cal.push(Time::from_ticks(10), 3);
+            cal.push_series(Time::ZERO, Dur::from_ticks(10), 3, 4);
+            cal.push(Time::from_ticks(20), 5);
+        }
+        let drain = |cal: &mut CalendarQueue<u64>| -> Vec<(Time, u64)> {
+            std::iter::from_fn(|| cal.pop()).collect()
+        };
+        let order = drain(&mut q);
+        assert_eq!(order, drain(&mut fresh));
+        let ticks: Vec<(u64, u64)> = order.iter().map(|&(at, id)| (at.ticks(), id)).collect();
+        assert_eq!(ticks, vec![(0, 4), (10, 3), (10, 4), (20, 4), (20, 5)]);
     }
 
     #[test]

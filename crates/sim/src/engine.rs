@@ -34,8 +34,8 @@ pub trait Model {
 pub enum FelKind {
     /// Binary-heap [`EventQueue`]: O(log n), no tuning, the reference.
     Heap,
-    /// [`CalendarQueue`]: one FIFO per pending tick under a heap of the
-    /// distinct ticks; the production choice.
+    /// [`CalendarQueue`]: FIFO groups of same-tick events under a heap
+    /// keyed `(tick, first seq)`; the production choice.
     Calendar,
 }
 
@@ -43,6 +43,13 @@ pub enum FelKind {
 /// stable `(time, seq)` total order, so they are interchangeable without
 /// perturbing event order (the bit-identity contract DESIGN.md §9
 /// documents).
+#[expect(
+    clippy::large_enum_variant,
+    reason = "an executor holds one FEL inline for its lifetime: boxing the \
+              calendar, whose recent-tick cache is a fixed array, would add \
+              a pointer chase to every push and pop to save a few hundred \
+              bytes per heap executor"
+)]
 enum Fel<E> {
     Heap(EventQueue<E>),
     Calendar(CalendarQueue<E>),
@@ -57,12 +64,19 @@ impl<E> Fel<E> {
         }
     }
 
-    /// An in-order append: the calendar's sorted lane, a plain push for
-    /// the heap.
-    fn push_sorted(&mut self, at: Time, event: E) {
+    /// `count` events `step` apart from `first`: the calendar's series,
+    /// plain pushes for the heap.
+    fn push_series(&mut self, first: Time, step: Dur, count: u64, event: E)
+    where
+        E: Clone,
+    {
         match self {
-            Fel::Heap(q) => q.push(at, event),
-            Fel::Calendar(q) => q.push_sorted(at, event),
+            Fel::Heap(q) => {
+                for k in 0..count {
+                    q.push(first + step.times(k), event.clone());
+                }
+            }
+            Fel::Calendar(q) => q.push_series(first, step, count, event),
         }
     }
 
@@ -79,6 +93,15 @@ impl<E> Fel<E> {
         match self {
             Fel::Heap(q) => q.len(),
             Fel::Calendar(q) => q.len(),
+        }
+    }
+
+    /// The calendar's miss-path counts `(groups opened, recent-cache
+    /// hits)`; the heap keeps no groups and counts none.
+    fn miss_counts(&self) -> (u64, u64) {
+        match self {
+            Fel::Heap(_) => (0, 0),
+            Fel::Calendar(q) => (q.groups_opened(), q.recent_hits()),
         }
     }
 
@@ -131,8 +154,7 @@ impl<E> Executor<E> {
     }
 
     /// Rewind to a pristine state — clock at [`Time::ZERO`], no pending
-    /// events, counters zeroed — while keeping the FEL's grown storage
-    /// (the calendar's sorted lane included).
+    /// events, counters zeroed — while keeping the FEL's grown storage.
     /// A reset executor is observationally identical to a fresh one (same
     /// FEL kind, same `(time, seq)` pop order), so sweep harnesses can
     /// reuse one executor across runs without perturbing results.
@@ -160,23 +182,26 @@ impl<E> Executor<E> {
         self.queue.push(at, event);
     }
 
-    /// Schedule `event` at `at`, no earlier than any event scheduled this
-    /// way before (since the last [`Executor::reset`]) — for example a
-    /// closed model's staggered initial arrivals. The calendar FEL keeps
-    /// such events in its sorted lane ([`CalendarQueue::push_sorted`]), off
-    /// its tick heap and index; the heap takes a plain push. Either
-    /// way the event fires exactly where [`Executor::schedule`] would
-    /// have fired it.
+    /// Schedule `count` copies of `event`, `step` apart from `first`: the
+    /// events, in the order, and with the `(time, seq)` keys that `count`
+    /// calls of [`Executor::schedule`] would give them now — for example
+    /// a closed model's staggered initial arrivals. The calendar FEL keeps
+    /// them as one series ([`CalendarQueue::push_series`]), off its groups
+    /// and tick heap, and hands them out one pop at a time; the heap takes
+    /// them as plain pushes.
     ///
     /// # Panics
-    /// In debug builds, panics if `at` is in the past.
-    pub fn schedule_sorted(&mut self, at: Time, event: E) {
+    /// In debug builds, panics if `first` is in the past.
+    pub fn schedule_series(&mut self, first: Time, step: Dur, count: u64, event: E)
+    where
+        E: Clone,
+    {
         debug_assert!(
-            at >= self.now,
-            "scheduling into the past ({at:?} < {:?})",
+            first >= self.now,
+            "scheduling into the past ({first:?} < {:?})",
             self.now
         );
-        self.queue.push_sorted(at, event);
+        self.queue.push_series(first, step, count, event);
     }
 
     /// Schedule `event` after a delay of `d` from the current time.
@@ -193,6 +218,20 @@ impl<E> Executor<E> {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Tick groups the calendar FEL opened since the last
+    /// [`Executor::reset`]: pushes that missed both its push memo and its
+    /// recent-tick cache (see [`CalendarQueue`]). 0 under the heap FEL.
+    pub fn groups_opened(&self) -> u64 {
+        self.queue.miss_counts().0
+    }
+
+    /// Pushes since the last [`Executor::reset`] that missed the calendar
+    /// FEL's push memo and found their tick's group in its recent-tick
+    /// cache. 0 under the heap FEL.
+    pub fn recent_hits(&self) -> u64 {
+        self.queue.miss_counts().1
     }
 
     /// Run the model until the event list drains or the next event would
@@ -223,7 +262,7 @@ mod tests {
         seen: Vec<(u64, u32)>,
     }
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Tagged(u32);
 
     impl Model for Recorder {
@@ -294,9 +333,7 @@ mod tests {
         for kind in [FelKind::Heap, FelKind::Calendar] {
             let drive = |ex: &mut Executor<Tagged>| {
                 let mut m = Recorder::default();
-                for i in 0..40u32 {
-                    ex.schedule_sorted(Time::from_ticks(u64::from(i) * 5), Tagged(100 + i));
-                }
+                ex.schedule_series(Time::ZERO, Dur::from_ticks(5), 40, Tagged(100));
                 for i in 0..80u32 {
                     ex.schedule(Time::from_ticks(u64::from(i % 9) * 7), Tagged(i));
                 }
@@ -317,17 +354,21 @@ mod tests {
 
     /// Both FEL kinds drive a model through the identical event sequence —
     /// including FIFO ties, between grouped events and the calendar's
-    /// sorted lane too — which is the bit-identity foundation the
-    /// production engine relies on.
+    /// series too, from both sides — which is the bit-identity foundation
+    /// the production engine relies on.
     #[test]
     fn heap_and_calendar_executors_see_identical_sequences() {
         let run = |kind: FelKind| {
             let mut m = Recorder::default();
             let mut ex = Executor::with_fel(kind);
-            for i in 0..50u32 {
+            for i in 0..25u32 {
                 ex.schedule(Time::from_ticks(u64::from(i % 7) * 10), Tagged(i));
-                ex.schedule_sorted(Time::from_ticks(u64::from(i) * 2), Tagged(100 + i));
             }
+            ex.schedule_series(Time::ZERO, Dur::from_ticks(2), 50, Tagged(100));
+            for i in 25..50u32 {
+                ex.schedule(Time::from_ticks(u64::from(i % 7) * 10), Tagged(i));
+            }
+            assert_eq!(ex.pending(), 100);
             ex.run(&mut m, Time::from_ticks(1_000));
             m.seen
         };

@@ -147,8 +147,6 @@ pub struct Server {
     next_token: u64,
     /// Busy time per class: `[Lock, Transaction]`.
     busy: [Dur; 2],
-    /// Completed job count per class.
-    completed: [u64; 2],
     /// Whether Lock-class work preempts an in-service Transaction job.
     preemptive: bool,
     /// Queued-transaction service order.
@@ -171,7 +169,6 @@ impl Server {
             current: None,
             next_token: 0,
             busy: [Dur::ZERO; 2],
-            completed: [0; 2],
             preemptive: true,
             discipline: QueueDiscipline::Fcfs,
         }
@@ -205,7 +202,6 @@ impl Server {
         self.current = None;
         self.next_token = 0;
         self.busy = [Dur::ZERO; 2];
-        self.completed = [0; 2];
         self.preemptive = preemptive;
         self.discipline = discipline;
     }
@@ -305,7 +301,6 @@ impl Server {
                 debug_assert_eq!(cur.ends_at, now, "completion fired at the wrong time");
                 let finished = self.close_segment(now);
                 debug_assert!(finished.demand.is_zero());
-                self.completed[finished.class.index()] += 1;
                 let next = self
                     .lock_queue
                     .pop_front()
@@ -367,11 +362,6 @@ impl Server {
     /// [`Server::flush`] first to include the open segment.
     pub fn busy_time(&self, class: Class) -> Dur {
         self.busy[class.index()]
-    }
-
-    /// Completed job count for a class.
-    pub fn completed(&self, class: Class) -> u64 {
-        self.completed[class.index()]
     }
 
     /// Account the open service segment up to `now` (without completing
@@ -604,7 +594,8 @@ mod tests {
         assert_eq!(txn_end, 110);
         assert_eq!(h.server.busy_time(Class::Transaction), Dur::from_ticks(100));
         assert_eq!(h.server.busy_time(Class::Lock), Dur::from_ticks(10));
-        assert_eq!(h.server.completed(Class::Lock), 5);
+        let locks_done = h.finished.iter().filter(|f| f.2 == Class::Lock).count();
+        assert_eq!(locks_done, 5);
     }
 
     #[test]
@@ -699,6 +690,7 @@ mod tests {
                     CompletionOutcome::Stale => {}
                     other => panic!("expected Stale, got {other:?}"),
                 }
+                // Only job 2 completes: the two matches count one completion.
                 match server.on_completion(Time::from_ticks(10), next.token) {
                     CompletionOutcome::Finished { job: j2, next } => {
                         assert_eq!(j2.id, JobId(2));
@@ -711,7 +703,6 @@ mod tests {
         }
         // 6 ticks of wasted service on job 1 + 4 ticks on job 2.
         assert_eq!(server.busy_time(Class::Transaction), Dur::from_ticks(10));
-        assert_eq!(server.completed(Class::Transaction), 1);
         assert!(server.is_idle());
     }
 

@@ -96,11 +96,11 @@ fn failure_runs_are_fel_independent() {
 }
 
 /// The capacity shape in miniature: 2 000 terminals behind MPL 16, so
-/// most of the staggered initial arrivals wait in the calendar's sorted
-/// lane while admitted transactions complete around them. Arrivals fall
-/// on whole time units and Table 1's demands are multiples of 0.01, so
-/// hundreds of arrivals tie with a completion on the same tick; the lane
-/// must break those ties by push order exactly as the heap does.
+/// most of the staggered initial arrivals wait in the calendar's series
+/// while admitted transactions complete around them. Arrivals fall on
+/// whole time units and Table 1's demands are multiples of 0.01, so
+/// hundreds of arrivals tie with a completion on the same tick; the
+/// series must break those ties by push order exactly as the heap does.
 #[test]
 fn capacity_shaped_runs_are_fel_independent() {
     let cfg = ModelConfig::table1()

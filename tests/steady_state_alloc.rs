@@ -265,33 +265,33 @@ fn system_new_allocations_are_pinned() {
         (
             "table1",
             ModelConfig::table1(),
-            (9, 24_720, 0x1e58_e701_9a41_e7df),
+            (6, 23_504, 0x795a_1ada_0fa4_405d),
         ),
-        ("fig10 corner", fig10, (9, 27_520, 0x9049_c6c1_0f9c_f8af)),
+        ("fig10 corner", fig10, (6, 25_664, 0x0fc9_6bff_4f91_544d)),
         (
             "explicit",
             contention(explicit, 10),
-            (13, 24_832, 0xec90_2137_cb31_521f),
+            (8, 20_520, 0xf274_925f_5fb0_5cdd),
         ),
         (
             "twophase 10",
             contention(twophase, 10),
-            (34, 82_160, 0x79a4_1a1a_c841_d4ad),
+            (29, 77_848, 0x95ea_938d_3879_adc7),
         ),
         (
             "twophase 100",
             contention(twophase, 100),
-            (34, 254_448, 0x1d99_fdeb_a7a3_2fad),
+            (29, 250_136, 0x65d8_7191_4ccc_e4c7),
         ),
         (
             "capacity probabilistic",
             capacity(100_000, ConflictMode::Probabilistic).with_placement(Placement::Random),
-            (22, 8_932_592, 0x73c2_8c34_30f2_b97d),
+            (6, 543_792, 0x3ec2_1c7b_62fb_b4fd),
         ),
         (
             "capacity hierarchical",
             capacity(2_000, ConflictMode::Hierarchical).with_hierarchy(Some(hierarchy)),
-            (28, 8_425_024, 0xb0a9_793f_706c_7c65),
+            (12, 36_200, 0xd1e5_7993_005d_4eed),
         ),
     ];
     for (what, cfg, pinned) in shapes {

@@ -101,24 +101,46 @@ pub struct AccessSampler {
     pub dbsize: u64,
     /// Optional hot-spot access skew.
     pub hot_spot: Option<HotSpot>,
+    /// A bound on the largest set the configuration can draw (exact
+    /// under best and worst placement), saturated to 32 bits: no set
+    /// that fits in memory is larger. 32 bits keep the sampler, and the
+    /// lock-table engine that holds it, at their size, and with them the
+    /// set-up allocations `tests/steady_state_alloc.rs` pins.
+    pub(crate) max_locks: u32,
 }
 
 impl AccessSampler {
     /// The sampler a configuration implies.
     pub fn from_config(cfg: &ModelConfig) -> Self {
+        // Every placement locks more granules for a larger transaction,
+        // so the largest size draws the largest set. Random placement
+        // locks Yao's expectation, which never exceeds min(size, ltot);
+        // that bound spares set-up the expectation's O(size) product.
+        let largest = cfg.size.max();
+        let max_locks = match cfg.placement {
+            Placement::Random => largest.min(cfg.ltot),
+            Placement::Best | Placement::Worst => {
+                cfg.placement.locks_required(largest, cfg.ltot, cfg.dbsize)
+            }
+        };
         AccessSampler {
             placement: cfg.placement,
             ltot: cfg.ltot,
             dbsize: cfg.dbsize,
             hot_spot: cfg.hot_spot,
+            max_locks: u32::try_from(max_locks).unwrap_or(u32::MAX),
         }
     }
 
     /// Sample the declared granule set of a transaction touching
     /// `entities` entities into `out` (replacing its contents). Identical
     /// draw sequence to the pre-trait system model: plain or hot-spot
-    /// sampling, from the caller's access stream only.
+    /// sampling, from the caller's access stream only. A buffer gets room
+    /// for the largest set the configuration can draw at its first use,
+    /// so it never grows later in a run.
     pub fn sample_into(&self, rng: &mut SimRng, entities: u64, out: &mut Vec<u64>) {
+        out.clear();
+        out.reserve(self.max_locks as usize);
         match self.hot_spot {
             None => access::sample_granules_into(
                 rng,

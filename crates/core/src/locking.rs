@@ -334,7 +334,12 @@ impl ConcurrencyControl for LockingCC {
                 locks,
                 "granule set size disagrees with lock count"
             );
+            // Room for the longest list the configuration can declare:
+            // a hierarchy writes every target's whole intent chain before
+            // the merge, one entry per tree level.
+            let levels = self.hierarchy.as_ref().map_or(1, |h| h.tree.levels());
             let mut request = self.spare.pop().unwrap_or_default();
+            request.reserve(self.sampler.max_locks as usize * levels);
             let declared = self.declare(granules, &mut request);
             if at >= self.txns.len() {
                 self.txns.resize_with(at + 1, || None);

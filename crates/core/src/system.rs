@@ -5,8 +5,9 @@
 //! 1. Transactions arrive one time unit apart into the pending queue; a
 //!    transaction leaving the pending queue issues its lock request.
 //!    It is drawn (size, lock count, processors, granules) when it
-//!    leaves, so under an MPL cap a queued arrival is only its serial and
-//!    arrival time (DESIGN.md §11, "Admission-time draws").
+//!    leaves, so under an MPL cap a queued initial arrival is only a
+//!    count and a queued replacement its serial and arrival time
+//!    (DESIGN.md §11, "Admission-time draws").
 //! 2. Lock request/set/release work (`LU_i · lcputime` CPU and
 //!    `LU_i · liotime` I/O **per attempt**, charged even when denied) is
 //!    shared by all processors ("we assume that processors share the work
@@ -23,7 +24,8 @@
 //!    fresh arrival — the closed model keeps exactly `ntrans`
 //!    transactions in the system.
 
-use std::collections::VecDeque;
+mod pending;
+
 use std::ops::Sub;
 
 use lockgran_sim::{
@@ -38,6 +40,7 @@ use crate::metrics::RunMetrics;
 use crate::timeline::TimelineCollector;
 use crate::trace::{TraceEvent, VecTracer};
 use crate::transaction::{Transaction, TxnPhase};
+use pending::{Arrival, PendingQueue, ARRIVAL_SPACING};
 
 /// Events of the system model.
 #[derive(Debug, Clone)]
@@ -307,10 +310,11 @@ pub struct System {
     /// Admission control (`mpl_limit`): transactions holding a slot.
     admitted: u32,
     mpl_limit: Option<u32>,
-    /// FIFO of arrivals waiting for an admission slot, as
-    /// `(serial, arrived)`: a transaction is drawn only when admitted, so
-    /// a queued one holds no slab slot, no buffer and no draw.
-    pending: VecDeque<(u64, Time)>,
+    /// FIFO of arrivals waiting for an admission slot: a transaction is
+    /// drawn only when admitted, so a queued one holds no slab slot, no
+    /// buffer and no draw, and a queued initial arrival not even its
+    /// serial and arrival time.
+    pending: PendingQueue,
     pending_tw: TimeWeighted,
 
     // --- failure extension ---
@@ -394,7 +398,7 @@ impl System {
             blocked_count: 0,
             admitted: 0,
             mpl_limit: cfg.mpl_limit,
-            pending: VecDeque::new(),
+            pending: PendingQueue::default(),
             pending_tw: TimeWeighted::new(),
             failure: None,
             counts: Counters::default(),
@@ -425,7 +429,7 @@ impl System {
     fn schedule_initial(&mut self, cfg: &ModelConfig, root: &SimRng, ex: &mut Executor<Event>) {
         ex.schedule_series(
             Time::ZERO,
-            Dur::from_units(1.0),
+            ARRIVAL_SPACING,
             u64::from(cfg.ntrans),
             Event::Arrive,
         );
@@ -493,7 +497,7 @@ impl System {
         // Vacate every slot: the reset run's admissions redraw them in
         // place instead of allocating. The lowest slot goes on top of the
         // free list, so slots are taken in a fresh run's order. Queued
-        // arrivals are bare (serial, arrival) pairs; they just go.
+        // arrivals were never drawn; they just go.
         for txn in &mut self.slab {
             txn.phase = TxnPhase::Done;
         }
@@ -518,6 +522,9 @@ impl System {
         self.blocked_tw = TimeWeighted::new();
         self.tracer = None;
         self.timeline = None;
+        // Servers added for a larger `npros` get their room now: the kept
+        // slab will not grow again.
+        self.size_to_slab();
         self.schedule_initial(cfg, &root, ex);
     }
 
@@ -606,21 +613,20 @@ impl System {
         c
     }
 
-    /// A transaction arrives (initial arrival or closed-model
-    /// replacement): it takes the next serial and is admitted if the
-    /// multiprogramming cap allows, otherwise queued as its
-    /// `(serial, arrived)` pair. An arrival bypasses the queue only when
-    /// the queue is empty (a completion admits the queue's head before its
+    /// A transaction arrives, of the `kind` given: it takes the next
+    /// serial and is admitted if the multiprogramming cap allows,
+    /// otherwise queued. An arrival bypasses the queue only when the queue
+    /// is empty (a completion admits the queue's head before its
     /// replacement arrives), so transactions are admitted, and drawn, in
     /// serial order.
-    fn arrive(&mut self, now: Time, ex: &mut Executor<Event>) {
+    fn arrive(&mut self, now: Time, kind: Arrival, ex: &mut Executor<Event>) {
         let serial = self.next_serial;
         self.next_serial += 1;
         self.trace(now, TraceEvent::Arrived { serial });
         if self.mpl_limit.is_none_or(|cap| self.admitted < cap) {
             self.admit(now, serial, now, ex);
         } else {
-            self.pending.push_back((serial, now));
+            self.pending.push(kind, serial, now);
             self.pending_tw.record(now, self.pending.len() as f64);
         }
     }
@@ -636,15 +642,19 @@ impl System {
         // drawn now is the oldest not yet drawn: every younger arrival is
         // queued.
         debug_assert_eq!(
-            serial + self.pending.len() as u64 + 1,
+            serial + self.pending.len() + 1,
             self.next_serial,
             "transactions must be drawn in serial order"
         );
         self.admitted += 1;
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.slab.push(Transaction::default());
-            (self.slab.len() - 1) as u32
-        });
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slab.push(Transaction::default());
+                self.size_to_slab();
+                (self.slab.len() - 1) as u32
+            }
+        };
         let txn = &mut self.slab[slot as usize];
         debug_assert_eq!(txn.phase, TxnPhase::Done, "admitted into a held slot");
         txn.serial = serial;
@@ -659,6 +669,25 @@ impl System {
         self.conflict
             .register_access(&mut self.access_rng, txn.spec.entities, &mut txn.granules);
         self.begin_lock_phase(now, slot, ex);
+    }
+
+    /// Give every buffer that holds at most one entry per slab slot room
+    /// for the whole slab: each server's queues (a transaction has at most
+    /// one job at a server), the wake buffer and the deadlock-effect
+    /// buffers. Called whenever the slab grows, and at reset, so none of
+    /// them grows later in a run.
+    fn size_to_slab(&mut self) {
+        let slots = self.slab.len();
+        for server in self.servers.iter_mut().flatten() {
+            server.reserve(slots);
+        }
+        for buf in [
+            &mut self.wake_buf,
+            &mut self.dl_aborted_buf,
+            &mut self.dl_woken_buf,
+        ] {
+            buf.reserve(slots.saturating_sub(buf.len()));
+        }
     }
 
     /// Issue a lock request attempt: charge the lock overhead across all
@@ -971,12 +1000,24 @@ impl System {
         // The finished transaction gives up its admission slot; the head
         // of the pending queue takes it, before the replacement arrives.
         self.admitted -= 1;
-        if let Some((serial, arrived)) = self.pending.pop_front() {
+        if let Some((serial, arrived)) = self.pending.pop(self.next_serial) {
             self.pending_tw.record(now, self.pending.len() as f64);
             self.admit(now, serial, arrived, ex);
         }
         // Closed model: a fresh transaction replaces the finished one.
-        self.arrive(now, ex);
+        self.arrive(now, Arrival::Replacement, ex);
+        self.check_flow_balance();
+    }
+
+    /// Flow balance: every transaction that has arrived has completed,
+    /// holds an admission slot or is queued. Checked after every
+    /// completion and at the horizon, so every debug run checks it.
+    fn check_flow_balance(&self) {
+        debug_assert_eq!(
+            self.next_serial,
+            self.counts.completions + u64::from(self.admitted) + self.pending.len(),
+            "flow balance: arrivals = completions + admitted + queued"
+        );
     }
 
     /// Processor `proc` fails: mark it down, schedule the repair, and
@@ -1085,6 +1126,7 @@ impl System {
     /// `&mut self` (it flushes the servers) so an arena can
     /// [`System::reset`] the same state for the next run.
     pub fn finish(&mut self, end: Time) -> RunMetrics {
+        self.check_flow_balance();
         let w = self.counters(end) - self.warm;
         let (cpu, io) = (Res::Cpu as usize, Res::Io as usize);
         let (totcpus, lockcpus) = (w.busy[cpu].units(), w.lock_busy[cpu].units());
@@ -1144,7 +1186,7 @@ impl Model for System {
 
     fn handle(&mut self, now: Time, event: Event, ex: &mut Executor<Event>) {
         match event {
-            Event::Arrive => self.arrive(now, ex),
+            Event::Arrive => self.arrive(now, Arrival::Initial, ex),
             Event::WarmupReached => self.warmup_reached(now),
             Event::SampleTick => self.sample_tick(now, ex),
             Event::Fail { proc } => self.fail_processor(now, proc, ex),
@@ -1325,7 +1367,7 @@ mod tests {
                         deadlocks += stats.deadlocks;
                         cases += 1;
 
-                        let drawn = sys.next_serial - sys.pending.len() as u64;
+                        let drawn = sys.next_serial - sys.pending.len();
                         assert!(drawn > 0, "{case}: nothing was admitted");
                         let root = SimRng::new(seed);
                         let mut generator = WorkloadGenerator::new(cfg.workload_params(), &root);

@@ -206,6 +206,14 @@ impl Server {
         self.discipline = discipline;
     }
 
+    /// Make room for `jobs` waiting jobs in each class's queue, so that
+    /// neither grows while no more than that many jobs wait.
+    pub fn reserve(&mut self, jobs: usize) {
+        for queue in [&mut self.lock_queue, &mut self.txn_queue] {
+            queue.reserve(jobs.saturating_sub(queue.len()));
+        }
+    }
+
     /// Dequeue the next transaction job per the discipline.
     #[inline]
     fn pop_txn(&mut self) -> Option<Job> {

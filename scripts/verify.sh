@@ -96,13 +96,14 @@ echo "== simbench digests (one short pass per workload at seed 0)"
 # the last JSON line) must stay under a ceiling far above every
 # workload's few seconds: a smoke test against a pathological slowdown,
 # not a perf gate (simbench/ab.py is that). Its peak_rss_mb must stay
-# under a memory ceiling too. A terminal waiting for an MPL slot is only
-# its (serial, arrival) pair, so capacity's 10^5 terminals behind MPL 64
-# peak at about 10 MB and the other two workloads at about 3.5 MB; a
-# drawn transaction kept per waiting terminal (about 50 MB on capacity)
-# fails here.
+# under a memory ceiling too. The queued initial arrivals are one count
+# and a queued replacement a 16-byte (serial, arrival) pair, so
+# capacity's 10^5 terminals behind MPL 64 peak at about 4.2 MB and the
+# other two workloads at about 3.5 MB. A pair kept per waiting terminal
+# peaked at 5.8-6.2 MB on capacity; a drawn transaction kept per
+# waiting terminal (about 50 MB) fails here.
 wall_ceiling_s=30
-rss_ceiling_mb=24
+rss_ceiling_mb=12
 # The value of end-to-end metric $1 on the JSON result line $2.
 metric_value() {
     sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p" <<<"$2"

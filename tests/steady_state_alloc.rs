@@ -13,7 +13,8 @@
 //! count must not move across the measured half of the run.
 //!
 //! The same wrapper pins what `System::new` allocates for each benchmark
-//! shape: acquisitions, bytes and the sequence of sizes.
+//! shape: acquisitions, bytes and the sequence of sizes. It also follows
+//! the live bytes, so a test can bound a run's peak live heap.
 //!
 //! The count is kept per thread. libtest runs the tests of this binary
 //! on parallel threads, and a process-wide counter would charge each test
@@ -28,8 +29,9 @@ use lockgran_sim::{Executor, FelKind, Time};
 use lockgran_workload::{HotSpot, Placement, SizeDistribution};
 
 /// Passthrough allocator that counts the calling thread's heap
-/// acquisitions and their sizes (`alloc` and `realloc`; `dealloc` is free
-/// to run — returning memory is not the failure mode this test polices).
+/// acquisitions and their sizes (`alloc` and `realloc`), and follows its
+/// live bytes: `dealloc` subtracts, and `realloc` adjusts by the
+/// difference.
 struct CountingAlloc;
 
 /// What the calling thread has taken from the heap.
@@ -41,6 +43,11 @@ struct Heap {
     bytes: u64,
     /// FNV-1a hash of the requested sizes, in call order.
     sizes_hash: u64,
+    /// Bytes taken and not returned (negative once the thread returns
+    /// more than it took since the count restarted).
+    live: i64,
+    /// The high-water mark of `live`.
+    peak_live: i64,
 }
 
 impl Heap {
@@ -48,13 +55,20 @@ impl Heap {
         acquisitions: 0,
         bytes: 0,
         sizes_hash: 0xcbf2_9ce4_8422_2325,
+        live: 0,
+        peak_live: 0,
     };
 
-    fn record(self, size: usize) -> Heap {
+    /// One acquisition of `size` bytes that changes the live bytes by
+    /// `grown`.
+    fn record(self, size: usize, grown: i64) -> Heap {
+        let live = self.live + grown;
         Heap {
             acquisitions: self.acquisitions + 1,
             bytes: self.bytes + size as u64,
             sizes_hash: (self.sizes_hash ^ size as u64).wrapping_mul(0x0100_0000_01b3),
+            live,
+            peak_live: self.peak_live.max(live),
         }
     }
 }
@@ -65,11 +79,23 @@ thread_local! {
     static HEAP: Cell<Heap> = const { Cell::new(Heap::EMPTY) };
 }
 
-/// Count one heap acquisition of `size` bytes on the calling thread.
-/// During thread teardown the slot may already be gone; such allocations
-/// belong to no test and are not counted.
-fn count_acquisition(size: usize) {
-    let _ = HEAP.try_with(|h| h.set(h.get().record(size)));
+/// Count one heap acquisition of `size` bytes on the calling thread,
+/// which changes its live bytes by `grown`. During thread teardown the
+/// slot may already be gone; such allocations belong to no test and are
+/// not counted.
+fn count_acquisition(size: usize, grown: i64) {
+    let _ = HEAP.try_with(|h| h.set(h.get().record(size, grown)));
+}
+
+/// Count `size` bytes returned to the heap by the calling thread.
+fn count_release(size: usize) {
+    let _ = HEAP.try_with(|h| {
+        let heap = h.get();
+        h.set(Heap {
+            live: heap.live - size as i64,
+            ..heap
+        });
+    });
 }
 
 /// Heap acquisitions made so far by the calling thread.
@@ -87,16 +113,17 @@ fn heap_taken_by<T>(f: impl FnOnce() -> T) -> (T, Heap) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_acquisition(layout.size());
+        count_acquisition(layout.size(), layout.size() as i64);
         SystemAlloc.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_release(layout.size());
         SystemAlloc.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_acquisition(new_size);
+        count_acquisition(new_size, new_size as i64 - layout.size() as i64);
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -194,6 +221,30 @@ fn random_placement_hot_spot_steady_state_allocates_nothing() {
             .with_hot_spot(Some(HotSpot::eighty_twenty()))
             .with_tmax(4_000.0);
         assert_steady_state_is_silent(cfg, &format!("{mode:?}, random placement, hot spot"));
+    }
+}
+
+/// simbench's `lock_contention` shape: 50 terminals under Extension I's
+/// 80/20 hot spot, random placement, few locks and one lock per entity.
+/// Here the run meets larger draws long after its first transactions: a
+/// larger granule set or request list, a longer lock queue at a server,
+/// more deadlock victims at once. Each of those buffers gets room for its
+/// bound when first used, so none grows in the measured half.
+#[test]
+fn lock_contention_steady_state_allocates_nothing() {
+    for mode in [ConflictMode::Explicit, ConflictMode::Twophase] {
+        for ltot in [20, 5_000] {
+            let cfg = ModelConfig::table1()
+                .with_npros(10)
+                .with_ntrans(50)
+                .with_maxtransize(50)
+                .with_placement(Placement::Random)
+                .with_hot_spot(Some(HotSpot::eighty_twenty()))
+                .with_conflict(mode)
+                .with_ltot(ltot)
+                .with_tmax(6_000.0);
+            assert_steady_state_is_silent(cfg, &format!("{mode:?}, lock_contention, ltot {ltot}"));
+        }
     }
 }
 
@@ -303,4 +354,42 @@ fn system_new_allocations_are_pinned() {
             "{what}"
         );
     }
+}
+
+/// The peak live heap of one run of `cfg`, `System::new` to `finish`.
+fn peak_live_heap(cfg: &ModelConfig) -> i64 {
+    let (_, heap) = heap_taken_by(|| {
+        let mut ex = Executor::with_fel(FelKind::Calendar);
+        let mut system = System::new(cfg, 1, &mut ex);
+        let horizon = system.tmax();
+        let end = ex.run(&mut system, horizon);
+        system.finish(end)
+    });
+    heap.peak_live
+}
+
+/// A waiting terminal costs no memory. simbench's probabilistic
+/// `capacity` shape completes only about 1–60 transactions per run, so
+/// behind MPL 64 nearly every terminal waits in the pending queue from
+/// its arrival to the horizon. Ten times the terminals must then leave
+/// the run's peak live heap where it was: a queued initial arrival is a
+/// count, not a stored pair.
+#[test]
+fn waiting_terminals_take_no_heap() {
+    let shape = |ntrans: u32| ModelConfig {
+        dbsize: 10_000_000,
+        ..ModelConfig::table1()
+            .with_ltot(10_000)
+            .with_ntrans(ntrans)
+            .with_mpl_limit(Some(64))
+            .with_tmax(1.1 * f64::from(ntrans))
+            .with_placement(Placement::Random)
+            .with_size(SizeDistribution::Uniform { max: 100_000 })
+    };
+    let small = peak_live_heap(&shape(20_000));
+    let large = peak_live_heap(&shape(200_000));
+    assert!(
+        (large - small).abs() < 64 << 10,
+        "peak live heap {small} bytes at 2·10⁴ terminals, {large} at 2·10⁵"
+    );
 }

@@ -7,9 +7,9 @@
 //! kinds of arrival are kept apart:
 //!
 //! - the queued *initial* arrivals are one contiguous stretch of the
-//!   arrival series (an initial arrival finds the queue empty, or queues
-//!   behind the one before it), so they are a count and the time of the
-//!   first; the k-th of them arrived k · [`ARRIVAL_SPACING`] after it;
+//!   arrival series (they join and leave the queue in series order), so
+//!   they are a count and the time of the first; the k-th of them
+//!   arrived k · [`ARRIVAL_SPACING`] after it;
 //! - the queued closed-model *replacements* are `(serial, arrived)`
 //!   pairs, in arrival order.
 //!

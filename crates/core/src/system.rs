@@ -661,6 +661,11 @@ impl System {
         txn.arrived = arrived;
         txn.attempts = 0;
         txn.phase = TxnPhase::LockPhase;
+        // Room for one CPU demand per processor now: a transaction that
+        // waits long for its locks first runs, and fills this, late in a
+        // run.
+        txn.cpu_shares.clear();
+        txn.cpu_shares.reserve(self.npros as usize);
         // Spec first, then granules. The conflict model decides what
         // "declared access" means — the probabilistic model clears the
         // set without touching the access stream; the lock-table models
